@@ -49,6 +49,16 @@ def _write_json(path, payload):
         raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
+def _emit(args, report, key, payload, artifact=None):
+    """With --json, write ``artifact`` (default: ``payload``) there and name it
+    in the report; otherwise put ``payload`` in the report under ``key``."""
+    if args.json:
+        _write_json(args.json, payload if artifact is None else artifact)
+        report["artifact"] = args.json
+    elif key is not None:
+        report[key] = payload
+
+
 def _limit_witnesses(witnesses, limit):
     if witnesses is None:
         return None
@@ -70,31 +80,32 @@ def _emit_matrix(bm, args, report):
         for row in bm.matrix.as_int_rows():
             print(" ".join(str(v).rjust(width) for v in row))
         return 0, None
-    if args.json:
-        _write_json(args.json, payload)
-        report["artifact"] = args.json
-    else:
-        report["braiding"] = payload
+    _emit(args, report, "braiding", payload)
     return 0, report
+
+
+def _emit_bracket(args, report, data):
+    """Shared tail for the braided-bracket commands: the bracket entries go in
+    the report, or with the basis and tau into the --json artifact."""
+    entries = leibniz.bracket_entries(data.bracket)
+    artifact = None
+    if args.json:
+        artifact = {"basis": list(data.basis), "bracket": entries, "tau": data.tau.to_json_dict()}
+    _emit(args, report, "bracket", entries, artifact)
 
 
 def _rack_q(module):
     """q(x) = p(x) - 1 recovered from a diagonal group grading."""
-    hopf = module.hopf
-    if not isinstance(hopf, group_hopf.GroupAlgebraDescriptor):
+    if not isinstance(module.hopf, group_hopf.GroupAlgebraDescriptor):
         raise ValidationError("--rack-q needs a module over a group algebra")
-    one = module.field.one
-    e = hopf.unit
-    q = []
-    for x in range(module.dim):
-        terms = module.coaction[x]
-        if len(terms) != 1 or terms[0][0] != x or terms[0][2] != one:
+    p = []
+    for x, terms in enumerate(module.coaction):
+        if len(terms) != 1 or terms[0][0] != x or terms[0][2] != module.field.one:
             raise ValidationError(
                 "--rack-q needs a grading coaction x -> x (x) p(x)"
             )
-        g = terms[0][1]
-        q.append({g: one, e: -one} if g != e else {})
-    return q
+        p.append(terms[0][1])
+    return group_hopf.rack_q_map(group_hopf.LinearizedRack(module, tuple(p)))
 
 
 def _get_q(args, module, field):
@@ -124,12 +135,7 @@ def _cmd_make_dihedral(args, field):
     shelf = racks.dihedral_quandle(args.n)
     rep = racks.check_shelf(shelf)
     report = {"size": shelf.size, "is_quandle": rep.is_quandle}
-    payload = shelf.to_json_dict()
-    if args.json:
-        _write_json(args.json, payload)
-        report["artifact"] = args.json
-    else:
-        report["rack"] = payload
+    _emit(args, report, "rack", shelf.to_json_dict())
     return 0, report
 
 
@@ -138,12 +144,7 @@ def _cmd_make_conjugation(args, field):
     shelf = racks.conjugation_rack(group)
     rep = racks.check_shelf(shelf)
     report = {"size": shelf.size, "is_quandle": rep.is_quandle}
-    payload = shelf.to_json_dict()
-    if args.json:
-        _write_json(args.json, payload)
-        report["artifact"] = args.json
-    else:
-        report["rack"] = payload
+    _emit(args, report, "rack", shelf.to_json_dict())
     return 0, report
 
 
@@ -155,12 +156,7 @@ def _cmd_inner_augmentation(args, field):
         "inner_group_order": aug.group.size,
         "augmented_ok": True,
     }
-    payload = aug.to_json_dict()
-    if args.json:
-        _write_json(args.json, payload)
-        report["artifact"] = args.json
-    else:
-        report["augmented_rack"] = payload
+    _emit(args, report, "augmented_rack", aug.to_json_dict())
     return 0, report
 
 
@@ -185,9 +181,7 @@ def _cmd_rack_braiding(args, field):
         report["set_level_ybe"] = ybe.ok
         report["witness"] = _jsonable(ybe.witness)
         code = 0 if ybe.ok else 1
-    if args.json:
-        _write_json(args.json, tensor.to_json_dict())
-        report["artifact"] = args.json
+    _emit(args, report, None, tensor.to_json_dict())
     return code, report
 
 
@@ -200,12 +194,7 @@ def _cmd_linearize(args, field):
         "group_order": aug.group.size,
         "yd_ok": rep.ok,
     }
-    payload = jsonio.yd_to_dict(lin.module)
-    if args.json:
-        _write_json(args.json, payload)
-        report["artifact"] = args.json
-    else:
-        report["module"] = payload
+    _emit(args, report, "module", jsonio.yd_to_dict(lin.module))
     return (0 if rep.ok else 1), report
 
 
@@ -231,15 +220,16 @@ def _cmd_braiding_matrix(args, field):
 def _cmd_check_ybe(args, field):
     payload = _load_json(args.file)
     if "matrix" in payload:
-        bm = yd.BraidingMatrix.from_json_dict(payload, field)
-        matrix = bm.matrix
+        tau = yd.BraidingMatrix.from_json_dict(payload, field)
     else:
-        matrix = Matrix.from_json_dict(payload, field)
-    rep = yd.check_ybe(matrix, field)
+        tau = Matrix.from_json_dict(payload, field)
+    rep = yd.check_ybe(tau)
     report = {"ok": rep.ok}
-    if not rep.ok and args.json:
-        _write_json(args.json, rep.defect.to_json_dict())
-        report["defect_artifact"] = args.json
+    if not rep.ok:
+        report["witness"] = list(rep.witness)
+        if args.json:
+            _write_json(args.json, rep.defect.to_json_dict())
+            report["defect_artifact"] = args.json
     return (0 if rep.ok else 1), report
 
 
@@ -259,38 +249,22 @@ def _cmd_lie_quotient(args, field):
         "quotient_dim": lq.dim,
         "quotient_basis": list(lq.quotient.basis),
     }
-    payload = {
-        "quotient": lq.quotient.to_json_dict(),
+    quotient = lq.quotient.to_json_dict()
+    _emit(args, report, "quotient", quotient, {
+        "quotient": quotient,
         "pi": lq.pi.to_json_dict(),
         "section": lq.section.to_json_dict(),
         "ideal": [[str(c) for c in row] for row in lq.ideal],
-    }
-    if args.json:
-        _write_json(args.json, payload)
-        report["artifact"] = args.json
-    else:
-        report["quotient"] = payload["quotient"]
+    })
     return 0, report
 
 
 def _cmd_unital_shelf(args, field):
     alg = leibniz.LeibnizAlgebra.from_json_dict(_load_json(args.file), field)
     shelf = leibniz.unital_shelf(alg)
-    entries = []
-    for i in range(shelf.dim):
-        for j in range(shelf.dim):
-            if shelf.table[i][j]:
-                entries.append({
-                    "i": i, "j": j,
-                    "out": {str(k): str(c) for k, c in sorted(shelf.table[i][j].items())},
-                })
-    payload = {"basis": list(shelf.basis), "table": entries}
     report = {"dim": shelf.dim}
-    if args.json:
-        _write_json(args.json, payload)
-        report["artifact"] = args.json
-    else:
-        report["shelf"] = payload
+    payload = {"basis": list(shelf.basis), "table": leibniz.bracket_entries(shelf.table)}
+    _emit(args, report, "shelf", payload)
     return 0, report
 
 
@@ -299,12 +273,7 @@ def _cmd_first_order_yd(args, field):
     module = leibniz.first_order_yd(alg, args.degree)
     rep = yd.check_yd(module)
     report = {"dim": module.dim, "yd_ok": rep.ok}
-    payload = jsonio.yd_to_dict(module)
-    if args.json:
-        _write_json(args.json, payload)
-        report["artifact"] = args.json
-    else:
-        report["module"] = payload
+    _emit(args, report, "module", jsonio.yd_to_dict(module))
     return (0 if rep.ok else 1), report
 
 
@@ -324,26 +293,23 @@ def _cmd_env_build(args, field):
         "carrier_dim": env.size,
         "pbw_basis": list(env.pbw.labels),
     }
-    if args.json:
-        payload = {
-            "labels": list(env.labels),
-            "right_action": [
-                [{str(e): str(c) for e, c in sorted(vec.items())} for vec in row]
-                for row in env.right_act_tab
-            ],
-            "left_action": [
-                [{str(e): str(c) for e, c in sorted(vec.items())} for vec in row]
-                for row in env.left_act_tab
-            ],
-            "left_coaction": [
-                [[h, e, str(c)] for h, e, c in row] for row in env.left_coact_tab
-            ],
-            "right_coaction": [
-                [[e, h, str(c)] for e, h, c in row] for row in env.right_coact_tab
-            ],
-        }
-        _write_json(args.json, payload)
-        report["artifact"] = args.json
+    _emit(args, report, None, {
+        "labels": list(env.labels),
+        "right_action": [
+            [{str(e): str(c) for e, c in sorted(vec.items())} for vec in row]
+            for row in env.right_act_tab
+        ],
+        "left_action": [
+            [{str(e): str(c) for e, c in sorted(vec.items())} for vec in row]
+            for row in env.left_act_tab
+        ],
+        "left_coaction": [
+            [[h, e, str(c)] for h, e, c in row] for row in env.left_coact_tab
+        ],
+        "right_coaction": [
+            [[e, h, str(c)] for e, h, c in row] for row in env.right_coact_tab
+        ],
+    })
     return 0, report
 
 
@@ -378,25 +344,12 @@ def _cmd_theorem1_bracket(args, field):
         data.bracket[i][j] == alg.brackets[i][j]
         for i in range(alg.dim) for j in range(alg.dim)
     )
-    entries = []
-    for i in range(data.dim):
-        for j in range(data.dim):
-            if data.bracket[i][j]:
-                entries.append({
-                    "i": i, "j": j,
-                    "out": {str(k): str(c) for k, c in sorted(data.bracket[i][j].items())},
-                })
     report = {
         "braided_leibniz_ok": rep.ok,
         "recovers_input_brackets": matches,
         "tau_is_flip": data.tau.matrix == yd.flip_matrix(data.dim, field),
-        "bracket": entries,
     }
-    if args.json:
-        _write_json(args.json, {"basis": list(data.basis), "bracket": entries,
-                                "tau": data.tau.to_json_dict()})
-        report["artifact"] = args.json
-        del report["bracket"]
+    _emit_bracket(args, report, data)
     return (0 if rep.ok else 1), report
 
 
@@ -418,20 +371,8 @@ def _cmd_braided_leibniz(args, field):
     q = _get_q(args, module, field)
     data = yd.braided_leibniz_from_q(module, q)
     rep = yd.check_braided_leibniz(data)
-    entries = []
-    for i in range(data.dim):
-        for j in range(data.dim):
-            if data.bracket[i][j]:
-                entries.append({
-                    "i": i, "j": j,
-                    "out": {str(k): str(c) for k, c in sorted(data.bracket[i][j].items())},
-                })
-    report = {"ok": rep.ok, "witness": _jsonable(rep.witness), "bracket": entries}
-    if args.json:
-        _write_json(args.json, {"basis": list(data.basis), "bracket": entries,
-                                "tau": data.tau.to_json_dict()})
-        report["artifact"] = args.json
-        del report["bracket"]
+    report = {"ok": rep.ok, "witness": _jsonable(rep.witness)}
+    _emit_bracket(args, report, data)
     return (0 if rep.ok else 1), report
 
 

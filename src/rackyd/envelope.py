@@ -34,47 +34,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, DegreeOverflowError, ValidationError
-from .linalg import coords_in_span, nullspace, rref
+from .linalg import coords_in_span, lincomb, nullspace, rref, vsum
 from .scalars import QQ
-from .yd import (
-    BraidedLeibnizData,
-    YDModule,
-    _acc,
-    _norm,
-    braided_leibniz_from_q,
-    hvec_coproduct,
-)
+from .yd import BraidedLeibnizData, YDModule, braided_leibniz_from_q, hvec_coproduct, hvec_counit
 
 
 def check_lie(brackets, field=QQ):
     """Antisymmetry and Jacobi on all basis tuples; returns a witness or None."""
     n = len(brackets)
 
-    def bra(i, j):
-        return brackets[i][j]
-
     def bra_vec(v, j):
-        out = {}
-        for i, c in v.items():
-            for k, c2 in bra(i, j).items():
-                _acc(out, k, c * c2)
-        return _norm(out)
+        return lincomb(v, lambda i: brackets[i][j])
 
     for i in range(n):
         for j in range(n):
-            neg = {k: -c for k, c in bra(j, i).items()}
-            if _norm(dict(bra(i, j))) != _norm(neg):
+            if vsum(brackets[i][j], brackets[j][i]):
                 return ("antisymmetry", i, j)
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 # [[x,y],z] = [[x,z],y] + [x,[y,z]]
-                lhs = bra_vec(bra(i, j), k)
-                rhs = dict(bra_vec(bra(i, k), j))
-                for m, c in bra(j, k).items():
-                    for m2, c2 in bra(i, m).items():
-                        _acc(rhs, m2, c * c2)
-                if lhs != _norm(rhs):
+                lhs = bra_vec(brackets[i][j], k)
+                rhs = vsum(bra_vec(brackets[i][k], j),
+                           lincomb(brackets[j][k], brackets[i].__getitem__))
+                if lhs != rhs:
                     return ("jacobi", i, j, k)
     return None
 
@@ -106,7 +89,7 @@ class TruncatedPBW:
         self.degree = degree
         n = len(brackets)
         self.dim_lie = n
-        self.brackets = tuple(tuple(_norm(dict(v)) for v in row) for row in brackets)
+        self.brackets = tuple(tuple(vsum(v) for v in row) for row in brackets)
         for row in self.brackets:
             if len(row) != n:
                 raise ValidationError("bracket table must be n x n")
@@ -156,33 +139,36 @@ class TruncatedPBW:
             out.extend([k] * e)
         return tuple(out)
 
-    def _straighten(self, word, coeff, out, exact):
+    def _straighten(self, word, exact) -> dict:
+        """A word in the Lie basis as a combination of ordered monomials.
+
+        The first out-of-order pair ``ab`` is rewritten as ``ba + [a, b]``;
+        the rewritten words are distinct, so they index one combination.
+        """
         for pos in range(len(word) - 1):
             a, b = word[pos], word[pos + 1]
             if a > b:
-                self._straighten(word[:pos] + (b, a) + word[pos + 2:], coeff, out, exact)
-                for k, c in self.brackets[a][b].items():
-                    self._straighten(word[:pos] + (k,) + word[pos + 2:], coeff * c, out, exact)
-                return
+                head, tail = word[:pos], word[pos + 2:]
+                rewrite = {head + (k,) + tail: c for k, c in self.brackets[a][b].items()}
+                rewrite[head + (b, a) + tail] = self.field.one
+                return lincomb(rewrite, lambda w: self._straighten(w, exact))
         if len(word) > self.degree:
             if exact:
                 raise DegreeOverflowError(
                     f"monomial of degree {len(word)} exceeds the window (d={self.degree})"
                 )
-            return
+            return {}
         exp = [0] * self.dim_lie
         for g in word:
             exp[g] += 1
-        _acc(out, self.index[tuple(exp)], coeff)
+        return {self.index[tuple(exp)]: self.field.one}
 
     def _mul_words(self, w1, w2, exact):
         if exact and len(w1) + len(w2) > self.degree:
             raise DegreeOverflowError(
                 f"exact product of degrees {len(w1)} and {len(w2)} exceeds d={self.degree}"
             )
-        out = {}
-        self._straighten(tuple(w1) + tuple(w2), self.field.one, out, exact)
-        return _norm(out)
+        return self._straighten(tuple(w1) + tuple(w2), exact)
 
     def product(self, i: int, j: int) -> dict:
         """Truncating product of two basis monomials."""
@@ -200,13 +186,8 @@ class TruncatedPBW:
         return self._mul_words(self.word(i), self.word(j), exact=True)
 
     def mul_hvec(self, a: dict, b: dict, exact=False) -> dict:
-        out = {}
-        for i, ca in a.items():
-            for j, cb in b.items():
-                prod = self.product_exact(i, j) if exact else self.product(i, j)
-                for k, cp in prod.items():
-                    _acc(out, k, ca * cb * cp)
-        return _norm(out)
+        prod = self.product_exact if exact else self.product
+        return lincomb(a, lambda i: lincomb(b, lambda j: prod(i, j)))
 
     def coproduct(self, i: int):
         """Delta(monomial), multiplicative from Delta(x) = x (x) 1 + 1 (x) x.
@@ -216,11 +197,7 @@ class TruncatedPBW:
         """
         terms = {((), ()): self.field.one}
         for g in self.word(i):
-            new = {}
-            for (w1, w2), c in terms.items():
-                _acc(new, (w1 + (g,), w2), c)
-                _acc(new, (w1, w2 + (g,)), c)
-            terms = new
+            terms = lincomb(terms, lambda ww: {(ww[0] + (g,), ww[1]): 1, (ww[0], ww[1] + (g,)): 1})
 
         def idx(word):
             exp = [0] * self.dim_lie
@@ -236,17 +213,11 @@ class TruncatedPBW:
     def antipode(self, i: int) -> dict:
         """S(x) = -x on generators, extended anti-multiplicatively."""
         word = tuple(reversed(self.word(i)))
-        sign = self.field.one if len(word) % 2 == 0 else -self.field.one
-        out = {}
-        self._straighten(word, sign, out, exact=True)
-        return _norm(out)
+        sign = 1 if len(word) % 2 == 0 else -1
+        return lincomb({word: sign}, lambda w: self._straighten(w, exact=True))
 
     def antipode_hvec(self, a: dict) -> dict:
-        out = {}
-        for i, c in a.items():
-            for k, cs in self.antipode(i).items():
-                _acc(out, k, c * cs)
-        return _norm(out)
+        return lincomb(a, self.antipode)
 
     def generator_word(self, i: int):
         return tuple(self.gen_index[k] for k in self.word(i))
@@ -308,11 +279,10 @@ class EnvelopingDescriptor:
                 ma = module.act_basis({m: one}, ga)
                 for b in range(len(self.pbw.gen_index)):
                     gb = self.pbw.gen_index[b]
-                    lhs = dict(module.act_basis(ma, gb))
-                    for k, c in module.act_basis(module.act_basis({m: one}, gb), ga).items():
-                        _acc(lhs, k, -c)
+                    lhs = module.act_basis(ma, gb)
+                    mba = module.act_basis(module.act_basis({m: one}, gb), ga)
                     rhs = module.act_hvec({m: one}, self.pbw.bracket_gen(a, b))
-                    if _norm(lhs) != rhs:
+                    if lhs != vsum(rhs, mba):
                         return (m, a, b)
         return None
 
@@ -331,7 +301,7 @@ class LieMapObject:
 
     def __init__(self, brackets, lie_labels, module_labels, action, f, field=QQ):
         self.field = field
-        self.brackets = tuple(tuple(_norm(dict(v)) for v in row) for row in brackets)
+        self.brackets = tuple(tuple(vsum(v) for v in row) for row in brackets)
         n = len(self.brackets)
         witness = check_lie(self.brackets, field)
         if witness is not None:
@@ -341,44 +311,29 @@ class LieMapObject:
         nm = len(self.module_labels)
         if len(action) != n or any(len(row) != nm for row in action):
             raise ValidationError("action must be one row of module vectors per Lie basis")
-        self.action = tuple(tuple(_norm(dict(v)) for v in row) for row in action)
+        self.action = tuple(tuple(vsum(v) for v in row) for row in action)
         if len(f) != nm:
             raise ValidationError("f needs one value per module basis vector")
-        self.f = tuple(_norm(dict(v)) for v in f)
+        self.f = tuple(vsum(v) for v in f)
 
         def act(vec, k):
-            out = {}
-            for m, c in vec.items():
-                for m2, c2 in self.action[k][m].items():
-                    _acc(out, m2, c * c2)
-            return _norm(out)
+            return lincomb(vec, self.action[k].__getitem__)
 
         one = field.one
         for m in range(nm):
             for a in range(n):
                 for b in range(n):
-                    lhs = dict(act(act({m: one}, a), b))
-                    for k, c in act(act({m: one}, b), a).items():
-                        _acc(lhs, k, -c)
-                    rhs = {}
-                    for j, c in self.brackets[a][b].items():
-                        for m2, c2 in self.action[j][m].items():
-                            _acc(rhs, m2, c * c2)
-                    if _norm(lhs) != _norm(rhs):
+                    # m.[x,y] = (m.x).y - (m.y).x
+                    rhs = lincomb(self.brackets[a][b], lambda j: self.action[j][m])
+                    if act(act({m: one}, a), b) != vsum(rhs, act(act({m: one}, b), a)):
                         raise ValidationError(
                             f"not a right Lie action at (m={m}, x={a}, y={b})"
                         )
         for m in range(nm):
             for k in range(n):
-                lhs = {}
-                for m2, c in self.action[k][m].items():
-                    for j, c2 in self.f[m2].items():
-                        _acc(lhs, j, c * c2)
-                rhs = {}
-                for j, c in self.f[m].items():
-                    for j2, c2 in self.brackets[j][k].items():
-                        _acc(rhs, j2, c * c2)
-                if _norm(lhs) != _norm(rhs):
+                lhs = lincomb(self.action[k][m], self.f.__getitem__)
+                rhs = lincomb(self.f[m], lambda j: self.brackets[j][k])
+                if lhs != rhs:
                     raise ValidationError(f"f is not equivariant at (m={m}, x={k})")
 
     @property
@@ -402,27 +357,19 @@ class EnvTetramodule:
         self.labels = tuple(
             f"{hl}⊗{ml}" for hl in self.pbw.labels for ml in obj.module_labels
         )
-        one = self.field.one
         right_act, left_act = [], []
         left_coact, right_coact = [], []
         for h in range(self.pbw.size):
             for m in range(nm):
-                row_r = []
-                for k in range(self.pbw.dim_lie):
-                    vec = {}
-                    for h2, c in self.pbw.times_gen(h, k).items():
-                        _acc(vec, self.eidx(h2, m), c)
-                    for m2, c in obj.action[k][m].items():
-                        _acc(vec, self.eidx(h, m2), c)
-                    row_r.append(_norm(vec))
-                right_act.append(tuple(row_r))
-                row_l = []
-                for k in range(self.pbw.dim_lie):
-                    vec = {}
-                    for h2, c in self.pbw.gen_times(k, h).items():
-                        _acc(vec, self.eidx(h2, m), c)
-                    row_l.append(_norm(vec))
-                left_act.append(tuple(row_l))
+                right_act.append(tuple(
+                    vsum({self.eidx(h2, m): c for h2, c in self.pbw.times_gen(h, k).items()},
+                         {self.eidx(h, m2): c for m2, c in obj.action[k][m].items()})
+                    for k in range(self.pbw.dim_lie)
+                ))
+                left_act.append(tuple(
+                    {self.eidx(h2, m): c for h2, c in self.pbw.gen_times(k, h).items()}
+                    for k in range(self.pbw.dim_lie)
+                ))
                 lco, rco = [], []
                 for c, a, b in self.pbw.coproduct(h):
                     lco.append((a, self.eidx(b, m), c))
@@ -447,18 +394,10 @@ class EnvTetramodule:
     # -- action helpers (truncating, like the tables they fold) ------------
 
     def right_act_gen(self, vec: dict, k: int) -> dict:
-        out = {}
-        for e, c in vec.items():
-            for e2, c2 in self.right_act_tab[e][k].items():
-                _acc(out, e2, c * c2)
-        return _norm(out)
+        return lincomb(vec, lambda e: self.right_act_tab[e][k])
 
     def left_act_gen(self, k: int, vec: dict) -> dict:
-        out = {}
-        for e, c in vec.items():
-            for e2, c2 in self.left_act_tab[e][k].items():
-                _acc(out, e2, c * c2)
-        return _norm(out)
+        return lincomb(vec, lambda e: self.left_act_tab[e][k])
 
     def right_act_basis(self, vec: dict, h_idx: int) -> dict:
         out = dict(vec)
@@ -473,29 +412,20 @@ class EnvTetramodule:
         return out
 
     def right_act_hvec(self, vec: dict, hvec: dict) -> dict:
-        out = {}
-        for h, c in hvec.items():
-            for e, c2 in self.right_act_basis(vec, h).items():
-                _acc(out, e, c * c2)
-        return _norm(out)
+        return lincomb(hvec, lambda h: self.right_act_basis(vec, h))
 
     def left_mul_hvec(self, hvec: dict, vec: dict) -> dict:
-        out = {}
-        for h, c in hvec.items():
-            for e, c2 in self.left_mul_basis(h, vec).items():
-                _acc(out, e, c * c2)
-        return _norm(out)
+        return lincomb(hvec, lambda h: self.left_mul_basis(h, vec))
 
     def adjoint(self, vec: dict, hvec: dict) -> dict:
         """Right adjoint action S(h_(1)) . n . h_(2), linear in h."""
-        out = {}
-        for h, c in hvec.items():
-            for c2, h1, h2 in self.pbw.coproduct(h):
-                moved = self.right_act_basis(vec, h2)
-                shifted = self.left_mul_hvec(self.pbw.antipode(h1), moved)
-                for e, c3 in shifted.items():
-                    _acc(out, e, c * c2 * c3)
-        return _norm(out)
+
+        def on_basis(h):
+            delta = {(h1, h2): c for c, h1, h2 in self.pbw.coproduct(h)}
+            return lincomb(delta, lambda hh: self.left_mul_hvec(
+                self.pbw.antipode(hh[0]), self.right_act_basis(vec, hh[1])))
+
+        return lincomb(hvec, on_basis)
 
 
 def build_env(obj: LieMapObject, degree: int = 2) -> EnvTetramodule:
@@ -505,13 +435,12 @@ def build_env(obj: LieMapObject, degree: int = 2) -> EnvTetramodule:
 
 def phi_map(env: EnvTetramodule, vec: dict) -> dict:
     """phi(u (x) m) = u f(m), linearly extended (truncating product)."""
-    out = {}
-    for e, c in vec.items():
+
+    def on_basis(e):
         h, m = env.split(e)
-        for j, cf in env.obj.f[m].items():
-            for k, cp in env.pbw.product(h, env.pbw.gen_index[j]).items():
-                _acc(out, k, c * cf * cp)
-    return _norm(out)
+        return lincomb(env.obj.f[m], lambda j: env.pbw.product(h, env.pbw.gen_index[j]))
+
+    return lincomb(vec, on_basis)
 
 
 @dataclass(frozen=True)
@@ -541,14 +470,11 @@ def phi_checks(env: EnvTetramodule) -> PhiReport:
         if env.pbw.degree_of(h) > d - 1:
             continue
         lhs = hvec_coproduct(env.pbw, phi_map(env, {e: one}))
-        rhs = {}
-        for h1, e1, c in env.left_coact_tab[e]:
-            for k, c2 in phi_map(env, {e1: one}).items():
-                _acc(rhs, (h1, k), c * c2)
-        for e1, h1, c in env.right_coact_tab[e]:
-            for k, c2 in phi_map(env, {e1: one}).items():
-                _acc(rhs, (k, h1), c * c2)
-        if lhs != _norm(rhs):
+        left = lincomb({(h1, e1): c for h1, e1, c in env.left_coact_tab[e]},
+                       lambda he: {(he[0], k): c for k, c in phi_map(env, {he[1]: one}).items()})
+        right = lincomb({(e1, h1): c for e1, h1, c in env.right_coact_tab[e]},
+                        lambda eh: {(k, eh[1]): c for k, c in phi_map(env, {eh[0]: one}).items()})
+        if lhs != vsum(left, right):
             coderivation_ok = False
             witnesses["coderivation"] = env.labels[e]
             break
@@ -598,15 +524,17 @@ def inv_part(env: EnvTetramodule) -> InvariantPart:
     one = env.field.one
     unit = env.pbw.unit
     ncols = env.size
-    nrows = env.pbw.size * env.size
-    rows = [[env.field.zero] * ncols for _ in range(nrows)]
+    # rows of n -> left coaction(n) - 1 (x) n; the rows that stay zero are left out
+    rows = {}
     for e in range(ncols):
         for h1, e1, c in env.left_coact_tab[e]:
-            rows[h1 * env.size + e1][e] = rows[h1 * env.size + e1][e] + c
-        rows[unit * env.size + e][e] = rows[unit * env.size + e][e] - one
-    kernel = nullspace(rows, ncols, env.field)
+            row = rows.setdefault(h1 * ncols + e1, [env.field.zero] * ncols)
+            row[e] = row[e] + c
+        row = rows.setdefault(unit * ncols + e, [env.field.zero] * ncols)
+        row[e] = row[e] - one
+    kernel = nullspace(list(rows.values()), ncols, env.field)
     basis_rows, pivots = rref(kernel, env.field)
-    vectors = [_norm({i: c for i, c in enumerate(row)}) for row in basis_rows]
+    vectors = [{i: c for i, c in enumerate(row) if c} for row in basis_rows]
     labels = []
     for j, vec in enumerate(vectors):
         if len(vec) == 1:
@@ -632,23 +560,17 @@ def inv_part(env: EnvTetramodule) -> InvariantPart:
         row = []
         for gidx in env.pbw.gen_index:
             moved = env.adjoint(vec, {gidx: one})
-            row.append(_norm(dict(enumerate(to_coords(moved)))))
+            row.append({j: c for j, c in enumerate(to_coords(moved)) if c})
         action.append(row)
     coaction = []
     for vec in vectors:
+        delta = lincomb(vec, lambda e: {(e1, h1): c for e1, h1, c in env.right_coact_tab[e]})
         by_h = {}
-        for e, c in vec.items():
-            for e1, h1, c2 in env.right_coact_tab[e]:
-                _acc(by_h, (e1, h1), c * c2)
-        terms = {}
-        grouped = {}
-        for (e1, h1), c in _norm(by_h).items():
-            grouped.setdefault(h1, {})[e1] = c
-        for h1, vec_h in sorted(grouped.items()):
-            for j, c in enumerate(to_coords(vec_h)):
-                if c:
-                    _acc(terms, (j, h1), c)
-        coaction.append([(j, h1, c) for (j, h1), c in sorted(terms.items())])
+        for (e1, h1), c in delta.items():
+            by_h.setdefault(h1, {})[e1] = c
+        coaction.append(sorted(
+            (j, h1, c) for h1, vec_h in by_h.items() for j, c in enumerate(to_coords(vec_h)) if c
+        ))
     module = YDModule(hopf, labels, action, coaction)
     return InvariantPart(module, tuple(vectors))
 
@@ -673,6 +595,11 @@ def f_tilde_checks(env: EnvTetramodule) -> LemmaReport:
 
     Requires degree >= 2 so the adjoint-action products stay exact.
     """
+    return _f_tilde(env)[0]
+
+
+def _f_tilde(env: EnvTetramodule):
+    """:func:`f_tilde_checks`, together with the invariant part it checked."""
     if env.pbw.degree < 2:
         raise ValidationError("invariant checks need truncation degree >= 2")
     inv = inv_part(env)
@@ -681,25 +608,17 @@ def f_tilde_checks(env: EnvTetramodule) -> LemmaReport:
     witnesses = {}
     im_ok = True
     for j, vec in enumerate(inv.vectors):
-        fv = phi_map(env, vec)
-        eps = env.field.zero
-        for k, c in fv.items():
-            eps = eps + c * pbw.counit(k)
-        if eps:
+        if hvec_counit(pbw, phi_map(env, vec)):
             im_ok = False
             witnesses["im_in_ker_eps"] = inv.module.basis[j]
             break
     colinear_ok = True
     for j, vec in enumerate(inv.vectors):
+        # Delta phi(x) - 1 (x) phi(x) = phi(x_(0)) (x) x_(1)
         fv = phi_map(env, vec)
-        lhs = dict(hvec_coproduct(pbw, fv))
-        for k, c in fv.items():
-            _acc(lhs, (pbw.unit, k), -c)
-        rhs = {}
-        for m0, h1, c in inv.module.coaction[j]:
-            for k, c2 in phi_map(env, inv.vectors[m0]).items():
-                _acc(rhs, (k, h1), c * c2)
-        if _norm(lhs) != _norm(rhs):
+        rhs = lincomb({(m0, h1): c for m0, h1, c in inv.module.coaction[j]}, lambda mh: {
+            (k, mh[1]): c for k, c in phi_map(env, inv.vectors[mh[0]]).items()})
+        if hvec_coproduct(pbw, fv) != vsum({(pbw.unit, k): c for k, c in fv.items()}, rhs):
             colinear_ok = False
             witnesses["colinear"] = inv.module.basis[j]
             break
@@ -707,37 +626,34 @@ def f_tilde_checks(env: EnvTetramodule) -> LemmaReport:
     for j, vec in enumerate(inv.vectors):
         for k in range(pbw.dim_lie):
             gen = pbw.gen_index[k]
+            # phi(x . g) = phi(x) g - g phi(x)
             moved = inv.module.act_basis({j: one}, gen)
-            lhs = {}
-            for m0, c in moved.items():
-                for h, c2 in phi_map(env, inv.vectors[m0]).items():
-                    _acc(lhs, h, c * c2)
+            lhs = lincomb(moved, lambda m0: phi_map(env, inv.vectors[m0]))
             fv = phi_map(env, vec)
-            rhs = dict(pbw.mul_hvec(fv, {gen: one}, exact=True))
-            for h, c in pbw.mul_hvec({gen: one}, fv, exact=True).items():
-                _acc(rhs, h, -c)
-            if _norm(lhs) != _norm(rhs):
+            right = pbw.mul_hvec(fv, {gen: one}, exact=True)
+            left = pbw.mul_hvec({gen: one}, fv, exact=True)
+            if vsum(lhs, left) != right:
                 morphism_ok = False
                 witnesses["yd_morphism"] = (inv.module.basis[j], pbw.lie_labels[k])
                 break
         if not morphism_ok:
             break
     ok = im_ok and colinear_ok and morphism_ok
-    return LemmaReport(ok, im_ok, colinear_ok, morphism_ok, witnesses)
+    return LemmaReport(ok, im_ok, colinear_ok, morphism_ok, witnesses), inv
 
 
 def antipode_component(env: EnvTetramodule, vec: dict) -> dict:
     """T(n) = -S(n_(-1)) n_(0) S(n_(1)), from the coaction tables."""
-    out = {}
-    for e, c in vec.items():
-        for h1, e1, c1 in env.left_coact_tab[e]:
-            s1 = env.pbw.antipode(h1)
-            for e2, h2, c2 in env.right_coact_tab[e1]:
-                moved = env.right_act_hvec({e2: env.field.one}, env.pbw.antipode(h2))
-                shifted = env.left_mul_hvec(s1, moved)
-                for e3, c3 in shifted.items():
-                    _acc(out, e3, -c * c1 * c2 * c3)
-    return _norm(out)
+    one = env.field.one
+
+    def left_term(he):
+        h1, e1 = he
+        s1 = env.pbw.antipode(h1)
+        return lincomb({(e2, h2): c for e2, h2, c in env.right_coact_tab[e1]}, lambda eh: (
+            env.left_mul_hvec(s1, env.right_act_hvec({eh[0]: one}, env.pbw.antipode(eh[1])))))
+
+    return lincomb({e: -c for e, c in vec.items()}, lambda e: lincomb(
+        {(h1, e1): c for h1, e1, c in env.left_coact_tab[e]}, left_term))
 
 
 @dataclass(frozen=True)
@@ -769,9 +685,8 @@ def enveloping_bracket(env: EnvTetramodule) -> BraidedLeibnizData:
     generic module-comodule construction applies; the returned data passes
     :func:`rackyd.yd.check_braided_leibniz`.
     """
-    rep = f_tilde_checks(env)
+    rep, inv = _f_tilde(env)
     if not rep.ok:
         raise ValidationError(f"phi does not restrict properly: {rep.witnesses}")
-    inv = inv_part(env)
     q = [phi_map(env, vec) for vec in inv.vectors]
     return braided_leibniz_from_q(inv.module, q)

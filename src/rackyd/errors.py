@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the index check that raises one."""
 
 
 class ValidationError(ValueError):
@@ -24,3 +24,11 @@ class ConsistencyError(RuntimeError):
     Seeing this exception means the library itself has a bug (or the inputs
     were mutated behind its back), not that the input data is merely invalid.
     """
+
+
+def as_int(value, what: str) -> int:
+    """``int(value)`` for an index read from input, or a ValidationError."""
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} {value!r} is not an integer") from exc

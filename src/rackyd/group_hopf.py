@@ -23,9 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, ValidationError
+from .linalg import lincomb, vsum
 from .racks import AugmentedRack, FiniteGroup, check_augmented
 from .scalars import QQ
-from .yd import YDModule, _acc, _norm, check_hopf_axioms
+from .yd import YDModule, check_hopf_axioms
 
 
 class GroupAlgebraElement:
@@ -40,7 +41,7 @@ class GroupAlgebraElement:
     def __init__(self, group: FiniteGroup, coeffs=None, field=QQ):
         self.group = group
         self.field = field
-        self.coeffs = _norm(dict(coeffs or {}))
+        self.coeffs = vsum(dict(coeffs or {}))
         for g in self.coeffs:
             if not 0 <= g < group.size:
                 raise ValidationError(f"group index {g} out of range")
@@ -53,16 +54,10 @@ class GroupAlgebraElement:
         return GroupAlgebraElement(self.group, coeffs, self.field)
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            _acc(out, g, c)
-        return self._like(out)
+        return self._like(vsum(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
-        out = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            _acc(out, g, -c)
-        return self._like(out)
+        return self + -other
 
     def __neg__(self):
         return self._like({g: -c for g, c in self.coeffs.items()})
@@ -72,11 +67,10 @@ class GroupAlgebraElement:
 
     def __mul__(self, other):
         """Convolution product."""
-        out = {}
-        for g, c in self.coeffs.items():
-            for h, d in other.coeffs.items():
-                _acc(out, self.group.mul_idx(g, h), c * d)
-        return self._like(out)
+        mul = self.group.mul_idx
+        return self._like(lincomb(
+            self.coeffs, lambda g: {mul(g, h): d for h, d in other.coeffs.items()}
+        ))
 
     def __eq__(self, other):
         return (
@@ -136,10 +130,8 @@ def adjoint_action(x: GroupAlgebraElement, h: GroupAlgebraElement) -> GroupAlgeb
     """Right adjoint action ``x <- h = S(h_(1)) x h_(2)``, bilinear."""
     if x.group != h.group:
         raise ValidationError("elements live over different groups")
-    out = {}
-    for g, c in x.coeffs.items():
-        for k, d in h.coeffs.items():
-            _acc(out, x.group.conj(g, k), c * d)
+    conj = x.group.conj
+    out = lincomb(x.coeffs, lambda g: lincomb(h.coeffs, lambda k: {conj(g, k): 1}))
     return GroupAlgebraElement(x.group, out, x.field)
 
 
@@ -315,7 +307,7 @@ def rack_q_map(lin: LinearizedRack):
     out = []
     for x in range(lin.module.dim):
         g = lin.p[x]
-        out.append(_norm({g: one, e: -one}) if g != e else {})
+        out.append({g: one, e: -one} if g != e else {})
     return out
 
 

@@ -25,7 +25,7 @@ q-map::
 from __future__ import annotations
 
 from .envelope import EnvelopingDescriptor, TruncatedPBW
-from .errors import ValidationError
+from .errors import ValidationError, as_int
 from .group_hopf import GroupAlgebraDescriptor
 from .leibniz import LeibnizAlgebra
 from .racks import FiniteGroup
@@ -57,7 +57,7 @@ def hopf_from_dict(d, field=QQ):
     if kind == "first_order_enveloping":
         lie = LeibnizAlgebra.from_json_dict(d["lie"], field)
         return EnvelopingDescriptor(
-            TruncatedPBW(lie.brackets, int(d.get("degree", 2)), lie.basis, field)
+            TruncatedPBW(lie.brackets, as_int(d.get("degree", 2), "degree"), lie.basis, field)
         )
     raise ValidationError(f"unknown hopf kind {kind!r}")
 
@@ -76,18 +76,30 @@ def yd_to_dict(module: YDModule) -> dict:
     }
 
 
+def _vec_from_json(vec, field, what):
+    if not isinstance(vec, dict):
+        raise ValidationError(f"{what} must be an object of index: coefficient")
+    return {as_int(k, f"{what} index"): field.parse(c) for k, c in vec.items()}
+
+
+def _coaction_term(term, field):
+    if not isinstance(term, (list, tuple)) or len(term) != 3:
+        raise ValidationError(f"coaction term {term!r} must be [m_idx, h_idx, coeff]")
+    m, h, c = term
+    return (as_int(m, "coaction module index"), as_int(h, "coaction descriptor index"),
+            field.parse(c))
+
+
 def yd_from_dict(d, field=QQ) -> YDModule:
     try:
         hopf = hopf_from_dict(d["hopf"], field)
         basis = d["basis"]
+        if not isinstance(basis, list):
+            raise ValidationError("module basis must be a list of labels")
         action = [
-            [{int(m): field.parse(c) for m, c in vec.items()} for vec in row]
-            for row in d["action"]
+            [_vec_from_json(vec, field, "action vector") for vec in row] for row in d["action"]
         ]
-        coaction = [
-            [(int(m), int(h), field.parse(c)) for m, h, c in terms]
-            for terms in d["coaction"]
-        ]
+        coaction = [[_coaction_term(t, field) for t in terms] for terms in d["coaction"]]
     except (KeyError, TypeError) as exc:
         raise ValidationError("module JSON needs hopf/basis/action/coaction") from exc
     return YDModule(hopf, basis, action, coaction)
@@ -99,6 +111,6 @@ def q_to_dict(q) -> dict:
 
 def q_from_dict(d, field=QQ):
     try:
-        return [{int(h): field.parse(c) for h, c in v.items()} for v in d["q"]]
+        return [_vec_from_json(v, field, "q vector") for v in d["q"]]
     except (KeyError, TypeError) as exc:
         raise ValidationError("q JSON needs a q list") from exc

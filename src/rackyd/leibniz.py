@@ -29,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .envelope import EnvelopingDescriptor, LieMapObject, TruncatedPBW, check_lie
-from .errors import ConsistencyError, ValidationError
-from .linalg import Matrix, reduce_mod, rref
+from .errors import ConsistencyError, ValidationError, as_int
+from .linalg import Matrix, lincomb, reduce_mod, rref, vsum
 from .scalars import QQ
-from .yd import YDModule, _acc, _norm
+from .yd import YDModule
 
 
 class LeibnizAlgebra:
@@ -47,7 +47,7 @@ class LeibnizAlgebra:
         self.field = field
         self.basis = tuple(str(b) for b in basis)
         n = len(self.basis)
-        self.brackets = tuple(tuple(_norm(dict(v)) for v in row) for row in brackets)
+        self.brackets = tuple(tuple(vsum(v) for v in row) for row in brackets)
         if len(self.brackets) != n or any(len(row) != n for row in self.brackets):
             raise ValidationError("bracket table must be n x n")
         for row in self.brackets:
@@ -64,12 +64,7 @@ class LeibnizAlgebra:
         return dict(self.brackets[i][j])
 
     def bracket_vec(self, u: dict, v: dict) -> dict:
-        out = {}
-        for i, c in u.items():
-            for j, c2 in v.items():
-                for k, c3 in self.brackets[i][j].items():
-                    _acc(out, k, c * c2 * c3)
-        return _norm(out)
+        return lincomb(u, lambda i: lincomb(v, self.brackets[i].__getitem__))
 
     def __eq__(self, other):
         return (
@@ -82,16 +77,11 @@ class LeibnizAlgebra:
         return f"LeibnizAlgebra({list(self.basis)})"
 
     def to_json_dict(self):
-        entries = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if self.brackets[i][j]:
-                    entries.append({
-                        "i": i,
-                        "j": j,
-                        "out": {str(k): str(c) for k, c in sorted(self.brackets[i][j].items())},
-                    })
-        return {"dim": self.dim, "basis": list(self.basis), "brackets": entries}
+        return {
+            "dim": self.dim,
+            "basis": list(self.basis),
+            "brackets": bracket_entries(self.brackets),
+        }
 
     @classmethod
     def from_json_dict(cls, d, field=QQ):
@@ -109,10 +99,22 @@ class LeibnizAlgebra:
                 i, j, out = entry["i"], entry["j"], entry["out"]
             except (KeyError, TypeError) as exc:
                 raise ValidationError("bracket entry needs i/j/out") from exc
+            if not (isinstance(i, int) and isinstance(j, int) and isinstance(out, dict)):
+                raise ValidationError("bracket entry needs integer i/j and an out object")
             if not (0 <= i < n and 0 <= j < n):
                 raise ValidationError(f"bracket entry ({i},{j}) out of range")
-            table[i][j] = {int(k): field.parse(v) for k, v in out.items()}
+            table[i][j] = {
+                as_int(k, "bracket output index"): field.parse(v) for k, v in out.items()
+            }
         return cls(basis, table, field)
+
+
+def bracket_entries(table):
+    """The nonzero entries of a bracket table, as Leibniz-JSON ``brackets``."""
+    return [
+        {"i": i, "j": j, "out": {str(k): str(c) for k, c in sorted(v.items())}}
+        for i, row in enumerate(table) for j, v in enumerate(row) if v
+    ]
 
 
 @dataclass(frozen=True)
@@ -130,10 +132,9 @@ def check_leibniz(alg: LeibnizAlgebra) -> LeibnizReport:
             xy = alg.brackets[i][j]
             for k in range(n):
                 lhs = alg.bracket_vec(xy, {k: alg.field.one})
-                rhs = dict(alg.bracket_vec({i: alg.field.one}, alg.brackets[j][k]))
-                for m, c in alg.bracket_vec(alg.brackets[i][k], {j: alg.field.one}).items():
-                    _acc(rhs, m, c)
-                if lhs != _norm(rhs):
+                rhs = vsum(alg.bracket_vec({i: alg.field.one}, alg.brackets[j][k]),
+                           alg.bracket_vec(alg.brackets[i][k], {j: alg.field.one}))
+                if lhs != rhs:
                     return LeibnizReport(False, (i, j, k))
     return LeibnizReport(True, None)
 
@@ -221,10 +222,7 @@ def _squares_ideal_rows(alg: LeibnizAlgebra):
     for i in range(n):
         gens.append(as_vec(alg.brackets[i][i]))
         for j in range(i + 1, n):
-            pol = dict(alg.brackets[i][j])
-            for k, c in alg.brackets[j][i].items():
-                _acc(pol, k, c)
-            gens.append(as_vec(_norm(pol)))
+            gens.append(as_vec(vsum(alg.brackets[i][j], alg.brackets[j][i])))
     rows, pivots = rref(gens, field)
     # close under bracketing with g on both sides
     changed = True
@@ -334,12 +332,12 @@ def lie_map_object(alg: LeibnizAlgebra) -> LieMapObject:
     n, q = alg.dim, lq.dim
     action = [
         [
-            _norm({j: lq.action_mats[k][j, m] for j in range(n)})
+            {j: lq.action_mats[k][j, m] for j in range(n)}
             for m in range(n)
         ]
         for k in range(q)
     ]
-    f = [_norm({k: lq.pi[k, m] for k in range(q)}) for m in range(n)]
+    f = [{k: lq.pi[k, m] for k in range(q)} for m in range(n)]
     return LieMapObject(lq.quotient.brackets, lq.quotient.basis, alg.basis, action, f, alg.field)
 
 
@@ -358,12 +356,7 @@ class BilinearMap:
         return len(self.basis)
 
     def apply(self, u: dict, v: dict) -> dict:
-        out = {}
-        for i, c in u.items():
-            for j, c2 in v.items():
-                for k, c3 in self.table[i][j].items():
-                    _acc(out, k, c * c2 * c3)
-        return _norm(out)
+        return lincomb(u, lambda i: lincomb(v, self.table[i].__getitem__))
 
 
 def unital_shelf(alg: LeibnizAlgebra) -> BilinearMap:
@@ -410,7 +403,7 @@ def first_order_yd(alg: LeibnizAlgebra, degree: int = 2) -> YDModule:
     for i in range(n):
         row = []
         for k in range(q):
-            row.append(_norm({j + 1: lq.action_mats[k][j, i] for j in range(alg.dim)}))
+            row.append({j + 1: lq.action_mats[k][j, i] for j in range(n)})
         action.append(row)
     coaction = [[(0, pbw.unit, one)]]
     for i in range(n):
@@ -423,7 +416,7 @@ def first_order_yd(alg: LeibnizAlgebra, degree: int = 2) -> YDModule:
     module = YDModule(hopf, basis, action, coaction)
     shelf = unital_shelf(alg)
     for j in range(n + 1):
-        qj = {pbw.unit: one} if j == 0 else _norm(
+        qj = {pbw.unit: one} if j == 0 else vsum(
             {pbw.gen_index[k]: lq.pi[k, j - 1] for k in range(q)}
         )
         for i in range(n + 1):

@@ -1,20 +1,54 @@
-"""Dense exact matrices, Kronecker products, and echelon-form utilities.
+"""Exact linear algebra on sparse vectors, with dense matrices as a view.
+
+A sparse vector is a dict ``{index: coefficient}`` with no zero
+coefficients.  A linear map is given by its values on basis elements: any
+function from a basis index to a sparse vector, often the ``__getitem__`` of
+a tuple of sparse columns.  :func:`lincomb` extends such a function
+linearly.  Every identity the package checks is multilinear, so every check
+comes down to that one operation.
 
 The tensor flattening convention is fixed once and for all: the basis vector
 e_i (x) e_j of two factors of dimensions m, n sits at flat index ``i + m*j``
 (0-based; equivalently ``m*(j-1) + i`` 1-based).  The first factor varies
 fastest, and the convention extends associatively to any number of factors.
-``kron`` follows the same convention, so composites like (T (x) 1)(1 (x) T)
-can be formed by plain matrix products.  No other flattening is used anywhere
-in the package.
+A map T on M (x) M (dim M = n) is a tuple of n*n sparse columns under this
+flattening; on M (x) M (x) M, T (x) 1 acts on the flat index
+``(i + n*j) + n*n*k`` through column ``i + n*j`` and 1 (x) T on
+``i + n*(j + n*k)`` through column ``j + n*k``.  No other flattening is used
+anywhere in the package.
 
-Matrices are immutable after construction and may be shared freely.
+``Matrix`` is the dense view of such a map, used for JSON, for display and
+as the reference in tests; ``kron`` follows the same convention, so dense
+composites like (T (x) 1)(1 (x) T) are plain matrix products.  Matrices are
+immutable after construction and may be shared freely.  The echelon
+utilities take and return dense rows and eliminate on sparse rows inside.
 """
 
 from __future__ import annotations
 
 from .errors import ShapeError, ValidationError
 from .scalars import QQ
+
+
+def lincomb(vec, col):
+    """``sum of vec[i] * col(i)``: the linear extension of ``col``.
+
+    ``col`` sends a basis index to a sparse vector; the result is a sparse
+    vector with zero coefficients dropped.
+    """
+    out = {}
+    for i, c in vec.items():
+        for k, v in col(i).items():
+            if k in out:
+                out[k] += c * v
+            else:
+                out[k] = c * v
+    return {k: v for k, v in out.items() if v}
+
+
+def vsum(*vecs):
+    """The sum of sparse vectors (with one argument: its nonzero part)."""
+    return lincomb(dict.fromkeys(range(len(vecs)), 1), vecs.__getitem__)
 
 
 class TensorIndex:
@@ -91,6 +125,24 @@ class Matrix:
         return cls(
             tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)),
             n, n,
+        )
+
+    @classmethod
+    def from_columns(cls, columns, rows):
+        """Dense view of a map given by its sparse columns."""
+        some = next((c for col in columns for c in col.values()), 0)
+        zero = some * 0
+        data = [[zero] * len(columns) for _ in range(rows)]
+        for j, col in enumerate(columns):
+            for i, c in col.items():
+                data[i][j] = c
+        return cls(data, rows, len(columns))
+
+    def columns(self) -> tuple:
+        """The columns as sparse vectors."""
+        return tuple(
+            {i: row[j] for i, row in enumerate(self.data) if row[j]}
+            for j in range(self.cols)
         )
 
     def __getitem__(self, ij):
@@ -171,9 +223,9 @@ class Matrix:
     def from_json_dict(cls, d, field=QQ):
         try:
             rows, cols, entries = d["rows"], d["cols"], d["entries"]
+            data = [[field.parse(s) for s in row] for row in entries]
         except (KeyError, TypeError) as exc:
             raise ValidationError("matrix JSON needs rows/cols/entries") from exc
-        data = [[field.parse(s) for s in row] for row in entries]
         if len(data) != rows or any(len(r) != cols for r in data):
             raise ShapeError("entry table does not match declared shape")
         return cls(data, rows, cols)
@@ -240,33 +292,50 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 # echelon-form utilities (internal, used by the quotient and invariant code)
 
+def _subtract(v, c, r):
+    """``v -= c * r`` in place on sparse vectors, dropping what cancels."""
+    for k, y in r.items():
+        x = v[k] - c * y if k in v else -c * y
+        if x:
+            v[k] = x
+        else:
+            del v[k]
+
+
+def _sparse_rref(vectors):
+    """Pivot -> sparse row of the reduced echelon basis of the span.
+
+    Every row has a 1 at its pivot and a 0 at every other pivot, so reducing
+    a vector by one row never disturbs its coefficient at another pivot.
+    """
+    rows = {}
+    for vec in vectors:
+        v = {k: x for k, x in enumerate(vec) if x}
+        for p in [p for p in v if p in rows]:
+            _subtract(v, v[p], rows[p])
+        if not v:
+            continue
+        piv = min(v)
+        lead = v[piv]
+        v = {k: x / lead for k, x in v.items()}
+        for r in rows.values():
+            if piv in r:
+                _subtract(r, r[piv], v)
+        rows[piv] = v
+    return rows
+
+
 def rref(vectors, field=QQ):
     """Reduced row echelon basis of the span of ``vectors``.
 
     Returns ``(rows, pivots)`` where each row has a leading 1 in its pivot
     column and zeros in every other pivot column; rows are ordered by pivot.
     """
-    rows = []
-    pivots = []
-    for vec in vectors:
-        v = list(vec)
-        for r, p in zip(rows, pivots):
-            c = v[p]
-            if c:
-                v = [x - c * y for x, y in zip(v, r)]
-        piv = next((k for k, x in enumerate(v) if x), None)
-        if piv is None:
-            continue
-        lead = v[piv]
-        v = [x / lead for x in v]
-        for i, (r, p) in enumerate(zip(rows, pivots)):
-            c = r[piv]
-            if c:
-                rows[i] = [x - c * y for x, y in zip(r, v)]
-        rows.append(v)
-        pivots.append(piv)
-    order = sorted(range(len(rows)), key=lambda i: pivots[i])
-    return [tuple(rows[i]) for i in order], [pivots[i] for i in order]
+    vectors = list(vectors)
+    rows = _sparse_rref(vectors)
+    pivots = sorted(rows)
+    ncols = len(vectors[0]) if vectors else 0
+    return [tuple(rows[p].get(k, field.zero) for k in range(ncols)) for p in pivots], pivots
 
 
 def reduce_mod(vec, rows, pivots):
@@ -289,16 +358,15 @@ def coords_in_span(vec, rows, pivots):
 
 def nullspace(rows_of_matrix, ncols, field=QQ):
     """Kernel basis of the linear map given by a list of row vectors."""
-    rr, pivots = rref(rows_of_matrix, field)
-    pivset = set(pivots)
+    rows = _sparse_rref(rows_of_matrix)
     basis = []
     for free in range(ncols):
-        if free in pivset:
+        if free in rows:
             continue
         v = [field.zero] * ncols
         v[free] = field.one
-        for r, p in zip(rr, pivots):
-            if r[free]:
+        for p, r in rows.items():
+            if free in r:
                 v[p] = -r[free]
         basis.append(tuple(v))
     return basis

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations as _permutations
 
-from .errors import ConsistencyError, ValidationError
+from .errors import ConsistencyError, ValidationError, as_int
 
 
 class FiniteShelf:
@@ -31,7 +31,7 @@ class FiniteShelf:
     def __init__(self, elements, op):
         self.elements = tuple(str(e) for e in elements)
         n = len(self.elements)
-        op = tuple(tuple(int(v) for v in row) for row in op)
+        op = tuple(tuple(as_int(v, "op entry") for v in row) for row in op)
         if len(op) != n or any(len(row) != n for row in op):
             raise ValidationError("op table must be n x n")
         for row in op:
@@ -169,7 +169,7 @@ class FiniteGroup:
         n = len(self.elements)
         if n == 0:
             raise ValidationError("a group needs at least the identity")
-        mul = tuple(tuple(int(v) for v in row) for row in mul)
+        mul = tuple(tuple(as_int(v, "mul entry") for v in row) for row in mul)
         if len(mul) != n or any(len(r) != n for r in mul):
             raise ValidationError("mul table must be n x n")
         for row in mul:
@@ -330,14 +330,14 @@ class AugmentedRack:
         self.elements = tuple(str(e) for e in elements)
         self.group = group
         nx, ng = len(self.elements), group.size
-        action = tuple(tuple(int(v) for v in row) for row in action)
+        action = tuple(tuple(as_int(v, "action entry") for v in row) for row in action)
         if len(action) != nx or any(len(row) != ng for row in action):
             raise ValidationError("action table must be |X| x |G|")
         for row in action:
             for v in row:
                 if not 0 <= v < nx:
                     raise ValidationError(f"action entry {v} out of range")
-        p = tuple(int(v) for v in p)
+        p = tuple(as_int(v, "p entry") for v in p)
         if len(p) != nx or any(not 0 <= v < ng for v in p):
             raise ValidationError("p must map X into G")
         e = group.identity

@@ -4,7 +4,7 @@ A *Hopf descriptor* is any object with a finite distinguished basis exposing
 
     field, size, labels, unit, generators, has_antipode,
     product(i, j)        -> {idx: coeff}      (exact; may raise DegreeOverflowError)
-    coproduct(i)         -> [(coeff, a, b)]
+    coproduct(i)         -> [(coeff, a, b)]   (distinct pairs (a, b))
     counit(i)            -> scalar
     antipode(i)          -> {idx: coeff}
     generator_word(i)    -> [generator indices] with product i
@@ -44,29 +44,22 @@ brute force over basis tuples is a complete verification, not a sample.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 from .errors import DegreeOverflowError, ShapeError, ValidationError
-from .linalg import Matrix, flat2, mat_mul, kron
+from .linalg import Matrix, flat2, lincomb, vsum
 from .scalars import QQ
 
 
-def _norm(d):
-    return {k: v for k, v in d.items() if v}
-
-
-def _acc(out, key, coeff):
-    out[key] = out.get(key, coeff - coeff) + coeff
+def _delta(hopf, i: int) -> dict:
+    """Delta(e_i) as a sparse vector over pairs (a, b)."""
+    return {(a, b): c for c, a, b in hopf.coproduct(i)}
 
 
 def hvec_mul(hopf, a: dict, b: dict) -> dict:
     """Product of two descriptor elements given as sparse basis combinations."""
-    out = {}
-    for i, ca in a.items():
-        for j, cb in b.items():
-            for k, cp in hopf.product(i, j).items():
-                _acc(out, k, ca * cb * cp)
-    return _norm(out)
+    return lincomb(a, lambda i: lincomb(b, lambda j: hopf.product(i, j)))
 
 
 def hvec_counit(hopf, a: dict):
@@ -76,29 +69,23 @@ def hvec_counit(hopf, a: dict):
     return total
 
 
-def hvec_antipode(hopf, a: dict) -> dict:
-    out = {}
-    for i, c in a.items():
-        for k, cs in hopf.antipode(i).items():
-            _acc(out, k, c * cs)
-    return _norm(out)
-
-
 def hvec_coproduct(hopf, a: dict) -> dict:
-    out = {}
-    for i, c in a.items():
-        for cc, x, y in hopf.coproduct(i):
-            _acc(out, (x, y), c * cc)
-    return _norm(out)
+    return lincomb(a, lambda i: _delta(hopf, i))
 
 
-def coproduct2(hopf, i: int):
-    """(Delta (x) id) Delta on a basis element, as [(coeff, a, b, c)]."""
-    out = []
-    for c, x, y in hopf.coproduct(i):
-        for c2, x1, x2 in hopf.coproduct(x):
-            out.append((c * c2, x1, x2, y))
-    return out
+def coproduct2(hopf, i: int) -> dict:
+    """(Delta (x) id) Delta on a basis element, as {(a, b, c): coeff}."""
+    return lincomb(_delta(hopf, i),
+                   lambda ab: {(*aa, ab[1]): c for aa, c in _delta(hopf, ab[0]).items()})
+
+
+def _tensor(u: dict, v: dict) -> dict:
+    return {(a, b): c * d for a, c in u.items() for b, d in v.items()}
+
+
+def _pair(m: int, hvec: dict) -> dict:
+    """e_m (x) hvec, as a sparse vector over pairs (m_idx, h_idx)."""
+    return {(m, h): c for h, c in hvec.items()}
 
 
 def check_hopf_axioms(hopf, skip_overflow=False):
@@ -111,59 +98,39 @@ def check_hopf_axioms(hopf, skip_overflow=False):
     exact product leaves a truncated descriptor's window are skipped (used for
     degree-truncated descriptors, whose laws only hold inside the window).
     """
-    field = hopf.field
-    one = field.one
-    unit = hopf.unit
+    one = hopf.field.one
     for i in range(hopf.size):
-        lhs, rhs = {}, {}
-        for c, a, b in hopf.coproduct(i):
-            for c2, a1, a2 in hopf.coproduct(a):
-                _acc(lhs, (a1, a2, b), c * c2)
-            for c2, b1, b2 in hopf.coproduct(b):
-                _acc(rhs, (a, b1, b2), c * c2)
-        if _norm(lhs) != _norm(rhs):
+        d = _delta(hopf, i)
+        id_delta = lincomb(d, lambda ab: {
+            (ab[0], *bb): c for bb, c in _delta(hopf, ab[1]).items()})
+        if coproduct2(hopf, i) != id_delta:
             return ("coassociativity", i)
-        left, right = {}, {}
-        for c, a, b in hopf.coproduct(i):
-            _acc(left, b, c * hopf.counit(a))
-            _acc(right, a, c * hopf.counit(b))
-        if _norm(left) != {i: one} or _norm(right) != {i: one}:
+        left = lincomb(d, lambda ab: {ab[1]: hopf.counit(ab[0])})
+        right = lincomb(d, lambda ab: {ab[0]: hopf.counit(ab[1])})
+        if left != {i: one} or right != {i: one}:
             return ("counit law", i)
         if hopf.has_antipode:
             if hvec_counit(hopf, hopf.antipode(i)) != hopf.counit(i):
                 return ("counit of antipode", i)
-            conv_l, conv_r = {}, {}
-            for c, a, b in hopf.coproduct(i):
-                for k, cs in hopf.antipode(a).items():
-                    for k2, cp in hopf.product(k, b).items():
-                        _acc(conv_l, k2, c * cs * cp)
-                for k, cs in hopf.antipode(b).items():
-                    for k2, cp in hopf.product(a, k).items():
-                        _acc(conv_r, k2, c * cs * cp)
-            want = _norm({unit: hopf.counit(i)})
-            if _norm(conv_l) != want or _norm(conv_r) != want:
+            conv_l = lincomb(d, lambda ab: hvec_mul(hopf, hopf.antipode(ab[0]), {ab[1]: one}))
+            conv_r = lincomb(d, lambda ab: hvec_mul(hopf, {ab[0]: one}, hopf.antipode(ab[1])))
+            want = vsum({hopf.unit: hopf.counit(i)})
+            if conv_l != want or conv_r != want:
                 return ("antipode convolution identity", i)
     for i in range(hopf.size):
         for j in range(hopf.size):
             try:
                 prod = hopf.product(i, j)
-                rhs = {}
-                for c, a, b in hopf.coproduct(i):
-                    for c2, x, y in hopf.coproduct(j):
-                        for k1, cp1 in hopf.product(a, x).items():
-                            for k2, cp2 in hopf.product(b, y).items():
-                                _acc(rhs, (k1, k2), c * c2 * cp1 * cp2)
+                dj = _delta(hopf, j)
+                rhs = lincomb(_delta(hopf, i), lambda ab: lincomb(dj, lambda xy: _tensor(
+                    hopf.product(ab[0], xy[0]), hopf.product(ab[1], xy[1]))))
             except DegreeOverflowError:
                 if skip_overflow:
                     continue
                 raise
             if hvec_counit(hopf, prod) != hopf.counit(i) * hopf.counit(j):
                 return ("counit not multiplicative", i, j)
-            lhs = {}
-            for k, c in prod.items():
-                for c2, a, b in hopf.coproduct(k):
-                    _acc(lhs, (a, b), c * c2)
-            if _norm(lhs) != _norm(rhs):
+            if hvec_coproduct(hopf, prod) != rhs:
                 return ("coproduct not an algebra map", i, j)
     return None
 
@@ -192,30 +159,30 @@ class YDModule:
         for row in action:
             if len(row) != len(gens):
                 raise ValidationError("action row must have one entry per generator")
-            act.append(tuple(_norm(dict(v)) for v in row))
+            act.append(tuple(vsum(v) for v in row))
             for v in act[-1]:
                 for m in v:
                     if not 0 <= m < n:
                         raise ValidationError(f"action target {m} out of range")
         self.action = tuple(act)
+        # action columns per generator: _by_gen[k][m] = e_m . g_k
+        self._by_gen = tuple(tuple(row[k] for row in act) for k in range(len(gens)))
         if len(coaction) != n:
             raise ValidationError("coaction table must have one row per basis vector")
         coact = []
         for terms in coaction:
-            combined = {}
-            for m, h, c in terms:
+            for m, h, _ in terms:
                 if not 0 <= m < n:
                     raise ValidationError(f"coaction module index {m} out of range")
                 if not 0 <= h < hopf.size:
                     raise ValidationError(f"coaction descriptor index {h} out of range")
-                _acc(combined, (m, h), c)
-            coact.append(tuple(sorted((m, h, c) for (m, h), c in _norm(combined).items())))
+            combined = vsum(*({(m, h): c} for m, h, c in terms))
+            coact.append(tuple(sorted((m, h, c) for (m, h), c in combined.items())))
         self.coaction = tuple(coact)
-        for i in range(n):
-            out = {}
-            for m, h, c in self.coaction[i]:
-                _acc(out, m, c * hopf.counit(h))
-            if _norm(out) != {i: self.field.one}:
+        # delta(e_m) as a sparse vector over pairs (m_idx, h_idx)
+        self._coact = tuple({(m, h): c for m, h, c in terms} for terms in coact)
+        for i, delta in enumerate(self._coact):
+            if lincomb(delta, lambda mh: {mh[0]: hopf.counit(mh[1])}) != {i: self.field.one}:
                 raise ValidationError(f"coaction is not counital on basis vector {i}")
         witness = hopf.check_action_axioms(self)
         if witness is not None:
@@ -225,38 +192,19 @@ class YDModule:
     def dim(self) -> int:
         return len(self.basis)
 
-    def act_gen(self, m: int, h_idx: int) -> dict:
-        return dict(self.action[m][self._gen_pos[h_idx]])
-
     def act_basis(self, vec: dict, h_idx: int) -> dict:
         """Apply a single descriptor *basis* element on the right of a vector."""
         if h_idx == self.hopf.unit:
             return dict(vec)
         if h_idx in self._gen_pos:
-            out = {}
-            for m, c in vec.items():
-                for m2, c2 in self.action[m][self._gen_pos[h_idx]].items():
-                    _acc(out, m2, c * c2)
-            return _norm(out)
+            return lincomb(vec, self._by_gen[self._gen_pos[h_idx]].__getitem__)
         out = dict(vec)
         for g in self.hopf.generator_word(h_idx):
             out = self.act_basis(out, g)
         return out
 
     def act_hvec(self, vec: dict, hvec: dict) -> dict:
-        out = {}
-        for h, c in hvec.items():
-            for m, c2 in self.act_basis(vec, h).items():
-                _acc(out, m, c * c2)
-        return _norm(out)
-
-    def coact_vec(self, vec: dict) -> dict:
-        """delta extended linearly, as a sparse {(m_idx, h_idx): coeff} dict."""
-        out = {}
-        for m, c in vec.items():
-            for m0, h, c2 in self.coaction[m]:
-                _acc(out, (m0, h), c * c2)
-        return _norm(out)
+        return lincomb(hvec, lambda h: self.act_basis(vec, h))
 
 
 @dataclass(frozen=True)
@@ -276,68 +224,74 @@ def check_yd(module: YDModule) -> YDReport:
     """
     hopf = module.hopf
     one = module.field.one
-    wit2 = wit3 = None
-    ok2 = ok3 = True
-    for m in range(module.dim):
-        for h in hopf.generators:
-            lhs, rhs = {}, {}
-            for c, h1, h2 in hopf.coproduct(h):
-                xv = module.act_basis({m: one}, h2)
-                for mi, cm in xv.items():
-                    for m0, hk, ck in module.coaction[mi]:
-                        for hp, cp in hopf.product(h1, hk).items():
-                            _acc(lhs, (m0, hp), c * cm * ck * cp)
-            for m0, hk, ck in module.coaction[m]:
-                for c, h1, h2 in hopf.coproduct(h):
-                    xv = module.act_basis({m0: one}, h1)
-                    for m1, cm in xv.items():
-                        for hp, cp in hopf.product(hk, h2).items():
-                            _acc(rhs, (m1, hp), c * ck * cm * cp)
-            if _norm(lhs) != _norm(rhs):
-                ok2 = False
-                if wit2 is None:
-                    wit2 = (m, h)
-                break
-        if not ok2:
-            break
+    coact = module._coact
+
+    def coproduct_form(m, h):
+        dh = _delta(hopf, h)
+
+        def lhs_term(hh):  # (x h_(2))_(0) (x) h_(1) (x h_(2))_(1)
+            h1, h2 = hh
+            return lincomb(module.act_basis({m: one}, h2), lambda mi: lincomb(
+                coact[mi], lambda mk: _pair(mk[0], hopf.product(h1, mk[1]))))
+
+        def rhs_term(mk):  # x_(0) h_(1) (x) x_(1) h_(2)
+            m0, hk = mk
+            return lincomb(dh, lambda hh: lincomb(
+                module.act_basis({m0: one}, hh[0]),
+                lambda m1: _pair(m1, hopf.product(hk, hh[1]))))
+
+        return lincomb(dh, lhs_term) == lincomb(coact[m], rhs_term)
+
+    def antipode_form(m, h):
+        def rhs_term(t):  # x_(0) h_(2) (x) S(h_(1)) x_(1) h_(3)
+            h1, h2, h3 = t
+            return lincomb(coact[m], lambda mk: lincomb(
+                module.act_basis({mk[0]: one}, h2),
+                lambda m1: _pair(m1, hvec_mul(
+                    hopf, hvec_mul(hopf, hopf.antipode(h1), {mk[1]: one}), {h3: one}))))
+
+        # (x h)_(0) (x) (x h)_(1)
+        lhs = lincomb(module.act_basis({m: one}, h), coact.__getitem__)
+        return lhs == lincomb(coproduct2(hopf, h), rhs_term)
+
+    def first_failure(holds):
+        return next(((m, h) for m in range(module.dim) for h in hopf.generators
+                     if not holds(m, h)), None)
+
+    wit2 = first_failure(coproduct_form)
+    ok2 = wit2 is None
+    wit3, ok3 = None, None
     if hopf.has_antipode:
-        ok3 = True
-        for m in range(module.dim):
-            for h in hopf.generators:
-                lhs, rhs = {}, {}
-                xv = module.act_basis({m: one}, h)
-                for mi, cm in xv.items():
-                    for m0, hk, ck in module.coaction[mi]:
-                        _acc(lhs, (m0, hk), cm * ck)
-                for c, h1, h2, h3 in coproduct2(hopf, h):
-                    for m0, hk, ck in module.coaction[m]:
-                        xv2 = module.act_basis({m0: one}, h2)
-                        sh1 = hopf.antipode(h1)
-                        for m1, cm in xv2.items():
-                            for hs, cs in sh1.items():
-                                for hp1, cp1 in hopf.product(hs, hk).items():
-                                    for hp2, cp2 in hopf.product(hp1, h3).items():
-                                        _acc(rhs, (m1, hp2), c * ck * cm * cs * cp1 * cp2)
-                if _norm(lhs) != _norm(rhs):
-                    ok3 = False
-                    if wit3 is None:
-                        wit3 = (m, h)
-                    break
-            if not ok3:
-                break
-    else:
-        ok3 = None
+        wit3 = first_failure(antipode_form)
+        ok3 = wit3 is None
     ok = ok2 and (ok3 is not False)
     return YDReport(ok, ok2, ok3, wit2 if wit2 is not None else wit3)
 
 
-@dataclass(frozen=True)
 class BraidingMatrix:
-    """The matrix of tau on M (x) M, in the global flattening convention."""
+    """The map tau on M (x) M, in the global flattening convention.
 
-    matrix: Matrix
-    factor_basis: tuple
-    convention: str = "second-factor-major"
+    It is held as n*n sparse columns, ``columns[flat2(a, b, n)]`` being
+    tau(e_a (x) e_b); ``matrix`` is the dense view, built on first use.  The
+    first argument is either that dense ``Matrix`` or the columns.
+    """
+
+    def __init__(self, matrix, factor_basis, convention="second-factor-major"):
+        if isinstance(matrix, Matrix):
+            _square_side(matrix)
+            self._matrix = matrix
+            self.columns = matrix.columns()
+        else:
+            self._matrix = None
+            self.columns = tuple(matrix)
+        self.factor_basis = tuple(factor_basis)
+        self.convention = convention
+
+    @property
+    def matrix(self) -> Matrix:
+        if self._matrix is None:
+            self._matrix = Matrix.from_columns(self.columns, len(self.columns))
+        return self._matrix
 
     @property
     def factor_dim(self) -> int:
@@ -360,66 +314,87 @@ class BraidingMatrix:
 
 
 def braiding(module: YDModule) -> BraidingMatrix:
-    """Matrix of ``tau(x (x) y) = y_(0) (x) x . y_(1)`` on basis pairs."""
+    """``tau(x (x) y) = y_(0) (x) x . y_(1)`` on basis pairs."""
     n = module.dim
     one = module.field.one
-    zero = module.field.zero
-    data = [[zero] * (n * n) for _ in range(n * n)]
+    columns = [None] * (n * n)
     for a in range(n):
         for b in range(n):
-            col = flat2(a, b, n)
-            for b0, hk, ck in module.coaction[b]:
-                for m, cm in module.act_basis({a: one}, hk).items():
-                    row = flat2(b0, m, n)
-                    data[row][col] = data[row][col] + ck * cm
-    return BraidingMatrix(Matrix(data, n * n, n * n) if n else Matrix.zeros(0, 0, module.field),
-                          module.basis)
+            columns[flat2(a, b, n)] = lincomb(module._coact[b], lambda bh: {
+                flat2(bh[0], m, n): c for m, c in module.act_basis({a: one}, bh[1]).items()})
+    return BraidingMatrix(columns, module.basis)
 
 
 def flip_matrix(n: int, field=QQ) -> Matrix:
     """The tensor flip e_i (x) e_j -> e_j (x) e_i as a matrix."""
-    zero, one = field.zero, field.one
-    data = [[zero] * (n * n) for _ in range(n * n)]
-    for i in range(n):
-        for j in range(n):
-            data[flat2(j, i, n)][flat2(i, j, n)] = one
-    return Matrix(data, n * n, n * n) if n else Matrix.zeros(0, 0, field)
+    return Matrix.from_columns(
+        [{flat2(f // n, f % n, n): field.one} for f in range(n * n)], n * n
+    )
 
 
-def _square_side(t) -> tuple[Matrix, int]:
-    m = t.matrix if isinstance(t, BraidingMatrix) else t
+def _square_side(m: Matrix) -> int:
     if m.rows != m.cols:
         raise ShapeError("braiding matrix must be square")
-    n = round(m.rows ** 0.5)
+    n = math.isqrt(m.rows)
     if n * n != m.rows:
         raise ShapeError("braiding matrix size must be a perfect square")
-    return m, n
+    return n
+
+
+def _tau_columns(t):
+    """Sparse columns of a braiding given as a BraidingMatrix or a Matrix, and dim M."""
+    if isinstance(t, BraidingMatrix):
+        columns = t.columns
+    else:
+        _square_side(t)
+        columns = t.columns()
+    return columns, math.isqrt(len(columns))
 
 
 @dataclass(frozen=True)
 class YBEReport:
     ok: bool
     defect: Matrix | None = dc_field(default=None, repr=False)
+    witness: tuple | None = None
 
 
-def check_ybe(t, field=QQ) -> YBEReport:
-    """Exact Yang-Baxter check: (T x 1)(1 x T)(T x 1) = (1 x T)(T x 1)(1 x T)."""
-    m, n = _square_side(t)
-    if n == 0:
+def check_ybe(t) -> YBEReport:
+    """Exact Yang-Baxter check: (T x 1)(1 x T)(T x 1) = (1 x T)(T x 1)(1 x T).
+
+    Both sides are applied to one basis triple e_i (x) e_j (x) e_k at a time.
+    On failure ``witness`` is the lexicographically least failing (i, j, k),
+    and ``defect`` is the dense matrix of the difference of the two sides.
+    """
+    columns, n = _tau_columns(t)
+    nn = n * n
+
+    def t12(f):  # f = flat2(flat2(i, j, n), k, nn)
+        ij, k = f % nn, f // nn
+        return {flat2(r, k, nn): c for r, c in columns[ij].items()}
+
+    def t23(f):  # f = flat2(i, flat2(j, k, n), n)
+        i, jk = f % n, f // n
+        return {flat2(i, r, n): c for r, c in columns[jk].items()}
+
+    def sides(f):
+        return lincomb(lincomb(t12(f), t23), t12), lincomb(lincomb(t23(f), t12), t23)
+
+    def fails(i, j, k):
+        lhs, rhs = sides(flat2(flat2(i, j, n), k, nn))
+        return lhs != rhs
+
+    triples = ((i, j, k) for i in range(n) for j in range(n) for k in range(n))
+    witness = next((ijk for ijk in triples if fails(*ijk)), None)
+    if witness is None:
         return YBEReport(True)
-    eye = Matrix.identity(n, field)
-    t12 = kron(m, eye)
-    t23 = kron(eye, m)
-    lhs = mat_mul(mat_mul(t12, t23), t12)
-    rhs = mat_mul(mat_mul(t23, t12), t23)
-    if lhs == rhs:
-        return YBEReport(True)
-    return YBEReport(False, lhs - rhs)
+    # column f of the defect is lhs - rhs applied to e_f
+    defect = [lincomb({0: 1, 1: -1}, sides(f).__getitem__) for f in range(nn * n)]
+    return YBEReport(False, Matrix.from_columns(defect, nn * n), witness)
 
 
 def is_involutive(t) -> bool:
-    m, _ = _square_side(t)
-    return mat_mul(m, m).is_identity()
+    columns, _ = _tau_columns(t)
+    return all(lincomb(col, columns.__getitem__) == {f: 1} for f, col in enumerate(columns))
 
 
 @dataclass(frozen=True)
@@ -448,7 +423,7 @@ def check_q_conditions(module: YDModule, q) -> QConditionsReport:
     """
     hopf = module.hopf
     one = module.field.one
-    q = [_norm(dict(v)) for v in q]
+    q = [vsum(v) for v in q]
     if len(q) != module.dim:
         raise ValidationError("q needs one value per basis vector")
     for i, v in enumerate(q):
@@ -458,16 +433,9 @@ def check_q_conditions(module: YDModule, q) -> QConditionsReport:
     equivariance = True
     for m in range(module.dim):
         for h in hopf.generators:
-            lhs = {}
-            for c, h1, h2 in hopf.coproduct(h):
-                qx = {}
-                for mi, cm in module.act_basis({m: one}, h2).items():
-                    for hk, ck in q[mi].items():
-                        _acc(qx, hk, cm * ck)
-                for hp, cp in hvec_mul(hopf, {h1: one}, qx).items():
-                    _acc(lhs, hp, c * cp)
-            rhs = hvec_mul(hopf, q[m], {h: one})
-            if _norm(lhs) != rhs:
+            lhs = lincomb(_delta(hopf, h), lambda hh: hvec_mul(
+                hopf, {hh[0]: one}, lincomb(module.act_basis({m: one}, hh[1]), q.__getitem__)))
+            if lhs != hvec_mul(hopf, q[m], {h: one}):
                 equivariance = False
                 witnesses["equivariance"] = (m, h)
                 break
@@ -475,14 +443,11 @@ def check_q_conditions(module: YDModule, q) -> QConditionsReport:
             break
     coderivation = True
     for m in range(module.dim):
-        lhs = hvec_coproduct(hopf, q[m])
-        rhs = {}
-        for hk, ck in q[m].items():
-            _acc(rhs, (hopf.unit, hk), ck)
-        for m0, hk, ck in module.coaction[m]:
-            for ha, ca in q[m0].items():
-                _acc(rhs, (ha, hk), ck * ca)
-        if lhs != _norm(rhs):
+        rhs = vsum(
+            _pair(hopf.unit, q[m]),
+            lincomb(module._coact[m], lambda mk: {(ha, mk[1]): ca for ha, ca in q[mk[0]].items()}),
+        )
+        if hvec_coproduct(hopf, q[m]) != rhs:
             coderivation = False
             witnesses["coderivation_condition"] = (m,)
             break
@@ -503,18 +468,10 @@ class BraidedLeibnizData:
         return len(self.basis)
 
     def bra(self, vec: dict, j: int) -> dict:
-        out = {}
-        for i, c in vec.items():
-            for k, c2 in self.bracket[i][j].items():
-                _acc(out, k, c * c2)
-        return _norm(out)
+        return lincomb(vec, lambda i: self.bracket[i][j])
 
     def bra_vec(self, vec: dict, w: dict) -> dict:
-        out = {}
-        for j, c in w.items():
-            for k, c2 in self.bra(vec, j).items():
-                _acc(out, k, c * c2)
-        return _norm(out)
+        return lincomb(w, lambda j: self.bra(vec, j))
 
 
 def braided_leibniz_from_q(module: YDModule, q) -> BraidedLeibnizData:
@@ -531,7 +488,7 @@ def braided_leibniz_from_q(module: YDModule, q) -> BraidedLeibnizData:
     if not qrep.ok:
         raise ValidationError(f"q conditions fail: {qrep.witnesses}")
     one = module.field.one
-    q = [_norm(dict(v)) for v in q]
+    q = [vsum(v) for v in q]
     bracket = tuple(
         tuple(module.act_hvec({i: one}, q[j]) for j in range(module.dim))
         for i in range(module.dim)
@@ -550,22 +507,21 @@ def check_braided_leibniz(data: BraidedLeibnizData) -> BraidedLeibnizReport:
     n = data.dim
     if data.tau.factor_dim != n:
         raise ShapeError("tau factor basis must match the bracket carrier")
-    tau = data.tau.matrix.data
+    tau = data.tau.columns
     one = data.field.one
     for i in range(n):
         ei = {i: one}
+
+        def braided(r):
+            # (x <| u) <| v for tau's output basis pair e_u (x) e_v at r
+            return data.bra(data.bra(ei, r % n), r // n)
+
         for j in range(n):
             xy = data.bra(ei, j)
             for k in range(n):
                 lhs = data.bra(xy, k)
-                rhs = dict(data.bra_vec(ei, data.bracket[j][k]))
-                col = flat2(j, k, n)
-                for r in range(n * n):
-                    c = tau[r][col]
-                    if c:
-                        u, v = r % n, r // n
-                        for kk, cc in data.bra(data.bra(ei, u), v).items():
-                            _acc(rhs, kk, c * cc)
-                if lhs != _norm(rhs):
+                rhs = vsum(data.bra_vec(ei, data.bracket[j][k]),
+                           lincomb(tau[flat2(j, k, n)], braided))
+                if lhs != rhs:
                     return BraidedLeibnizReport(False, (i, j, k))
     return BraidedLeibnizReport(True, None)

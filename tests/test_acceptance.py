@@ -186,7 +186,7 @@ def test_c07_biconditional_corpus():
     broken = 0
     for name, module in corpus:
         yd_ok = check_yd(module).ok
-        ybe_ok = check_ybe(braiding(module), module.field).ok
+        ybe_ok = check_ybe(braiding(module)).ok
         assert yd_ok == ybe_ok, name
         if not yd_ok:
             broken += 1

@@ -128,6 +128,8 @@ def test_check_ybe_on_plain_matrix(tmp_path, capsys):
     path2 = tmp_path / "bad.json"
     path2.write_text(json.dumps(bad))
     assert run(["check-ybe", str(path2)]) == 2  # 3 is not a perfect square
+    flat = {"rows": 1, "cols": 1, "entries": 5}
+    assert run(["check-ybe", _write(tmp_path, "flat.json", flat)]) == 2
 
 
 def test_linearize_artifact_reloads(tmp_path, capsys, fixtures_dir):
@@ -251,3 +253,48 @@ def test_every_emitted_artifact_reparses_equal(tmp_path, capsys, fixtures_dir):
     module = jsonio.yd_from_dict(json.loads(out1.read_text()))
     out2.write_text(json.dumps(jsonio.yd_to_dict(module), indent=2, sort_keys=True) + "\n")
     assert out1.read_text() == out2.read_text()
+
+
+def _write(tmp_path, name, payload):
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_coaction_term_of_wrong_arity_exits_two(tmp_path, capsys, fixtures_dir):
+    module = json.loads((fixtures_dir / "yd_kereps_z2.json").read_text())
+    module["coaction"][0][0] = [0, 1]
+    assert run(["check-yd", _write(tmp_path, "yd.json", module)]) == 2
+
+
+def test_module_basis_not_a_list_exits_two(tmp_path, capsys, fixtures_dir):
+    module = json.loads((fixtures_dir / "yd_kereps_z2.json").read_text())
+    module["basis"] = 5
+    assert run(["check-yd", _write(tmp_path, "yd.json", module)]) == 2
+
+
+def test_non_integer_op_entry_exits_two(tmp_path, capsys):
+    shelf = {"elements": ["a", "b"], "op": [[0, "x"], [1, 1]]}
+    assert run(["check-rack", _write(tmp_path, "rack.json", shelf)]) == 2
+
+
+def test_non_integer_bracket_output_index_exits_two(tmp_path, capsys):
+    alg = {"dim": 2, "basis": ["x", "y"], "brackets": [{"i": 0, "j": 0, "out": {"a": "1"}}]}
+    assert run(["check-leibniz", _write(tmp_path, "leibniz.json", alg)]) == 2
+
+
+def test_string_bracket_index_exits_two(tmp_path, capsys):
+    alg = {"dim": 2, "basis": ["x", "y"], "brackets": [{"i": "0", "j": 0, "out": {"1": "1"}}]}
+    assert run(["check-leibniz", _write(tmp_path, "leibniz.json", alg)]) == 2
+
+
+def test_check_ybe_failure_names_witness(tmp_path, capsys, fixtures_dir):
+    good = tmp_path / "good.json"
+    bad = tmp_path / "bad.json"
+    for module, out in (("yd_s3_conj.json", good), ("yd_s3_broken.json", bad)):
+        run(["braiding-matrix", str(fixtures_dir / module), "--json", str(out)])
+    capsys.readouterr()
+    code, rep = report(capsys, "check-ybe", str(good))
+    assert code == 0 and "witness" not in rep
+    code, rep = report(capsys, "check-ybe", str(bad))
+    assert code == 1 and rep["witness"] == [1, 1, 1]

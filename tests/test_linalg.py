@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from rackyd.errors import ShapeError, ValidationError
@@ -143,3 +144,23 @@ def test_rref_and_nullspace():
     assert len(kernel) == 2
     for vec in kernel:
         assert sum(vec, F(0)) == 0
+
+
+def _from_sympy(x):
+    return F(int(x.p), int(x.q))
+
+
+@given(st.data())
+def test_rref_and_nullspace_match_sympy(data):
+    m, n = (data.draw(st.integers(min_value=1, max_value=5)) for _ in range(2))
+    entry = st.builds(F, small, st.integers(min_value=1, max_value=3))
+    vectors = data.draw(st.lists(
+        st.lists(entry, min_size=n, max_size=n).map(tuple), min_size=m, max_size=m,
+    ))
+    ref, ref_pivots = sympy.Matrix(vectors).rref()
+    rows, pivots = rref(vectors)
+    assert pivots == list(ref_pivots)
+    assert rows == [tuple(_from_sympy(x) for x in ref.row(r)) for r in range(len(pivots))]
+    kernel = nullspace(vectors, n)
+    ref_kernel = sympy.Matrix(vectors).nullspace()
+    assert kernel == [tuple(_from_sympy(x) for x in v) for v in ref_kernel]

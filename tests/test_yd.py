@@ -1,8 +1,11 @@
+import json
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rackyd import jsonio
 from rackyd.errors import ValidationError
 from rackyd.group_hopf import (
     grading_module,
@@ -12,12 +15,14 @@ from rackyd.group_hopf import (
     trivial_coaction_module,
 )
 from rackyd.leibniz import first_order_yd, heisenberg_voros, sl2, unital_shelf
+from rackyd.linalg import Matrix, kron, mat_mul
 from rackyd.racks import (
     FiniteGroup,
     conjugation_augmented,
     dihedral_quandle,
     inner_augmentation,
 )
+from rackyd.scalars import PrimeField
 from rackyd.yd import (
     BraidedLeibnizData,
     braided_leibniz_from_q,
@@ -29,6 +34,7 @@ from rackyd.yd import (
     flip_matrix,
     is_involutive,
 )
+from test_acceptance import _biconditional_corpus
 
 F = Fraction
 
@@ -284,3 +290,65 @@ def test_corollary_soundness_across_constructible_pairs():
         assert check_yd(module).ok
         assert check_q_conditions(module, q).ok
         assert check_braided_leibniz(braided_leibniz_from_q(module, q)).ok
+
+
+def dense_ybe_defect(m, n):
+    """(T x 1)(1 x T)(T x 1) - (1 x T)(T x 1)(1 x T) by dense Kronecker products."""
+    eye = Matrix.identity(n)
+    t12, t23 = kron(m, eye), kron(eye, m)
+    return mat_mul(mat_mul(t12, t23), t12) - mat_mul(mat_mul(t23, t12), t23)
+
+
+def assert_matches_dense_reference(bm):
+    n = bm.factor_dim
+    defect = dense_ybe_defect(bm.matrix, n)
+    failing = [
+        (i, j, k) for i, j, k in product(range(n), repeat=3)
+        if any(defect[r, i + n * j + n * n * k] for r in range(n ** 3))
+    ]
+    rep = check_ybe(bm)
+    assert rep.ok == defect.is_zero()
+    assert rep.witness == (failing[0] if failing else None)
+    if not rep.ok:
+        assert rep.defect == defect
+    assert is_involutive(bm) == mat_mul(bm.matrix, bm.matrix).is_identity()
+
+
+def test_sparse_ybe_matches_dense_on_the_biconditional_corpus():
+    for _, module in _biconditional_corpus():
+        assert_matches_dense_reference(braiding(module))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_sparse_ybe_matches_dense_on_random_gradings(data):
+    groups = {n: inner_augmentation(dihedral_quandle(n)) for n in (3, 4, 5)}
+    aug = groups[data.draw(st.sampled_from(sorted(groups)))]
+    grading = data.draw(st.lists(
+        st.integers(min_value=0, max_value=aug.group.size - 1),
+        min_size=aug.size, max_size=aug.size,
+    ))
+    assert_matches_dense_reference(braiding(grading_module(aug, grading)))
+
+
+def test_check_ybe_needs_no_field():
+    gf7 = PrimeField(7)
+    bm = braiding(first_order_yd(heisenberg_voros(gf7)))
+    assert check_ybe(bm).ok
+    assert not is_involutive(bm)
+
+
+def test_ybe_witness_is_least_failing_triple(fixtures_dir):
+    payload = json.loads((fixtures_dir / "yd_s3_broken.json").read_text())
+    bm = braiding(jsonio.yd_from_dict(payload))
+    assert_matches_dense_reference(bm)
+    assert check_ybe(bm).witness == (1, 1, 1)
+
+
+def test_ybe_beyond_the_dense_sizes():
+    # N = n^3 is 2197 for D13 and 12167 for ker eps(S4); the dense check
+    # would hold N^2 entries per matrix product
+    d13 = linearize_augmented(inner_augmentation(dihedral_quandle(13))).module
+    for module in (d13, ker_eps_yd(FiniteGroup.symmetric(4))):
+        assert check_yd(module).ok
+        assert check_ybe(braiding(module)).ok
