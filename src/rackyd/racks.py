@@ -133,13 +133,6 @@ def _perm_mul(a, b):
     return tuple(b[a[i]] for i in range(len(a)))
 
 
-def _perm_inv(a):
-    out = [0] * len(a)
-    for i, v in enumerate(a):
-        out[v] = i
-    return tuple(out)
-
-
 def _cycle_label(perm, points=None):
     """Cycle notation for a permutation; `points` names the moved points."""
     n = len(perm)
@@ -162,7 +155,13 @@ def _cycle_label(perm, points=None):
 
 
 class FiniteGroup:
-    """A finite group as a Cayley table; the axioms are verified on construction."""
+    """A finite group as a Cayley table; the axioms are verified on construction.
+
+    ``generators`` is the generating set S: each element, in order, that is not
+    yet reached from e by right multiplication with the generators before it.
+    Associativity is Light's test ``(a s) c = a (s c)`` for s in S, which is
+    complete because the middle elements that pass it are closed under products.
+    """
 
     def __init__(self, elements, mul):
         self.elements = tuple(str(e) for e in elements)
@@ -194,15 +193,46 @@ class FiniteGroup:
             if inv[x] is None:
                 raise ValidationError(f"element {self.elements[x]} has no inverse")
         self.inv = tuple(inv)
+        gens, reached = [], {ident}
+        for g in range(n):
+            if g not in reached:
+                gens.append(g)
+                frontier = list(reached)
+                while frontier:
+                    frontier = [y for y in {mul[x][s] for x in frontier for s in gens}
+                                if y not in reached]
+                    reached.update(frontier)
+        self.generators = tuple(gens)
         for a in range(n):
-            for b in range(n):
-                ab = mul[a][b]
+            for s in gens:
+                a_s = mul[a][s]
                 for c in range(n):
-                    if mul[ab][c] != mul[a][mul[b][c]]:
+                    if mul[a_s][c] != mul[a][mul[s][c]]:
                         raise ValidationError(
                             f"mul table not associative at "
-                            f"({self.elements[a]}, {self.elements[b]}, {self.elements[c]})"
+                            f"({self.elements[a]}, {self.elements[s]}, {self.elements[c]})"
                         )
+
+    def action_witness(self, points, act):
+        """The first failure of ``act`` as a right action of this group, or None.
+
+        ``act(x, g)`` reads the image of x (a point or an image) under any g
+        from a table.  Returns ``(i, e)`` if e moves ``points[i]``, else the
+        least ``(i, a, s)``, s in ``generators``, with ``(x a) s != x (a s)``.
+        That suffices: the h with ``(x a) h = x (a h)`` for all x, a form a
+        submonoid.
+        """
+        e = self.identity
+        for i, x in enumerate(points):
+            if act(x, e) != x:
+                return (i, e)
+        for i, x in enumerate(points):
+            for a in range(self.size):
+                xa = act(x, a)
+                for s in self.generators:
+                    if act(xa, s) != act(x, self.mul[a][s]):
+                        return (i, a, s)
+        return None
 
     @property
     def size(self) -> int:
@@ -340,19 +370,12 @@ class AugmentedRack:
         p = tuple(as_int(v, "p entry") for v in p)
         if len(p) != nx or any(not 0 <= v < ng for v in p):
             raise ValidationError("p must map X into G")
-        e = group.identity
-        for x in range(nx):
-            if action[x][e] != x:
-                raise ValidationError(f"identity must act trivially (fails at x={x})")
-        for x in range(nx):
-            for a in range(ng):
-                xa = action[x][a]
-                for b in range(ng):
-                    if action[xa][b] != action[x][group.mul_idx(a, b)]:
-                        raise ValidationError(
-                            f"not a right action at (x={x}, g={group.elements[a]}, "
-                            f"h={group.elements[b]})"
-                        )
+        witness = group.action_witness(range(nx), lambda x, g: action[x][g])
+        if witness is not None and len(witness) == 2:
+            raise ValidationError(f"identity must act trivially (fails at x={witness[0]})")
+        if witness is not None:
+            x, a, s = witness[0], *(group.elements[g] for g in witness[1:])
+            raise ValidationError(f"not a right action at (x={x}, g={a}, h={s})")
         self.action = action
         self.p = p
 

@@ -8,7 +8,7 @@ A *Hopf descriptor* is any object with a finite distinguished basis exposing
     counit(i)            -> scalar
     antipode(i)          -> {idx: coeff}
     generator_word(i)    -> [generator indices] with product i
-    check_action_axioms(module) -> witness | None
+    check_action_axioms(module) -> witness | None  (reads every column of module.action)
 
 Group algebras (:mod:`rackyd.group_hopf`) and degree-truncated enveloping
 algebras (:mod:`rackyd.envelope`) implement this.  Inside this module the

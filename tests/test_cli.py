@@ -273,6 +273,16 @@ def test_module_basis_not_a_list_exits_two(tmp_path, capsys, fixtures_dir):
     assert run(["check-yd", _write(tmp_path, "yd.json", module)]) == 2
 
 
+def test_identity_row_of_group_module_is_checked(tmp_path, capsys, fixtures_dir):
+    module = json.loads((fixtures_dir / "yd_s3_conj.json").read_text())
+    e = module["hopf"]["group"]["elements"].index("e")
+    module["action"][0][e], module["action"][1][e] = {"1": "1"}, {"0": "1"}
+    path = _write(tmp_path, "yd.json", module)
+    for argv in (["check-yd", path], ["braiding-matrix", path], ["q-conditions", path, "--rack-q"]):
+        assert run(argv) == 2
+        assert "module axioms at (0, 'e')" in capsys.readouterr().err
+
+
 def test_non_integer_op_entry_exits_two(tmp_path, capsys):
     shelf = {"elements": ["a", "b"], "op": [[0, "x"], [1, 1]]}
     assert run(["check-rack", _write(tmp_path, "rack.json", shelf)]) == 2
