@@ -253,6 +253,8 @@ class EnvelopingDescriptor:
     def generators(self):
         return self.pbw.generators
 
+    algebra_generators = generators
+
     has_antipode = True
 
     def product(self, i, j):

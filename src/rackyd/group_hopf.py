@@ -132,11 +132,17 @@ def adjoint_action(x: GroupAlgebraElement, h: GroupAlgebraElement) -> GroupAlgeb
 
 
 class GroupAlgebraDescriptor:
-    """Hopf-descriptor view of kG; every group element is a generator.
+    """Hopf-descriptor view of kG.
+
+    ``generators`` is every group element, in order: a module file carries an
+    action column for each, and :meth:`check_action_axioms` reads them all.
+    ``algebra_generators`` is the group's generating set S, over which
+    :func:`rackyd.yd.check_yd` and :func:`rackyd.yd.check_q_conditions`
+    decide their conditions.
 
     Construction checks nothing: the Hopf axioms of kG follow from the group
     table, which :class:`FiniteGroup` verified (``check_hopf_axioms`` remains
-    the reference).  Module axioms are proved on the group's generating set.
+    the reference).  Module axioms are proved on S as well.
     """
 
     def __init__(self, group: FiniteGroup, field=QQ):
@@ -158,6 +164,10 @@ class GroupAlgebraDescriptor:
     @property
     def generators(self):
         return list(range(self.group.size))
+
+    @property
+    def algebra_generators(self):
+        return self.group.generators
 
     has_antipode = True
 

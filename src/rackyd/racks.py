@@ -20,9 +20,26 @@ witness as the deterministic merge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations as _permutations
 
 from .errors import ConsistencyError, ValidationError, as_int
+
+
+def _greedy_generators(table, start=()) -> tuple:
+    """Each index, in order, that is not yet reached from ``start`` and the
+    generators before it under ``x -> table[x][s]``, s one of those generators."""
+    gens, reached = [], set(start)
+    for g in range(len(table)):
+        if g not in reached:
+            gens.append(g)
+            reached.add(g)
+            frontier = list(reached)
+            while frontier:
+                frontier = [y for y in {table[x][s] for x in frontier for s in gens}
+                            if y not in reached]
+                reached.update(frontier)
+    return tuple(gens)
 
 
 class FiniteShelf:
@@ -43,6 +60,14 @@ class FiniteShelf:
     @property
     def size(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def generators(self) -> tuple:
+        """The generating set Z: each element, in order, that is not yet in
+        the closure of the generators before it under ``x -> x <| z``, z in
+        Z.  In a rack that closure is the subrack they generate, because
+        ``R_(y <| z) = R_z R_y R_z^-1``."""
+        return _greedy_generators(self.op)
 
     def apply(self, i: int, j: int) -> int:
         return self.op[i][j]
@@ -81,40 +106,46 @@ class ShelfReport:
 
 
 def check_shelf(s: FiniteShelf) -> ShelfReport:
-    """Brute-force the shelf, rack, and quandle axioms over all tuples.
+    """Decide the shelf, rack, and quandle axioms.
 
     Witnesses are the lexicographically first failing tuples, keyed by
     ``self_distributivity`` (x, y, z), ``bijectivity`` (x1, x2, y) with
     ``x1 <| y = x2 <| y``, and ``idempotence`` (x,).
+
+    Bijectivity is checked first.  In a rack, the z whose right translation
+    R_z is an endomorphism are closed under ``<|``, because
+    ``R_(y <| z) = R_z R_y R_z^-1``; so self-distributivity holds once it
+    holds for every z in ``s.generators``.  A failure there, or a table that
+    is not a rack, gets the sweep over all n^3 triples that names the witness.
     """
     n = s.size
     op = s.op
-    witnesses = {}
-    is_shelf = True
-    for x in range(n):
-        for y in range(n):
-            xy = op[x][y]
-            for z in range(n):
-                if op[xy][z] != op[op[x][z]][op[y][z]]:
-                    witnesses["self_distributivity"] = (x, y, z)
-                    is_shelf = False
-                    break
-            if not is_shelf:
-                break
-        if not is_shelf:
-            break
-    bijective = True
+    not_injective = None
     for y in range(n):
         seen = {}
         for x in range(n):
             img = op[x][y]
             if img in seen:
-                witnesses["bijectivity"] = (seen[img], x, y)
-                bijective = False
+                not_injective = (seen[img], x, y)
                 break
             seen[img] = x
-        if not bijective:
+        if not_injective is not None:
             break
+    bijective = not_injective is None
+
+    def endomorphism(z):
+        r = [row[z] for row in op]
+        return all(r[xy] == op[r[x]][r[y]] for x, row in enumerate(op) for y, xy in enumerate(row))
+
+    witnesses = {}  # self_distributivity first: error messages print the dict as is
+    if not (bijective and all(endomorphism(z) for z in s.generators)):
+        failure = next(((x, y, z) for x in range(n) for y in range(n) for z in range(n)
+                        if op[op[x][y]][z] != op[op[x][z]][op[y][z]]), None)
+        if failure is not None:
+            witnesses["self_distributivity"] = failure
+    is_shelf = "self_distributivity" not in witnesses
+    if not bijective:
+        witnesses["bijectivity"] = not_injective
     idem = True
     for x in range(n):
         if op[x][x] != x:
@@ -193,18 +224,9 @@ class FiniteGroup:
             if inv[x] is None:
                 raise ValidationError(f"element {self.elements[x]} has no inverse")
         self.inv = tuple(inv)
-        gens, reached = [], {ident}
-        for g in range(n):
-            if g not in reached:
-                gens.append(g)
-                frontier = list(reached)
-                while frontier:
-                    frontier = [y for y in {mul[x][s] for x in frontier for s in gens}
-                                if y not in reached]
-                    reached.update(frontier)
-        self.generators = tuple(gens)
+        self.generators = _greedy_generators(mul, (ident,))
         for a in range(n):
-            for s in gens:
+            for s in self.generators:
                 a_s = mul[a][s]
                 for c in range(n):
                     if mul[a_s][c] != mul[a][mul[s][c]]:
@@ -337,10 +359,19 @@ def conjugation_rack(g: FiniteGroup) -> FiniteShelf:
     return FiniteShelf(g.elements, op)
 
 
+DIHEDRAL_MAX_ORDER = 1000
+
+
 def dihedral_quandle(n: int) -> FiniteShelf:
-    """The dihedral quandle on Z/n: ``x <| y = 2y - x mod n``."""
+    """The dihedral quandle on Z/n: ``x <| y = 2y - x mod n``.
+
+    Its table has n^2 entries, so n above ``DIHEDRAL_MAX_ORDER`` is refused
+    before anything is allocated.
+    """
     if n < 1:
         raise ValidationError("dihedral quandle needs n >= 1")
+    if n > DIHEDRAL_MAX_ORDER:
+        raise ValidationError(f"dihedral quandle order {n} exceeds {DIHEDRAL_MAX_ORDER}")
     op = [[(2 * y - x) % n for y in range(n)] for x in range(n)]
     return FiniteShelf([str(i) for i in range(n)], op)
 
@@ -474,7 +505,7 @@ def inner_augmentation(s: FiniteShelf) -> AugmentedRack:
     aug = AugmentedRack(s.elements, group, action, [index[c] for c in cols])
     if not check_augmented(aug).ok:
         raise ConsistencyError("inner augmentation must satisfy the augmentation identity")
-    if induced_rack(aug) != s:
+    if any(aug.act(x, aug.p[y]) != s.op[x][y] for x in range(n) for y in range(n)):
         raise ConsistencyError("inner augmentation must induce the original rack")
     return aug
 

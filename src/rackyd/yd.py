@@ -2,13 +2,17 @@
 
 A *Hopf descriptor* is any object with a finite distinguished basis exposing
 
-    field, size, labels, unit, generators, has_antipode,
+    field, size, labels, unit, generators, algebra_generators, has_antipode,
     product(i, j)        -> {idx: coeff}      (exact; may raise DegreeOverflowError)
     coproduct(i)         -> [(coeff, a, b)]   (distinct pairs (a, b))
     counit(i)            -> scalar
     antipode(i)          -> {idx: coeff}
     generator_word(i)    -> [generator indices] with product i
     check_action_axioms(module) -> witness | None  (reads every column of module.action)
+
+``generators`` indexes the columns of a module's action table;
+``algebra_generators``, a subset of it, generates the descriptor as an
+algebra and is the set the compatibility sweeps below run over.
 
 Group algebras (:mod:`rackyd.group_hopf`) and degree-truncated enveloping
 algebras (:mod:`rackyd.envelope`) implement this.  Inside this module the
@@ -24,13 +28,19 @@ when M satisfies the Yetter-Drinfel'd compatibility condition
 
     (x h_(2))_(0) (x) h_(1) (x h_(2))_(1)  =  x_(0) h_(1) (x) x_(1) h_(2)
 
-(checked on basis elements against descriptor generators, which suffices by
-bilinearity).  When the descriptor has an antipode the condition is
-equivalent to
+When the descriptor has an antipode the condition is equivalent to
 
     (x h)_(0) (x) (x h)_(1)  =  x_(0) h_(2) (x) S(h_(1)) x_(1) h_(3),
 
-and both forms are computed.
+and both forms are computed.  Both are linear in h and hold at h = 1 once the
+module axioms hold, which :class:`YDModule` proves on construction.  The h
+that satisfy them for every x are closed under products: for a group element
+g the condition says ``delta(x g) = (rho_g (x) c_g) delta(x)`` with ``c_g``
+conjugation by g, and both ``g -> rho_g`` and ``g -> c_g`` are
+anti-homomorphisms.  So each form is decided on basis elements against
+``algebra_generators``; only a failure there pays for the sweep over every
+generator that names the lexicographically least witness.  The equivariance
+condition of :func:`check_q_conditions` is decided the same way.
 
 A braided Leibniz algebra is a space with a bracket ``<|`` and a map tau on
 the square satisfying
@@ -215,12 +225,32 @@ class YDReport:
     witness: tuple | None
 
 
+def _least_failure(module: YDModule, holds):
+    """The least (m, h), h in ``hopf.generators``, at which ``holds`` fails.
+
+    ``holds(m, h)`` must be an identity that is linear in h, true at the unit,
+    and whose h (over all m) are closed under products; it is then decided on
+    ``hopf.algebra_generators``, and None means it holds everywhere.
+    """
+    hopf = module.hopf
+
+    def first(hs):
+        return next(((m, h) for m in range(module.dim) for h in hs if not holds(m, h)), None)
+
+    if first(hopf.algebra_generators) is None:
+        return None
+    return first(hopf.generators)
+
+
 def check_yd(module: YDModule) -> YDReport:
-    """Verify the Yetter-Drinfel'd condition on all (basis, generator) pairs.
+    """Verify the Yetter-Drinfel'd condition on the whole module.
 
     Both the coproduct form and (when the descriptor has an antipode) the
     antipode form are computed independently; for a Hopf descriptor they are
     equivalent and the two booleans agree on every instance we construct.
+    Each form is decided on (basis, algebra generator) pairs, which is
+    complete (see the module docstring); a failing form reports the least
+    failing (basis, generator) pair.
     """
     hopf = module.hopf
     one = module.field.one
@@ -254,15 +284,11 @@ def check_yd(module: YDModule) -> YDReport:
         lhs = lincomb(module.act_basis({m: one}, h), coact.__getitem__)
         return lhs == lincomb(coproduct2(hopf, h), rhs_term)
 
-    def first_failure(holds):
-        return next(((m, h) for m in range(module.dim) for h in hopf.generators
-                     if not holds(m, h)), None)
-
-    wit2 = first_failure(coproduct_form)
+    wit2 = _least_failure(module, coproduct_form)
     ok2 = wit2 is None
     wit3, ok3 = None, None
     if hopf.has_antipode:
-        wit3 = first_failure(antipode_form)
+        wit3 = _least_failure(module, antipode_form)
         ok3 = wit3 is None
     ok = ok2 and (ok3 is not False)
     return YDReport(ok, ok2, ok3, wit2 if wit2 is not None else wit3)
@@ -420,6 +446,11 @@ def check_q_conditions(module: YDModule, q) -> QConditionsReport:
                                                         coaction
                                                         h -> h_(1) (x) h_(2)
                                                              - 1 (x) h)
+
+    Equivariance holds at h = 1, and for a group element g it says
+    ``q(x g) = g^-1 q(x) g``, so its h are closed under products: it is
+    decided on ``algebra_generators`` and its witness is the least failing
+    (basis, generator) pair.  Colinearity is checked on every basis vector.
     """
     hopf = module.hopf
     one = module.field.one
@@ -430,17 +461,16 @@ def check_q_conditions(module: YDModule, q) -> QConditionsReport:
         if hvec_counit(hopf, v):
             raise ValidationError(f"im q must lie in ker(counit); fails at basis {i}")
     witnesses = {}
-    equivariance = True
-    for m in range(module.dim):
-        for h in hopf.generators:
-            lhs = lincomb(_delta(hopf, h), lambda hh: hvec_mul(
-                hopf, {hh[0]: one}, lincomb(module.act_basis({m: one}, hh[1]), q.__getitem__)))
-            if lhs != hvec_mul(hopf, q[m], {h: one}):
-                equivariance = False
-                witnesses["equivariance"] = (m, h)
-                break
-        if not equivariance:
-            break
+
+    def equivariant(m, h):
+        lhs = lincomb(_delta(hopf, h), lambda hh: hvec_mul(
+            hopf, {hh[0]: one}, lincomb(module.act_basis({m: one}, hh[1]), q.__getitem__)))
+        return lhs == hvec_mul(hopf, q[m], {h: one})
+
+    wit = _least_failure(module, equivariant)
+    equivariance = wit is None
+    if not equivariance:
+        witnesses["equivariance"] = wit
     coderivation = True
     for m in range(module.dim):
         rhs = vsum(

@@ -232,6 +232,11 @@ def test_make_commands(tmp_path, capsys, fixtures_dir):
     assert code == 0 and rep["size"] == 24
 
 
+def test_make_dihedral_refuses_a_huge_order(capsys):
+    assert run(["make-dihedral", str(10 ** 12)]) == 2
+    assert "exceeds" in capsys.readouterr().err
+
+
 def test_first_order_yd_artifact_roundtrip(tmp_path, capsys, fixtures_dir):
     out = tmp_path / "module.json"
     code, _ = report(

@@ -1,9 +1,12 @@
+from collections import Counter
 from itertools import product
 
 import pytest
 
+from rackyd import racks
 from rackyd.errors import ValidationError
 from rackyd.racks import (
+    DIHEDRAL_MAX_ORDER,
     AugmentedRack,
     FiniteGroup,
     FiniteShelf,
@@ -199,6 +202,22 @@ def test_inner_augmentation_s3_conjugation():
 def test_inner_augmentation_rejects_non_racks():
     with pytest.raises(ValidationError):
         inner_augmentation(FiniteShelf("01", [[1, 0], [1, 1]]))
+
+
+def test_inner_augmentation_proves_each_fact_once(monkeypatch):
+    calls = Counter()
+    for name in ("check_shelf", "check_augmented"):
+        def counted(arg, _real=getattr(racks, name), _name=name):
+            calls[_name] += 1
+            return _real(arg)
+        monkeypatch.setattr(racks, name, counted)
+    inner_augmentation(dihedral_quandle(7))
+    assert calls == {"check_shelf": 1, "check_augmented": 1}
+
+
+def test_dihedral_order_is_capped():
+    with pytest.raises(ValidationError, match="exceeds"):
+        dihedral_quandle(DIHEDRAL_MAX_ORDER + 1)
 
 
 def test_roundtrip_induced_inner():
