@@ -69,5 +69,4 @@ print(f"swapped grading: compatibility = {rep.ok} (witness {rep.witness}), "
 print()
 print("== functions on X and G ==")
 rep = function_dual_check(aug)
-print(f"p* colinear for the adjoint coaction: {rep.p_star_right_colinear}; "
-      f"pointwise algebra map: {rep.p_star_bimodule}")
+print(f"p* colinear for the adjoint coaction: {rep.p_star_right_colinear}")

@@ -382,8 +382,6 @@ def _cmd_dual_check(args, field):
     report = {
         "ok": rep.ok,
         "p_star_right_colinear": rep.p_star_right_colinear,
-        "p_star_bimodule": rep.p_star_bimodule,
-        "note": rep.note,
         "witnesses": _limit_witnesses(rep.witnesses, args.witness_limit),
     }
     return (0 if rep.ok else 1), report

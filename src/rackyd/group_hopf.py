@@ -12,7 +12,9 @@ linearly.  From it we build
   exactly when the augmentation identity holds,
 * the finite-dual picture: the pullback ``p*: k[G] -> k[X]`` on delta bases
   of scalar-valued functions, colinear for the right adjoint coaction
-  ``f -> f_(2) (x) S(f_(1)) f_(3)``.
+  ``f -> f_(2) (x) S(f_(1)) f_(3)`` exactly when the augmentation identity
+  holds (a pullback is always an algebra map for the pointwise products, so
+  that half is not checked).
 
 kX has the trivial left action and trivial left coaction throughout; only the
 right structures are stored.
@@ -302,58 +304,30 @@ def rack_q_map(lin: LinearizedRack):
 class DualReport:
     ok: bool
     p_star_right_colinear: bool
-    p_star_bimodule: bool
     witnesses: dict
-    note: str = (
-        "module halves are checked in the pointwise-multiplication reading "
-        "of k[G] and k[X]"
-    )
 
 
 def function_dual_check(aug: AugmentedRack, field=QQ) -> DualReport:
-    """Entrywise verification that p*: k[G] -> k[X] respects the structures.
+    """Decide whether p*: k[G] -> k[X] is colinear, on delta bases.
 
-    On delta bases: the right coaction on k[X] is dual to the action map,
-    ``delta_y -> sum over x.g = y of delta_x (x) delta_g``; k[G] carries the
-    right adjoint coaction ``delta_g -> sum over h of delta_{h g h^-1} (x)
-    delta_h``.  Colinearity of the pullback is exactly the augmentation
-    identity.  The bimodule half is the pointwise-multiplication statement:
-    p* is a unital algebra map for the pointwise products.
+    The right coaction on k[X] is dual to the action map, ``delta_y -> sum
+    over x.g = y of delta_x (x) delta_g``; k[G] carries the right adjoint
+    coaction ``delta_g -> sum over h of delta_{h g h^-1} (x) delta_h``.  So
+    the coaction of ``p* delta_a`` has support {(x, h) : p(x.h) = a}, and
+    ``(p* (x) id)`` of the coaction of ``delta_a`` has support
+    {(x, h) : h^-1 p(x) h = a}.  The two differ at (x, h) for exactly the
+    a in {u, v}, where ``u = p(x.h) != v = h^-1 p(x) h``: colinearity is the
+    augmentation identity.  One pass over (x, h) finds the least a whose
+    supports differ and the least (x, h) in their difference, the witness
+    ``(a, (x, h))``.
+
+    p* is not checked as an algebra map: a pullback of functions is always a
+    unital algebra map for the pointwise products.
     """
     g = aug.group
-    nx, ng = aug.size, g.size
-    witnesses = {}
-    colinear = True
-    # LHS: coaction(p* delta_a) has support {(x, h) : p(x . h) = a}
-    # RHS: (p* (x) id)(adjoint coaction delta_a) has support {(x, h) : h^-1 p(x) h = a}
-    for a in range(ng):
-        lhs = {(x, h) for x in range(nx) for h in range(ng) if aug.p[aug.act(x, h)] == a}
-        rhs = {(x, h) for x in range(nx) for h in range(ng) if g.conj(aug.p[x], h) == a}
-        if lhs != rhs:
-            colinear = False
-            diff = sorted(lhs.symmetric_difference(rhs))
-            witnesses["p_star_right_colinear"] = (a, diff[0])
-            break
-    bimodule = True
-    # pointwise products: delta_a . delta_b = [a == b] delta_a, on either side
-    for a in range(ng):
-        for b in range(ng):
-            lhs = {x for x in range(nx) if aug.p[x] == a and a == b}
-            rhs = {x for x in range(nx) if aug.p[x] == a} & {x for x in range(nx) if aug.p[x] == b}
-            if lhs != rhs:
-                bimodule = False
-                witnesses["p_star_bimodule"] = (a, b)
-                break
-        if not bimodule:
-            break
-    if bimodule:
-        # unit: p* of the constant-one function is the constant-one function
-        total = [0] * nx
-        for a in range(ng):
-            for x in range(nx):
-                if aug.p[x] == a:
-                    total[x] += 1
-        if any(t != 1 for t in total):
-            bimodule = False
-            witnesses["p_star_bimodule"] = ("unit",)
-    return DualReport(colinear and bimodule, colinear, bimodule, witnesses)
+    failures = ((min(u, v), (x, h))
+                for x in range(aug.size) for h in range(g.size)
+                for u, v in [(aug.p[aug.act(x, h)], g.conj(aug.p[x], h))] if u != v)
+    witness = min(failures, default=None)
+    witnesses = {} if witness is None else {"p_star_right_colinear": witness}
+    return DualReport(witness is None, witness is None, witnesses)

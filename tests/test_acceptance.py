@@ -231,6 +231,6 @@ def test_c10_function_dual():
     z2 = FiniteGroup.cyclic(2)
     aug2 = AugmentedRack(["0", "1"], z2, [[0, 0], [1, 1]], [0, 1])
     rep2 = function_dual_check(aug2)
-    assert rep2.p_star_right_colinear and rep2.p_star_bimodule
+    assert rep2.ok and rep2.p_star_right_colinear
     rep3 = function_dual_check(conjugation_augmented(FiniteGroup.symmetric(3)))
-    assert rep3.p_star_right_colinear and rep3.p_star_bimodule
+    assert rep3.ok and rep3.p_star_right_colinear

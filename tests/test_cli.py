@@ -1,7 +1,8 @@
 import json
+from collections import Counter
 
-from rackyd import jsonio
-from rackyd.cli import run
+from rackyd import jsonio, racks
+from rackyd.cli import build_parser, run
 from rackyd.linalg import Matrix
 from rackyd.yd import BraidingMatrix, check_yd
 
@@ -186,6 +187,58 @@ def test_rack_braiding_command(capsys, fixtures_dir):
     assert code == 0
     assert rep["set_level_ybe"] is True
     assert rep["tensor_size"] == 9
+
+
+def test_rack_braiding_refuses_an_input_that_is_not_augmented(capsys, fixtures_dir):
+    conj, broken = (str(fixtures_dir / f"aug_s3_{n}.json") for n in ("conj", "broken"))
+    for argv in ([broken], [conj, broken]):
+        assert run(["rack-braiding", *argv]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines()[0] == "error: augmentation identity fails at (1, 2)"
+        assert "Traceback" not in out.err
+
+
+def test_rack_braiding_builds_one_tensor(monkeypatch, capsys, fixtures_dir):
+    sizes = Counter()
+    real_init = racks.AugmentedRack.__init__
+
+    def counted(self, elements, *rest):
+        sizes[len(elements)] += 1
+        real_init(self, elements, *rest)
+
+    monkeypatch.setattr(racks.AugmentedRack, "__init__", counted)
+    code, rep = report(capsys, "rack-braiding", str(fixtures_dir / "aug_dihedral3.json"))
+    assert code == 0 and rep["tensor_size"] == 9
+    assert sizes == {3: 1, 9: 1}  # the input, then the tensor
+    aug = racks.inner_augmentation(racks.dihedral_quandle(5))
+    sizes.clear()
+    assert racks.rack_braiding_ybe(aug).ok
+    assert not sizes
+
+
+def file_commands():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return [name for name, p in sub.choices.items()
+            if any(a.dest == "file" for a in p._actions)]
+
+
+def test_every_file_command_on_every_fixture_exits_0_1_or_2(capsys, fixtures_dir):
+    commands = file_commands()
+    assert {"rack-braiding", "dual-check", "q-conditions"} <= set(commands)
+    bad = []
+    for command, path in ((c, f) for c in commands for f in sorted(fixtures_dir.glob("*.json"))):
+        argv = [command, str(path)]
+        if command in ("q-conditions", "braided-leibniz"):
+            argv.append("--rack-q")
+        try:
+            code = run(argv)
+        except Exception as exc:  # any exception that escapes run() breaks the contract
+            code = repr(exc)
+        capsys.readouterr()
+        if code not in (0, 1, 2):
+            bad.append((command, path.name, code))
+    assert bad == []
 
 
 def test_dual_check_command(capsys, fixtures_dir):

@@ -188,10 +188,10 @@ def test_function_dual_z2_and_s3():
     z2 = FiniteGroup.cyclic(2)
     aug2 = AugmentedRack("01", z2, [[0, 0], [1, 1]], [0, 1])
     rep2 = function_dual_check(aug2)
-    assert rep2.p_star_right_colinear and rep2.p_star_bimodule
+    assert rep2.ok and rep2.p_star_right_colinear
     s3 = FiniteGroup.symmetric(3)
     rep3 = function_dual_check(conjugation_augmented(s3))
-    assert rep3.p_star_right_colinear and rep3.p_star_bimodule
+    assert rep3.ok and rep3.p_star_right_colinear
 
 
 def test_function_dual_detects_broken_augmentation():
