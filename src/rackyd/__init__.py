@@ -8,7 +8,7 @@ from .errors import (
     ValidationError,
 )
 from .scalars import QQ, PrimeField, field_from_name
-from .linalg import Matrix, TensorIndex, kron, mat_mul
+from .linalg import Matrix, kron, mat_mul
 from .racks import (
     AugmentedRack,
     FiniteGroup,

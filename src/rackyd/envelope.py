@@ -18,11 +18,15 @@ maps) we assemble the bimodule-and-bicomodule U(g) (x) M:
     right coaction (u_(1) (x) m) (x) u_(2)
 
 with the map phi(u (x) m) = u f(m).  The subspace of left-coaction
-invariants is 1 (x) M; it inherits a Yetter-Drinfel'd structure (right
-adjoint action, restricted right coaction -- here trivial), phi restricts to
-it with image in ker(counit), and the bracket ``x <| y = x phi~(y)`` makes
-the invariants a braided Leibniz algebra.  Feeding in the quotient pair
-pi: g -> g_Lie of a Leibniz algebra returns the original bracket on g.
+invariants is 1 (x) M, and :func:`inv_part` proves it from the tables rather
+than solving for it: the right counit law u_(1) counit(u_(2)) = u turns an
+invariant n, whose coaction is 1 (x) n, into n = 1 (x) (counit (x) id)(n),
+and each 1 (x) m is invariant.  The invariants inherit a Yetter-Drinfel'd
+structure (right adjoint action, restricted right coaction -- here
+trivial), phi restricts to them with image in ker(counit), and the bracket
+``x <| y = x phi~(y)`` makes them a braided Leibniz algebra.  Feeding in
+the quotient pair pi: g -> g_Lie of a Leibniz algebra returns the original
+bracket on g.
 
 Checks that involve products near the degree window are restricted to basis
 elements whose intermediate degrees provably stay inside it; each report says
@@ -34,32 +38,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, DegreeOverflowError, ValidationError
-from .linalg import coords_in_span, lincomb, nullspace, rref, vsum
+from .linalg import lincomb, vsum
 from .scalars import QQ
-from .yd import BraidedLeibnizData, YDModule, braided_leibniz_from_q, hvec_coproduct, hvec_counit
+from .yd import (
+    BraidedLeibnizData,
+    YDModule,
+    braided_leibniz_from_q,
+    braided_leibniz_witness,
+    flip_columns,
+    hvec_coproduct,
+    hvec_counit,
+)
 
 
-def check_lie(brackets, field=QQ):
-    """Antisymmetry and Jacobi on all basis tuples; returns a witness or None."""
+def check_lie(brackets):
+    """Antisymmetry and Jacobi on all basis tuples; returns a witness or None.
+
+    Jacobi in the form [[x,y],z] = [[x,z],y] + [x,[y,z]] is the braided
+    Leibniz identity with the flip, so it is swept by
+    :func:`rackyd.yd.braided_leibniz_witness`.
+    """
     n = len(brackets)
-
-    def bra_vec(v, j):
-        return lincomb(v, lambda i: brackets[i][j])
-
     for i in range(n):
         for j in range(n):
             if vsum(brackets[i][j], brackets[j][i]):
                 return ("antisymmetry", i, j)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                # [[x,y],z] = [[x,z],y] + [x,[y,z]]
-                lhs = bra_vec(brackets[i][j], k)
-                rhs = vsum(bra_vec(brackets[i][k], j),
-                           lincomb(brackets[j][k], brackets[i].__getitem__))
-                if lhs != rhs:
-                    return ("jacobi", i, j, k)
-    return None
+    witness = braided_leibniz_witness(brackets, flip_columns(n))
+    return None if witness is None else ("jacobi", *witness)
 
 
 def _mono_label(exp, labels):
@@ -97,7 +102,7 @@ class TruncatedPBW:
                 for k in v:
                     if not 0 <= k < n:
                         raise ValidationError(f"bracket target {k} out of range")
-        witness = check_lie(self.brackets, field)
+        witness = check_lie(self.brackets)
         if witness is not None:
             raise ValidationError(f"structure constants are not a Lie algebra: {witness}")
         self.lie_labels = tuple(labels) if labels else tuple(f"x{i}" for i in range(n))
@@ -305,7 +310,7 @@ class LieMapObject:
         self.field = field
         self.brackets = tuple(tuple(vsum(v) for v in row) for row in brackets)
         n = len(self.brackets)
-        witness = check_lie(self.brackets, field)
+        witness = check_lie(self.brackets)
         if witness is not None:
             raise ValidationError(f"codomain is not a Lie algebra: {witness}")
         self.lie_labels = tuple(lie_labels) if lie_labels else tuple(f"x{i}" for i in range(n))
@@ -516,64 +521,58 @@ class InvariantPart:
 
 
 def inv_part(env: EnvTetramodule) -> InvariantPart:
-    """Solve ``left coaction(n) = 1 (x) n`` and transport the structure.
+    """Prove that the left-coaction invariants are 1 (x) M, and transport the structure.
 
-    For the enveloping tetramodule the solution space is exactly 1 (x) M.
+    Two checks on the tables, each raising ConsistencyError on failure:
+    (id (x) counit (x) id) applied to the left coaction of every basis
+    element u (x) m gives back u (x) m (the right counit law of Delta), and
+    the left coaction of each 1 (x) m is 1 (x) (1 (x) m).  An invariant n then
+    equals (id (x) counit (x) id) delta(n) = 1 (x) (counit (x) id)(n), so it
+    lies in 1 (x) M, and the second check shows 1 (x) M is invariant.
+
     The action on the invariants is the right adjoint action (which is where
     a bimodule's own action ends up once only one-sided structure remains),
     and the right coaction restricts; for enveloping data it is trivial.
+    Both are read off the unit row; a value off 1 (x) M raises.
     """
     one = env.field.one
-    unit = env.pbw.unit
-    ncols = env.size
-    # rows of n -> left coaction(n) - 1 (x) n; the rows that stay zero are left out
-    rows = {}
-    for e in range(ncols):
-        for h1, e1, c in env.left_coact_tab[e]:
-            row = rows.setdefault(h1 * ncols + e1, [env.field.zero] * ncols)
-            row[e] = row[e] + c
-        row = rows.setdefault(unit * ncols + e, [env.field.zero] * ncols)
-        row[e] = row[e] - one
-    kernel = nullspace(list(rows.values()), ncols, env.field)
-    basis_rows, pivots = rref(kernel, env.field)
-    vectors = [{i: c for i, c in enumerate(row) if c} for row in basis_rows]
-    labels = []
-    for j, vec in enumerate(vectors):
-        if len(vec) == 1:
-            ((e, c),) = vec.items()
-            h, m = env.split(e)
-            if h == unit and c == env.field.one:
-                labels.append(env.obj.module_labels[m])
-                continue
-        labels.append(f"inv{j}")
+    pbw = env.pbw
+    unit = pbw.unit
+    delta = [vsum(*({(h1, e1): c} for h1, e1, c in terms)) for terms in env.left_coact_tab]
 
-    def to_coords(vec: dict):
-        full = [env.field.zero] * ncols
-        for e, c in vec.items():
-            full[e] = c
-        coords = coords_in_span(full, basis_rows, pivots)
-        if coords is None:
-            raise ConsistencyError("structure map left the invariant subspace")
+    def counit_middle(he):  # h1 (x) (u (x) m) -> counit(u) h1 (x) m
+        u, m = env.split(he[1])
+        return {env.eidx(he[0], m): pbw.counit(u)}
+
+    for e, d in enumerate(delta):
+        if lincomb(d, counit_middle) != {e: one}:
+            raise ConsistencyError(f"left coaction fails the counit law at {env.labels[e]}")
+    vectors = [{env.eidx(unit, m): one} for m in range(env.module_dim)]
+    for vec in vectors:
+        ((e, _),) = vec.items()
+        if delta[e] != {(unit, e): one}:
+            raise ConsistencyError(f"{env.labels[e]} is not left-coaction invariant")
+
+    def unit_row(vec: dict) -> dict:
+        coords = {}
+        for e, c in sorted(vec.items()):
+            h, m = env.split(e)
+            if h != unit:
+                raise ConsistencyError("structure map left the invariant subspace")
+            coords[m] = c
         return coords
 
-    hopf = EnvelopingDescriptor(env.pbw)
-    action = []
-    for vec in vectors:
-        row = []
-        for gidx in env.pbw.gen_index:
-            moved = env.adjoint(vec, {gidx: one})
-            row.append({j: c for j, c in enumerate(to_coords(moved)) if c})
-        action.append(row)
+    action = [[unit_row(env.adjoint(vec, {g: one})) for g in pbw.gen_index] for vec in vectors]
     coaction = []
     for vec in vectors:
-        delta = lincomb(vec, lambda e: {(e1, h1): c for e1, h1, c in env.right_coact_tab[e]})
+        delta_r = lincomb(vec, lambda e: {(e1, h1): c for e1, h1, c in env.right_coact_tab[e]})
         by_h = {}
-        for (e1, h1), c in delta.items():
+        for (e1, h1), c in delta_r.items():
             by_h.setdefault(h1, {})[e1] = c
         coaction.append(sorted(
-            (j, h1, c) for h1, vec_h in by_h.items() for j, c in enumerate(to_coords(vec_h)) if c
+            (m, h1, c) for h1, vec_h in by_h.items() for m, c in unit_row(vec_h).items()
         ))
-    module = YDModule(hopf, labels, action, coaction)
+    module = YDModule(EnvelopingDescriptor(pbw), env.obj.module_labels, action, coaction)
     return InvariantPart(module, tuple(vectors))
 
 
@@ -584,6 +583,11 @@ class LemmaReport:
     colinear: bool
     yd_morphism: bool
     witnesses: dict
+
+
+def _require_degree_two(env: EnvTetramodule):
+    if env.pbw.degree < 2:
+        raise ValidationError("invariant checks need truncation degree >= 2")
 
 
 def f_tilde_checks(env: EnvTetramodule) -> LemmaReport:
@@ -597,13 +601,7 @@ def f_tilde_checks(env: EnvTetramodule) -> LemmaReport:
 
     Requires degree >= 2 so the adjoint-action products stay exact.
     """
-    return _f_tilde(env)[0]
-
-
-def _f_tilde(env: EnvTetramodule):
-    """:func:`f_tilde_checks`, together with the invariant part it checked."""
-    if env.pbw.degree < 2:
-        raise ValidationError("invariant checks need truncation degree >= 2")
+    _require_degree_two(env)
     inv = inv_part(env)
     pbw = env.pbw
     one = env.field.one
@@ -641,7 +639,7 @@ def _f_tilde(env: EnvTetramodule):
         if not morphism_ok:
             break
     ok = im_ok and colinear_ok and morphism_ok
-    return LemmaReport(ok, im_ok, colinear_ok, morphism_ok, witnesses), inv
+    return LemmaReport(ok, im_ok, colinear_ok, morphism_ok, witnesses)
 
 
 def antipode_component(env: EnvTetramodule, vec: dict) -> dict:
@@ -683,12 +681,13 @@ def antipode_checks(env: EnvTetramodule) -> AntipodeReport:
 def enveloping_bracket(env: EnvTetramodule) -> BraidedLeibnizData:
     """The braided Leibniz bracket ``x <| y = x phi~(y)`` on the invariants.
 
-    phi~ lands in ker(counit) and is linear and colinear there, so the
-    generic module-comodule construction applies; the returned data passes
-    :func:`rackyd.yd.check_braided_leibniz`.
+    phi~ is the restriction of phi to the invariants.  That it lands in
+    ker(counit), is colinear there and intertwines the adjoint actions (the
+    restriction lemma) is proved once, by the :func:`check_q_conditions
+    <rackyd.yd.check_q_conditions>` inside :func:`braided_leibniz_from_q`; the
+    returned data passes :func:`rackyd.yd.check_braided_leibniz`.  Requires
+    degree >= 2, like :func:`f_tilde_checks`.
     """
-    rep, inv = _f_tilde(env)
-    if not rep.ok:
-        raise ValidationError(f"phi does not restrict properly: {rep.witnesses}")
-    q = [phi_map(env, vec) for vec in inv.vectors]
-    return braided_leibniz_from_q(inv.module, q)
+    _require_degree_two(env)
+    inv = inv_part(env)
+    return braided_leibniz_from_q(inv.module, [phi_map(env, vec) for vec in inv.vectors])

@@ -51,44 +51,6 @@ def vsum(*vecs):
     return lincomb(dict.fromkeys(range(len(vecs)), 1), vecs.__getitem__)
 
 
-class TensorIndex:
-    """Mixed-radix flattening of multi-indices, first factor fastest."""
-
-    def __init__(self, dims):
-        dims = tuple(int(d) for d in dims)
-        if any(d <= 0 for d in dims):
-            raise ValidationError(f"tensor factor dimensions must be positive: {dims}")
-        self.dims = dims
-
-    @property
-    def total(self) -> int:
-        n = 1
-        for d in self.dims:
-            n *= d
-        return n
-
-    def flatten(self, multi) -> int:
-        multi = tuple(multi)
-        if len(multi) != len(self.dims):
-            raise ShapeError(f"expected {len(self.dims)} indices, got {len(multi)}")
-        flat, weight = 0, 1
-        for i, d in zip(multi, self.dims):
-            if not 0 <= i < d:
-                raise ShapeError(f"index {i} out of range for factor of dimension {d}")
-            flat += weight * i
-            weight *= d
-        return flat
-
-    def unflatten(self, flat: int):
-        if not 0 <= flat < self.total:
-            raise ShapeError(f"flat index {flat} out of range")
-        multi = []
-        for d in self.dims:
-            multi.append(flat % d)
-            flat //= d
-        return tuple(multi)
-
-
 def flat2(i: int, j: int, m: int) -> int:
     """Flat index of e_i (x) e_j when the first factor has dimension m."""
     return i + m * j
@@ -175,18 +137,6 @@ class Matrix:
             tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.data, other.data)),
             self.rows, self.cols,
         )
-
-    def __neg__(self):
-        return Matrix(tuple(tuple(-a for a in row) for row in self.data), self.rows, self.cols)
-
-    def __matmul__(self, other):
-        return mat_mul(self, other)
-
-    def scale(self, c):
-        return Matrix(tuple(tuple(c * a for a in row) for row in self.data), self.rows, self.cols)
-
-    def transpose(self):
-        return Matrix(tuple(zip(*self.data)) if self.data else (), self.cols, self.rows)
 
     def is_zero(self) -> bool:
         return all(not a for row in self.data for a in row)
@@ -290,7 +240,9 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# echelon-form utilities (internal, used by the quotient and invariant code)
+# echelon-form utilities: ``rref`` and ``reduce_mod`` serve the Lie quotient;
+# ``nullspace`` is the elimination reference of the invariant tests, and
+# perfbench/tracer.py names it
 
 def _subtract(v, c, r):
     """``v -= c * r`` in place on sparse vectors, dropping what cancels."""
@@ -346,14 +298,6 @@ def reduce_mod(vec, rows, pivots):
         if c:
             v = [x - c * y for x, y in zip(v, r)]
     return tuple(v)
-
-
-def coords_in_span(vec, rows, pivots):
-    """Coordinates of ``vec`` in an rref basis, or None if it lies outside."""
-    coords = [vec[p] for p in pivots]
-    if any(reduce_mod(vec, rows, pivots)):
-        return None
-    return tuple(coords)
 
 
 def nullspace(rows_of_matrix, ncols, field=QQ):

@@ -32,9 +32,6 @@ class RationalField:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"bad rational literal {text!r}") from exc
 
-    def fmt(self, x) -> str:
-        return str(x)
-
     def __repr__(self):
         return "QQ"
 
@@ -144,9 +141,6 @@ class PrimeField:
         if q.denominator % self.p == 0:
             raise ValidationError(f"literal {text!r} has no image in GF({self.p})")
         return GFElement(self.p, q.numerator * pow(q.denominator, -1, self.p))
-
-    def fmt(self, x) -> str:
-        return str(x)
 
     def __repr__(self):
         return f"GF({self.p})"

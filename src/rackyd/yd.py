@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .errors import DegreeOverflowError, ShapeError, ValidationError
 from .linalg import Matrix, flat2, lincomb, vsum
@@ -351,11 +352,14 @@ def braiding(module: YDModule) -> BraidingMatrix:
     return BraidingMatrix(columns, module.basis)
 
 
+def flip_columns(n: int, one=1) -> list:
+    """The sparse columns of the tensor flip e_i (x) e_j -> e_j (x) e_i."""
+    return [{flat2(f // n, f % n, n): one} for f in range(n * n)]
+
+
 def flip_matrix(n: int, field=QQ) -> Matrix:
     """The tensor flip e_i (x) e_j -> e_j (x) e_i as a matrix."""
-    return Matrix.from_columns(
-        [{flat2(f // n, f % n, n): field.one} for f in range(n * n)], n * n
-    )
+    return Matrix.from_columns(flip_columns(n, field.one), n * n)
 
 
 def _square_side(m: Matrix) -> int:
@@ -380,8 +384,18 @@ def _tau_columns(t):
 @dataclass(frozen=True)
 class YBEReport:
     ok: bool
-    defect: Matrix | None = dc_field(default=None, repr=False)
     witness: tuple | None = None
+    sides: object = dc_field(default=None, repr=False, compare=False)  # f -> (lhs, rhs) at e_f
+    size: int = 0  # n^3, the side of the defect
+
+    @cached_property
+    def defect(self) -> Matrix | None:
+        """The dense matrix of the difference of the two sides, built on first read."""
+        if self.ok:
+            return None
+        # column f of the defect is lhs - rhs applied to e_f
+        columns = [lincomb({0: 1, 1: -1}, self.sides(f).__getitem__) for f in range(self.size)]
+        return Matrix.from_columns(columns, self.size)
 
 
 def check_ybe(t) -> YBEReport:
@@ -389,7 +403,8 @@ def check_ybe(t) -> YBEReport:
 
     Both sides are applied to one basis triple e_i (x) e_j (x) e_k at a time.
     On failure ``witness`` is the lexicographically least failing (i, j, k),
-    and ``defect`` is the dense matrix of the difference of the two sides.
+    and ``defect`` is the dense matrix of the difference of the two sides;
+    it has (n^3)^2 entries, so it is built only when it is read.
     """
     columns, n = _tau_columns(t)
     nn = n * n
@@ -411,11 +426,7 @@ def check_ybe(t) -> YBEReport:
 
     triples = ((i, j, k) for i in range(n) for j in range(n) for k in range(n))
     witness = next((ijk for ijk in triples if fails(*ijk)), None)
-    if witness is None:
-        return YBEReport(True)
-    # column f of the defect is lhs - rhs applied to e_f
-    defect = [lincomb({0: 1, 1: -1}, sides(f).__getitem__) for f in range(nn * n)]
-    return YBEReport(False, Matrix.from_columns(defect, nn * n), witness)
+    return YBEReport(witness is None, witness, sides, nn * n)
 
 
 def is_involutive(t) -> bool:
@@ -532,26 +543,38 @@ class BraidedLeibnizReport:
     witness: tuple | None
 
 
-def check_braided_leibniz(data: BraidedLeibnizData) -> BraidedLeibnizReport:
-    """Brute-force the braided Leibniz identity over all basis triples."""
-    n = data.dim
-    if data.tau.factor_dim != n:
-        raise ShapeError("tau factor basis must match the bracket carrier")
-    tau = data.tau.columns
-    one = data.field.one
-    for i in range(n):
-        ei = {i: one}
+def braided_leibniz_witness(bracket, tau) -> tuple | None:
+    """The least basis triple (i, j, k) failing the braided Leibniz identity.
 
+    ``bracket[i][j]`` is the sparse vector e_i <| e_j and ``tau`` the n*n
+    sparse columns of the braiding, so the identity read at (i, j, k) is
+    (x <| y) <| z = x <| (y <| z) + (x <| z<1>) <| y<2>.  With tau the flip
+    (:func:`flip_columns`) it is the right Leibniz identity, which is also
+    the Jacobi identity of a Lie bracket.  None means it holds everywhere.
+    """
+    n = len(bracket)
+
+    def bra(vec, j):
+        return lincomb(vec, lambda i: bracket[i][j])
+
+    for i in range(n):
         def braided(r):
             # (x <| u) <| v for tau's output basis pair e_u (x) e_v at r
-            return data.bra(data.bra(ei, r % n), r // n)
+            return bra(bracket[i][r % n], r // n)
 
         for j in range(n):
-            xy = data.bra(ei, j)
+            xy = bracket[i][j]
             for k in range(n):
-                lhs = data.bra(xy, k)
-                rhs = vsum(data.bra_vec(ei, data.bracket[j][k]),
+                rhs = vsum(lincomb(bracket[j][k], bracket[i].__getitem__),
                            lincomb(tau[flat2(j, k, n)], braided))
-                if lhs != rhs:
-                    return BraidedLeibnizReport(False, (i, j, k))
-    return BraidedLeibnizReport(True, None)
+                if bra(xy, k) != rhs:
+                    return (i, j, k)
+    return None
+
+
+def check_braided_leibniz(data: BraidedLeibnizData) -> BraidedLeibnizReport:
+    """Brute-force the braided Leibniz identity over all basis triples."""
+    if data.tau.factor_dim != data.dim:
+        raise ShapeError("tau factor basis must match the bracket carrier")
+    witness = braided_leibniz_witness(data.bracket, data.tau.columns)
+    return BraidedLeibnizReport(witness is None, witness)

@@ -1,10 +1,16 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from collections import Counter
+from fractions import Fraction
 
+import rackyd
 from rackyd import jsonio, racks
 from rackyd.cli import build_parser, run
-from rackyd.linalg import Matrix
-from rackyd.yd import BraidingMatrix, check_yd
+from rackyd.linalg import Matrix, kron, mat_mul
+from rackyd.yd import BraidingMatrix, check_yd, flip_matrix
 
 
 def invoke(capsys, *argv):
@@ -113,6 +119,49 @@ def test_integers_flag_rejects_fractions(capsys, fixtures_dir):
 
 def test_check_ybe_on_braiding_file(capsys, fixtures_dir):
     assert run(["check-ybe", str(fixtures_dir / "matrix_hv_braiding.json")]) == 0
+
+
+def _edited_flip(n):
+    # the flip with e_1 (x) e_0 -> e_0 (x) e_1 + e_1 (x) e_0; YBE first fails at (1, 0, 0)
+    columns = list(flip_matrix(n).columns())
+    columns[1] = {n: Fraction(1), 1: Fraction(1)}
+    return Matrix.from_columns(columns, n * n)
+
+
+def test_failing_check_ybe_builds_the_defect_only_for_json(tmp_path, capsys, monkeypatch):
+    tau = _edited_flip(3)
+    path = _write(tmp_path, "tau.json", tau.to_json_dict())
+    built = []
+    real = Matrix.from_columns
+
+    def counted(cls, columns, rows):
+        built.append((rows, len(columns)))
+        return real(columns, rows)
+
+    monkeypatch.setattr(Matrix, "from_columns", classmethod(counted))
+    code, rep = report(capsys, "check-ybe", path)
+    assert (code, rep["witness"], built) == (1, [1, 0, 0], [])
+    out = tmp_path / "defect.json"
+    code, rep = report(capsys, "check-ybe", path, "--json", str(out))
+    assert (code, rep["witness"], built) == (1, [1, 0, 0], [(27, 27)])
+    eye = Matrix.identity(3)
+    t12, t23 = kron(tau, eye), kron(eye, tau)
+    dense = mat_mul(mat_mul(t12, t23), t12) - mat_mul(mat_mul(t23, t12), t23)
+    assert json.loads(out.read_text()) == dense.to_json_dict()
+
+
+def test_failing_check_ybe_fits_in_one_gib(tmp_path):
+    # its dense defect would have (24**3)**2 = 191 M entries
+    path = _write(tmp_path, "tau24.json", _edited_flip(24).to_json_dict())
+    src = str(pathlib.Path(rackyd.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+              "from rackyd.cli import main; main()")
+    proc = subprocess.run([sys.executable, "-c", script, "check-ybe", path],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["witness"] == [1, 0, 0]
+    assert "Traceback" not in proc.stderr
 
 
 def test_check_ybe_on_plain_matrix(tmp_path, capsys):

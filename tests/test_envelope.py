@@ -17,7 +17,7 @@ from rackyd.envelope import (
     phi_checks,
     phi_map,
 )
-from rackyd.errors import DegreeOverflowError, ValidationError
+from rackyd.errors import ConsistencyError, DegreeOverflowError, ValidationError
 from rackyd.leibniz import (
     abelian_lie,
     central_square2,
@@ -26,7 +26,9 @@ from rackyd.leibniz import (
     nonabelian_lie2,
     sl2,
 )
-from rackyd.yd import check_braided_leibniz, check_hopf_axioms, check_yd, flip_matrix
+from rackyd.linalg import lincomb, nullspace, reduce_mod, rref, vsum
+from rackyd.scalars import QQ, PrimeField
+from rackyd.yd import YDModule, check_braided_leibniz, check_hopf_axioms, check_yd, flip_matrix
 
 F = Fraction
 
@@ -213,6 +215,128 @@ def test_inv_part_coaction_trivial_and_action_is_module_action():
             expect = {j: c for j, c in hv.bracket(m, lift).items()}
             assert got == expect
     assert check_yd(inv.module).ok
+
+
+def elimination_inv_part(env):
+    """The invariants solved for by elimination, the reference for inv_part.
+
+    The kernel of n -> delta(n) - 1 (x) n in reduced echelon form; the
+    adjoint action and the right coaction are transported by coordinates in
+    that basis.  Returns the basis vectors and the YD module.
+    """
+    one, zero = env.field.one, env.field.zero
+    unit = env.pbw.unit
+    ncols = env.size
+    rows = {}
+    for e in range(ncols):
+        for h1, e1, c in env.left_coact_tab[e]:
+            row = rows.setdefault(h1 * ncols + e1, [zero] * ncols)
+            row[e] = row[e] + c
+        row = rows.setdefault(unit * ncols + e, [zero] * ncols)
+        row[e] = row[e] - one
+    basis_rows, pivots = rref(nullspace(list(rows.values()), ncols, env.field), env.field)
+    vectors = [{i: c for i, c in enumerate(row) if c} for row in basis_rows]
+    labels = []
+    for j, vec in enumerate(vectors):
+        label = f"inv{j}"
+        if len(vec) == 1:
+            ((e, c),) = vec.items()
+            h, m = env.split(e)
+            if h == unit and c == one:
+                label = env.obj.module_labels[m]
+        labels.append(label)
+
+    def to_coords(vec):
+        full = [zero] * ncols
+        for e, c in vec.items():
+            full[e] = c
+        if any(reduce_mod(full, basis_rows, pivots)):
+            raise ConsistencyError("structure map left the invariant subspace")
+        return {j: full[p] for j, p in enumerate(pivots) if full[p]}
+
+    action = [[to_coords(env.adjoint(vec, {g: one})) for g in env.pbw.gen_index]
+              for vec in vectors]
+    coaction = []
+    for vec in vectors:
+        delta = lincomb(vec, lambda e: {(e1, h1): c for e1, h1, c in env.right_coact_tab[e]})
+        by_h = {}
+        for (e1, h1), c in delta.items():
+            by_h.setdefault(h1, {})[e1] = c
+        coaction.append([(j, h1, c) for h1, vec_h in by_h.items()
+                         for j, c in to_coords(vec_h).items()])
+    return tuple(vectors), YDModule(EnvelopingDescriptor(env.pbw), labels, action, coaction)
+
+
+def _lie_map_objects(field):
+    for make in (heisenberg_voros, lambda f: abelian_lie(2, f), nonabelian_lie2, sl2,
+                 central_square2):
+        yield lie_map_object(make(field))
+    one = field.one
+    s = sl2(field)  # sl2 acting on itself by the bracket, f = identity
+    action = [[dict(s.brackets[m][k]) for m in range(3)] for k in range(3)]
+    yield LieMapObject(s.brackets, s.basis, s.basis, action, [{m: one} for m in range(3)], field)
+    ab = abelian_lie(1, field)  # m.x = m on a line, f = 0
+    yield LieMapObject(ab.brackets, ab.basis, ["m"], [[{0: one}]], [{}], field)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["QQ", "GF10007"])
+def test_inv_part_matches_elimination(field):
+    for obj in _lie_map_objects(field):
+        for degree in range(5):
+            env = build_env(obj, degree)
+            got = inv_part(env)
+            vectors, module = elimination_inv_part(env)
+            assert got.vectors == vectors
+            assert got.module.basis == module.basis
+            assert got.module.action == module.action
+            assert got.module.coaction == module.coaction
+
+
+def _counit_term_first(env, terms):
+    # the term h1 (x) (1 (x) m) is the one the counit law reads
+    return sorted(terms, key=lambda t: env.split(t[1])[0] != env.pbw.unit)
+
+
+def _double_counit_term(env, terms):
+    (h1, e1, c), *rest = _counit_term_first(env, terms)
+    return [(h1, e1, c + c), *rest]
+
+
+def _drop_counit_term(env, terms):
+    return _counit_term_first(env, terms)[1:]
+
+
+def _add_degree_one_term(env, terms):
+    # x (x) (x (x) y) has counit zero in the middle, so only invariance breaks
+    x = env.pbw.gen_index[0]
+    return [*terms, (x, env.eidx(x, 1), env.field.one)]
+
+
+@pytest.mark.parametrize("edit, row, message", [
+    (_double_counit_term, "x⊗x", "fails the counit law at x⊗x"),
+    (_drop_counit_term, "x⊗x", "fails the counit law at x⊗x"),
+    (_add_degree_one_term, "1⊗x", "1⊗x is not left-coaction invariant"),
+], ids=["coefficient-doubled", "term-dropped", "term-added"])
+def test_inv_part_rejects_an_edited_left_coaction(edit, row, message):
+    env = build_env(lie_map_object(heisenberg_voros()), 2)
+    e = env.labels.index(row)
+    tab = list(env.left_coact_tab)
+    tab[e] = tuple(edit(env, tab[e]))
+    env.left_coact_tab = tuple(tab)
+    with pytest.raises(ConsistencyError, match=message):
+        inv_part(env)
+
+
+def test_inv_part_rejects_an_action_off_the_invariants():
+    env = build_env(lie_map_object(heisenberg_voros()), 2)
+    _, y = env.pbw.gen_index
+    e = env.eidx(env.pbw.unit, 0)
+    tab = list(env.right_act_tab)
+    # (1 (x) x) . y gains the term y (x) x, so the adjoint action leaves 1 (x) M
+    tab[e] = (tab[e][0], vsum(tab[e][1], {env.eidx(y, 0): F(1)}))
+    env.right_act_tab = tuple(tab)
+    with pytest.raises(ConsistencyError, match="left the invariant subspace"):
+        inv_part(env)
 
 
 def test_f_tilde_checks_fixtures():

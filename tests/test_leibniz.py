@@ -1,7 +1,9 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from rackyd import leibniz
 from rackyd.errors import ValidationError
 from rackyd.leibniz import (
     LeibnizAlgebra,
@@ -143,6 +145,18 @@ def test_first_order_module_structure():
     # scalar line acts to zero under brackets
     assert m.act_basis({0: one}, gens[0]) == {}
     assert check_yd(m).ok
+
+
+def test_first_order_yd_proves_the_leibniz_identity_once(monkeypatch):
+    calls = Counter()
+
+    def counted(alg, _real=leibniz.check_leibniz):
+        calls["check_leibniz"] += 1
+        return _real(alg)
+
+    monkeypatch.setattr(leibniz, "check_leibniz", counted)
+    first_order_yd(heisenberg_voros())
+    assert calls == {"check_leibniz": 1}
 
 
 def test_first_order_restricted_to_g_is_original_bracket():
