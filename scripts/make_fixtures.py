@@ -86,7 +86,14 @@ def main():
     dump("yd_kereps_s3.json", jsonio.yd_to_dict(ker_eps_yd(s3)))
     hv_mod = first_order_yd(heisenberg_voros())
     dump("yd_hv_first_order.json", jsonio.yd_to_dict(hv_mod))
-    dump("matrix_hv_braiding.json", braiding(hv_mod).to_json_dict())
+    hv_braiding = braiding(hv_mod)
+    dump("braiding_hv_sparse.json", hv_braiding.to_json_dict())
+    # the same braiding in the dense format, which the loaders still read
+    dump("matrix_hv_braiding.json", {
+        "basis_order": hv_braiding.convention,
+        "factor_basis": list(hv_braiding.factor_basis),
+        "matrix": hv_braiding.matrix.to_json_dict(),
+    })
 
     e = s3.identity
     swapped = list(range(s3.size))

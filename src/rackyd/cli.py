@@ -16,7 +16,7 @@ import time
 
 from . import envelope, group_hopf, jsonio, leibniz, racks, yd
 from .errors import ValidationError
-from .linalg import Matrix
+from .linalg import Matrix, integral, vec_to_json
 from .scalars import field_from_name
 
 
@@ -68,18 +68,28 @@ def _limit_witnesses(witnesses, limit):
     return _jsonable(witnesses)
 
 
+# --paper-layout prints the dense n^2 x n^2 grid; a larger side is refused
+PAPER_LAYOUT_MAX_SIDE = 1024
+
+
 def _emit_matrix(bm, args, report):
     """Shared tail for braiding-matrix and hv-rmatrix; returns (code, report)."""
-    payload = bm.to_json_dict()
-    if args.integers:
-        payload["matrix"]["entries"] = bm.matrix.as_int_rows()
     if args.paper_layout:
-        width = max(
-            (len(str(v)) for row in bm.matrix.as_int_rows() for v in row), default=1
-        )
-        for row in bm.matrix.as_int_rows():
+        side = bm.factor_dim ** 2
+        if side > PAPER_LAYOUT_MAX_SIDE:
+            raise ValidationError(
+                f"--paper-layout would print a {side}x{side} grid, "
+                f"which exceeds {PAPER_LAYOUT_MAX_SIDE}x{PAPER_LAYOUT_MAX_SIDE}")
+        rows = bm.matrix.as_int_rows()
+        width = max((len(str(v)) for row in rows for v in row), default=1)
+        for row in rows:
             print(" ".join(str(v).rjust(width) for v in row))
         return 0, None
+    payload = bm.to_json_dict()
+    if args.integers:
+        payload["columns"] = [
+            {str(r): integral(c) for r, c in sorted(col.items())} for col in bm.columns
+        ]
     _emit(args, report, "braiding", payload)
     return 0, report
 
@@ -213,13 +223,13 @@ def _cmd_check_yd(args, field):
 def _cmd_braiding_matrix(args, field):
     module = jsonio.yd_from_dict(_load_json(args.file), field)
     bm = yd.braiding(module)
-    report = {"factor_dim": bm.factor_dim, "size": bm.matrix.rows}
+    report = {"factor_dim": bm.factor_dim, "size": bm.factor_dim ** 2}
     return _emit_matrix(bm, args, report)
 
 
 def _cmd_check_ybe(args, field):
     payload = _load_json(args.file)
-    if "matrix" in payload:
+    if isinstance(payload, dict) and ("columns" in payload or "matrix" in payload):
         tau = yd.BraidingMatrix.from_json_dict(payload, field)
     else:
         tau = Matrix.from_json_dict(payload, field)
@@ -228,7 +238,7 @@ def _cmd_check_ybe(args, field):
     if not rep.ok:
         report["witness"] = list(rep.witness)
         if args.json:
-            _write_json(args.json, rep.defect.to_json_dict())
+            _write_json(args.json, {"columns": [vec_to_json(col) for col in rep.defect]})
             report["defect_artifact"] = args.json
     return (0 if rep.ok else 1), report
 
@@ -280,7 +290,7 @@ def _cmd_first_order_yd(args, field):
 def _cmd_hv_rmatrix(args, field):
     module = leibniz.first_order_yd(leibniz.heisenberg_voros(field), args.degree)
     bm = yd.braiding(module)
-    report = {"factor_basis": list(bm.factor_basis), "size": bm.matrix.rows}
+    report = {"factor_basis": list(bm.factor_basis), "size": bm.factor_dim ** 2}
     return _emit_matrix(bm, args, report)
 
 
@@ -295,14 +305,8 @@ def _cmd_env_build(args, field):
     }
     _emit(args, report, None, {
         "labels": list(env.labels),
-        "right_action": [
-            [{str(e): str(c) for e, c in sorted(vec.items())} for vec in row]
-            for row in env.right_act_tab
-        ],
-        "left_action": [
-            [{str(e): str(c) for e, c in sorted(vec.items())} for vec in row]
-            for row in env.left_act_tab
-        ],
+        "right_action": [[vec_to_json(vec) for vec in row] for row in env.right_act_tab],
+        "left_action": [[vec_to_json(vec) for vec in row] for row in env.left_act_tab],
         "left_coaction": [
             [[h, e, str(c)] for h, e, c in row] for row in env.left_coact_tab
         ],
@@ -347,7 +351,7 @@ def _cmd_theorem1_bracket(args, field):
     report = {
         "braided_leibniz_ok": rep.ok,
         "recovers_input_brackets": matches,
-        "tau_is_flip": data.tau.matrix == yd.flip_matrix(data.dim, field),
+        "tau_is_flip": list(data.tau.columns) == yd.flip_columns(data.dim, field.one),
     }
     _emit_bracket(args, report, data)
     return (0 if rep.ok else 1), report

@@ -28,6 +28,7 @@ from .envelope import EnvelopingDescriptor, TruncatedPBW
 from .errors import ValidationError, as_int
 from .group_hopf import GroupAlgebraDescriptor
 from .leibniz import LeibnizAlgebra
+from .linalg import vec_from_json, vec_to_json
 from .racks import FiniteGroup
 from .scalars import QQ
 from .yd import YDModule
@@ -66,20 +67,11 @@ def yd_to_dict(module: YDModule) -> dict:
     return {
         "hopf": hopf_to_dict(module.hopf),
         "basis": list(module.basis),
-        "action": [
-            [{str(m): str(c) for m, c in sorted(vec.items())} for vec in row]
-            for row in module.action
-        ],
+        "action": [[vec_to_json(vec) for vec in row] for row in module.action],
         "coaction": [
             [[m, h, str(c)] for m, h, c in terms] for terms in module.coaction
         ],
     }
-
-
-def _vec_from_json(vec, field, what):
-    if not isinstance(vec, dict):
-        raise ValidationError(f"{what} must be an object of index: coefficient")
-    return {as_int(k, f"{what} index"): field.parse(c) for k, c in vec.items()}
 
 
 def _coaction_term(term, field):
@@ -97,7 +89,7 @@ def yd_from_dict(d, field=QQ) -> YDModule:
         if not isinstance(basis, list):
             raise ValidationError("module basis must be a list of labels")
         action = [
-            [_vec_from_json(vec, field, "action vector") for vec in row] for row in d["action"]
+            [vec_from_json(vec, field, "action vector") for vec in row] for row in d["action"]
         ]
         coaction = [[_coaction_term(t, field) for t in terms] for terms in d["coaction"]]
     except (KeyError, TypeError) as exc:
@@ -106,11 +98,11 @@ def yd_from_dict(d, field=QQ) -> YDModule:
 
 
 def q_to_dict(q) -> dict:
-    return {"q": [{str(h): str(c) for h, c in sorted(v.items())} for v in q]}
+    return {"q": [vec_to_json(v) for v in q]}
 
 
 def q_from_dict(d, field=QQ):
     try:
-        return [_vec_from_json(v, field, "q vector") for v in d["q"]]
+        return [vec_from_json(v, field, "q vector") for v in d["q"]]
     except (KeyError, TypeError) as exc:
         raise ValidationError("q JSON needs a q list") from exc

@@ -17,16 +17,21 @@ flattening; on M (x) M (x) M, T (x) 1 acts on the flat index
 ``i + n*(j + n*k)`` through column ``j + n*k``.  No other flattening is used
 anywhere in the package.
 
-``Matrix`` is the dense view of such a map, used for JSON, for display and
-as the reference in tests; ``kron`` follows the same convention, so dense
-composites like (T (x) 1)(1 (x) T) are plain matrix products.  Matrices are
-immutable after construction and may be shared freely.  The echelon
-utilities take and return dense rows and eliminate on sparse rows inside.
+In JSON a sparse vector is an object ``{"<index>": "<coefficient>"}``
+(:func:`vec_to_json`, :func:`vec_from_json`), and a map is the list of its
+columns in that form.
+
+``Matrix`` is the dense view of such a map, used for display, for the dense
+JSON format and as the reference in tests; ``kron`` follows the same
+convention, so dense composites like (T (x) 1)(1 (x) T) are plain matrix
+products.  Matrices are immutable after construction and may be shared
+freely.  The echelon utilities take and return dense rows and eliminate on
+sparse rows inside.
 """
 
 from __future__ import annotations
 
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError, ValidationError, as_int
 from .scalars import QQ
 
 
@@ -54,6 +59,37 @@ def vsum(*vecs):
 def flat2(i: int, j: int, m: int) -> int:
     """Flat index of e_i (x) e_j when the first factor has dimension m."""
     return i + m * j
+
+
+def vec_to_json(vec) -> dict:
+    """A sparse vector as a JSON object, indices ascending, scalars as strings."""
+    return {str(i): str(c) for i, c in sorted(vec.items())}
+
+
+def vec_from_json(vec, field, what, size=None) -> dict:
+    """Read a sparse vector written by :func:`vec_to_json`.
+
+    Zero coefficients are dropped; with ``size``, every index must lie in
+    ``range(size)``.  Malformed input raises a ValidationError.
+    """
+    if not isinstance(vec, dict):
+        raise ValidationError(f"{what} must be an object of index: coefficient")
+    out = {}
+    for k, c in vec.items():
+        i = as_int(k, f"{what} index")
+        if size is not None and not 0 <= i < size:
+            raise ValidationError(f"{what} index {i} out of range({size})")
+        x = field.parse(c)
+        if x:
+            out[i] = x
+    return out
+
+
+def integral(a) -> int:
+    """A rational or GF(p) scalar as a plain int; raises unless it is integral."""
+    if getattr(a, "denominator", 1) != 1:
+        raise ValidationError(f"non-integral entry {a}")
+    return int(a) if not hasattr(a, "v") else a.v
 
 
 class Matrix:
@@ -152,15 +188,7 @@ class Matrix:
 
     def as_int_rows(self):
         """Rows as plain ints; raises unless every entry is integral."""
-        out = []
-        for row in self.data:
-            ints = []
-            for a in row:
-                if getattr(a, "denominator", 1) != 1:
-                    raise ValidationError(f"non-integral entry {a}")
-                ints.append(int(a) if not hasattr(a, "v") else a.v)
-            out.append(ints)
-        return out
+        return [[integral(a) for a in row] for row in self.data]
 
     def to_json_dict(self):
         return {

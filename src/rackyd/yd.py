@@ -59,7 +59,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 from .errors import DegreeOverflowError, ShapeError, ValidationError
-from .linalg import Matrix, flat2, lincomb, vsum
+from .linalg import Matrix, flat2, lincomb, vec_from_json, vec_to_json, vsum
 from .scalars import QQ
 
 
@@ -300,12 +300,22 @@ class BraidingMatrix:
 
     It is held as n*n sparse columns, ``columns[flat2(a, b, n)]`` being
     tau(e_a (x) e_b); ``matrix`` is the dense view, built on first use.  The
-    first argument is either that dense ``Matrix`` or the columns.
+    first argument is either that dense ``Matrix`` or the columns, and there
+    must be one column per basis pair of ``factor_basis``.
+
+    The JSON format is the columns themselves::
+
+        {"basis_order": "second-factor-major", "factor_basis": [...],
+         "columns": [{"<row>": "<coeff>", ...}, ...]}
+
+    with zero coefficients omitted.  The dense format of older files, with
+    ``"matrix": <Matrix JSON>`` in place of ``"columns"``, is still read.
     """
 
     def __init__(self, matrix, factor_basis, convention="second-factor-major"):
         if isinstance(matrix, Matrix):
-            _square_side(matrix)
+            if matrix.rows != matrix.cols:
+                raise ShapeError("braiding matrix must be square")
             self._matrix = matrix
             self.columns = matrix.columns()
         else:
@@ -313,6 +323,10 @@ class BraidingMatrix:
             self.columns = tuple(matrix)
         self.factor_basis = tuple(factor_basis)
         self.convention = convention
+        n = self.factor_dim
+        if len(self.columns) != n * n:
+            raise ShapeError(
+                f"a braiding of {n} basis vectors needs {n * n} columns, got {len(self.columns)}")
 
     @property
     def matrix(self) -> Matrix:
@@ -328,16 +342,22 @@ class BraidingMatrix:
         return {
             "basis_order": self.convention,
             "factor_basis": list(self.factor_basis),
-            "matrix": self.matrix.to_json_dict(),
+            "columns": [vec_to_json(col) for col in self.columns],
         }
 
     @classmethod
     def from_json_dict(cls, d, field=QQ):
         try:
-            m = Matrix.from_json_dict(d["matrix"], field)
-            return cls(m, tuple(d["factor_basis"]), d.get("basis_order", "second-factor-major"))
+            basis = tuple(d["factor_basis"])
+            convention = d.get("basis_order", "second-factor-major")
+            if "columns" in d:
+                size = len(d["columns"])  # the matrix is square
+                tau = [vec_from_json(col, field, "braiding column", size) for col in d["columns"]]
+            else:
+                tau = Matrix.from_json_dict(d["matrix"], field)
         except (KeyError, TypeError) as exc:
-            raise ValidationError("braiding JSON needs factor_basis/matrix") from exc
+            raise ValidationError("braiding JSON needs factor_basis and columns or matrix") from exc
+        return cls(tau, basis, convention)
 
 
 def braiding(module: YDModule) -> BraidingMatrix:
@@ -386,16 +406,18 @@ class YBEReport:
     ok: bool
     witness: tuple | None = None
     sides: object = dc_field(default=None, repr=False, compare=False)  # f -> (lhs, rhs) at e_f
-    size: int = 0  # n^3, the side of the defect
+    size: int = 0  # n^3, the number of basis triples
 
     @cached_property
-    def defect(self) -> Matrix | None:
-        """The dense matrix of the difference of the two sides, built on first read."""
+    def defect(self) -> tuple | None:
+        """The sparse columns of lhs - rhs, built on first read.
+
+        Column f is (lhs - rhs)(e_f) for the flat triple f, so it is empty
+        exactly where the braid relation holds.
+        """
         if self.ok:
             return None
-        # column f of the defect is lhs - rhs applied to e_f
-        columns = [lincomb({0: 1, 1: -1}, self.sides(f).__getitem__) for f in range(self.size)]
-        return Matrix.from_columns(columns, self.size)
+        return tuple(lincomb({0: 1, 1: -1}, self.sides(f).__getitem__) for f in range(self.size))
 
 
 def check_ybe(t) -> YBEReport:
@@ -403,8 +425,8 @@ def check_ybe(t) -> YBEReport:
 
     Both sides are applied to one basis triple e_i (x) e_j (x) e_k at a time.
     On failure ``witness`` is the lexicographically least failing (i, j, k),
-    and ``defect`` is the dense matrix of the difference of the two sides;
-    it has (n^3)^2 entries, so it is built only when it is read.
+    and ``defect`` holds the n^3 sparse columns of the difference of the two
+    sides; it repeats the whole sweep, so it is built only when it is read.
     """
     columns, n = _tau_columns(t)
     nn = n * n

@@ -6,8 +6,10 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+
 import rackyd
-from rackyd import jsonio, racks
+from rackyd import cli, jsonio, racks, yd
 from rackyd.cli import build_parser, run
 from rackyd.linalg import Matrix, kron, mat_mul
 from rackyd.yd import BraidingMatrix, check_yd, flip_matrix
@@ -101,9 +103,12 @@ def test_hv_rmatrix_json_roundtrip(tmp_path, capsys, fixtures_dir):
     bm = BraidingMatrix.from_json_dict(payload)
     assert bm.matrix.rows == 16
     assert bm.convention == "second-factor-major"
-    # matches the bundled fixture byte for byte after re-serialization
-    bundled = json.loads((fixtures_dir / "matrix_hv_braiding.json").read_text())
-    assert payload == bundled
+    # matches the bundled sparse fixture after re-serialization, and the
+    # bundled dense fixture of the same braiding loads to the same columns
+    sparse, dense = (json.loads((fixtures_dir / name).read_text())
+                     for name in ("braiding_hv_sparse.json", "matrix_hv_braiding.json"))
+    assert payload == sparse
+    assert BraidingMatrix.from_json_dict(dense).columns == bm.columns
 
 
 def test_integers_flag_rejects_fractions(capsys, fixtures_dir):
@@ -114,7 +119,7 @@ def test_integers_flag_rejects_fractions(capsys, fixtures_dir):
         capsys, "braiding-matrix", str(fixtures_dir / "yd_hv_first_order.json"), "--integers"
     )
     assert code == 0
-    assert rep["braiding"]["matrix"]["entries"][0][0] == 1
+    assert rep["braiding"]["columns"][0] == {"0": 1}
 
 
 def test_check_ybe_on_braiding_file(capsys, fixtures_dir):
@@ -128,40 +133,56 @@ def _edited_flip(n):
     return Matrix.from_columns(columns, n * n)
 
 
+def _sparse_columns(payload):
+    return tuple({int(r): Fraction(c) for r, c in col.items()} for col in payload["columns"])
+
+
 def test_failing_check_ybe_builds_the_defect_only_for_json(tmp_path, capsys, monkeypatch):
     tau = _edited_flip(3)
     path = _write(tmp_path, "tau.json", tau.to_json_dict())
-    built = []
+    built, reads = [], []
     real = Matrix.from_columns
+    real_defect = vars(yd.YBEReport)["defect"].func
 
     def counted(cls, columns, rows):
         built.append((rows, len(columns)))
         return real(columns, rows)
 
+    def read_defect(rep):
+        reads.append(rep.size)
+        return real_defect(rep)
+
     monkeypatch.setattr(Matrix, "from_columns", classmethod(counted))
+    monkeypatch.setattr(yd.YBEReport, "defect", property(read_defect))
     code, rep = report(capsys, "check-ybe", path)
-    assert (code, rep["witness"], built) == (1, [1, 0, 0], [])
+    assert (code, rep["witness"], reads) == (1, [1, 0, 0], [])
     out = tmp_path / "defect.json"
     code, rep = report(capsys, "check-ybe", path, "--json", str(out))
-    assert (code, rep["witness"], built) == (1, [1, 0, 0], [(27, 27)])
+    assert (code, rep["witness"], reads) == (1, [1, 0, 0], [27])
+    assert built == []  # the defect is never dense
     eye = Matrix.identity(3)
     t12, t23 = kron(tau, eye), kron(eye, tau)
     dense = mat_mul(mat_mul(t12, t23), t12) - mat_mul(mat_mul(t23, t12), t23)
-    assert json.loads(out.read_text()) == dense.to_json_dict()
+    assert _sparse_columns(json.loads(out.read_text())) == dense.columns()
 
 
 def test_failing_check_ybe_fits_in_one_gib(tmp_path):
     # its dense defect would have (24**3)**2 = 191 M entries
     path = _write(tmp_path, "tau24.json", _edited_flip(24).to_json_dict())
+    out = tmp_path / "defect24.json"
     src = str(pathlib.Path(rackyd.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     script = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
               "from rackyd.cli import main; main()")
-    proc = subprocess.run([sys.executable, "-c", script, "check-ybe", path],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 1, proc.stderr
-    assert json.loads(proc.stdout)["witness"] == [1, 0, 0]
-    assert "Traceback" not in proc.stderr
+    for extra in ([], ["--json", str(out)]):
+        proc = subprocess.run([sys.executable, "-c", script, "check-ybe", path, *extra],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert json.loads(proc.stdout)["witness"] == [1, 0, 0]
+        assert "Traceback" not in proc.stderr
+    columns = _sparse_columns(json.loads(out.read_text()))
+    assert len(columns) == 24 ** 3
+    assert columns[0] == {} and columns[1] != {}  # (0, 0, 0) holds, (1, 0, 0) fails
 
 
 def test_check_ybe_on_plain_matrix(tmp_path, capsys):
@@ -415,3 +436,74 @@ def test_check_ybe_failure_names_witness(tmp_path, capsys, fixtures_dir):
     assert code == 0 and "witness" not in rep
     code, rep = report(capsys, "check-ybe", str(bad))
     assert code == 1 and rep["witness"] == [1, 1, 1]
+
+
+def _d5_braiding():
+    aug = racks.inner_augmentation(racks.dihedral_quandle(5))
+    return yd.braiding(rackyd.linearize_augmented(aug).module)
+
+
+def _dense_payload(bm):
+    return {"basis_order": bm.convention, "factor_basis": list(bm.factor_basis),
+            "matrix": bm.matrix.to_json_dict()}
+
+
+def _set_column(value):
+    def edit(payload):
+        payload["columns"][0] = value
+    return edit
+
+
+# case -> (edit of the D5 braiding file, the error it must give); 25 columns
+MALFORMED_SPARSE = {
+    "wrong-column-count": (lambda payload: payload["columns"].append({}),
+                           "needs 25 columns, got 26"),
+    "column-not-an-object": (_set_column(["0", "1"]), "braiding column must be an object"),
+    "row-not-an-integer": (_set_column({"a": "1"}), "braiding column index 'a' is not an integer"),
+    "row-out-of-range": (_set_column({"25": "1"}), "braiding column index 25 out of range(25)"),
+    "bad-coefficient": (_set_column({"0": "1/0"}), "bad rational literal '1/0'"),
+    "truncated-basis": (lambda payload: payload.update(factor_basis=payload["factor_basis"][:3]),
+                        "needs 9 columns, got 25"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SPARSE))
+def test_malformed_sparse_braiding_exits_two(tmp_path, capsys, case):
+    edit, message = MALFORMED_SPARSE[case]
+    payload = _d5_braiding().to_json_dict()
+    edit(payload)
+    assert run(["check-ybe", _write(tmp_path, "braid.json", payload)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
+    assert message in out.err and "Traceback" not in out.err
+
+
+def test_dense_braiding_with_a_truncated_basis_exits_two(tmp_path, capsys):
+    payload = _dense_payload(_d5_braiding())
+    assert run(["check-ybe", _write(tmp_path, "braid.json", payload)]) == 0
+    payload["factor_basis"] = payload["factor_basis"][:3]
+    capsys.readouterr()
+    assert run(["check-ybe", _write(tmp_path, "cut.json", payload)]) == 2
+    assert "needs 9 columns, got 25" in capsys.readouterr().err
+
+
+def test_paper_layout_refuses_a_large_grid_before_building_it(tmp_path, capsys, monkeypatch):
+    module = rackyd.ker_eps_yd(racks.FiniteGroup.cyclic(34))  # 33-dimensional
+    path = _write(tmp_path, "kereps.json", jsonio.yd_to_dict(module))
+    built = []
+    real = Matrix.from_columns
+
+    def counted(cls, columns, rows):
+        built.append(rows)
+        return real(columns, rows)
+
+    monkeypatch.setattr(Matrix, "from_columns", classmethod(counted))
+    assert run(["braiding-matrix", path, "--paper-layout"]) == 2
+    assert "exceeds 1024x1024" in capsys.readouterr().err
+    assert built == []
+    # the bound is on the side n^2 of the grid: 16 prints, 15 refuses
+    monkeypatch.setattr(cli, "PAPER_LAYOUT_MAX_SIDE", 16)
+    assert run(["hv-rmatrix", "--paper-layout"]) == 0
+    monkeypatch.setattr(cli, "PAPER_LAYOUT_MAX_SIDE", 15)
+    assert run(["hv-rmatrix", "--paper-layout"]) == 2
+    assert built == [16]

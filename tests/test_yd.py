@@ -107,7 +107,7 @@ def test_check_ybe_flip_and_defect():
     broken = grading_module(aug, grading)
     rep = check_ybe(braiding(broken))
     assert not rep.ok
-    assert rep.defect is not None and not rep.defect.is_zero()
+    assert rep.defect is not None and any(rep.defect)
 
 
 def test_ybe_alone_does_not_imply_yd():
@@ -310,7 +310,7 @@ def assert_matches_dense_reference(bm):
     assert rep.ok == defect.is_zero()
     assert rep.witness == (failing[0] if failing else None)
     if not rep.ok:
-        assert rep.defect == defect
+        assert rep.defect == defect.columns()
     assert is_involutive(bm) == mat_mul(bm.matrix, bm.matrix).is_identity()
 
 
