@@ -16,7 +16,7 @@ import time
 
 from . import envelope, group_hopf, jsonio, leibniz, racks, yd
 from .errors import ValidationError
-from .linalg import Matrix, integral, vec_to_json
+from .linalg import integral, vec_to_json
 from .scalars import field_from_name
 
 
@@ -228,11 +228,7 @@ def _cmd_braiding_matrix(args, field):
 
 
 def _cmd_check_ybe(args, field):
-    payload = _load_json(args.file)
-    if isinstance(payload, dict) and ("columns" in payload or "matrix" in payload):
-        tau = yd.BraidingMatrix.from_json_dict(payload, field)
-    else:
-        tau = Matrix.from_json_dict(payload, field)
+    tau = yd.BraidingMatrix.from_json_dict(_load_json(args.file), field)
     rep = yd.check_ybe(tau)
     report = {"ok": rep.ok}
     if not rep.ok:

@@ -35,7 +35,8 @@ which scope it used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from typing import NamedTuple
 
 from .errors import ConsistencyError, DegreeOverflowError, ValidationError
 from .linalg import lincomb, vsum
@@ -352,10 +353,22 @@ class LieMapObject:
         return len(self.module_labels)
 
 
+ENV_MAX_SIZE = 4096
+
+
 class EnvTetramodule:
-    """The four-structure module U(g) (x) M at a fixed truncation degree."""
+    """The four-structure module U(g) (x) M at a fixed truncation degree.
+
+    Its dimension is the number of PBW monomials of degree <= d in dim g
+    letters, ``comb(dim g + d, d)``, times dim M; above ``ENV_MAX_SIZE`` the
+    construction is refused with a ValidationError before anything is built.
+    """
 
     def __init__(self, obj: LieMapObject, degree: int = 2):
+        size = math.comb(obj.dim_lie + degree, degree) * obj.dim_module if degree >= 0 else 0
+        if size > ENV_MAX_SIZE:
+            raise ValidationError(f"truncation degree {degree} gives a tetramodule of "
+                                  f"dimension {size}, above ENV_MAX_SIZE = {ENV_MAX_SIZE}")
         self.obj = obj
         self.field = obj.field
         self.pbw = TruncatedPBW(obj.brackets, degree, obj.lie_labels, obj.field)
@@ -450,8 +463,7 @@ def phi_map(env: EnvTetramodule, vec: dict) -> dict:
     return lincomb(vec, on_basis)
 
 
-@dataclass(frozen=True)
-class PhiReport:
+class PhiReport(NamedTuple):
     ok: bool
     bimodule_ok: bool
     coderivation_ok: bool
@@ -512,8 +524,7 @@ def phi_checks(env: EnvTetramodule) -> PhiReport:
     )
 
 
-@dataclass(frozen=True)
-class InvariantPart:
+class InvariantPart(NamedTuple):
     """The left-coaction invariants of a tetramodule, as a YD module."""
 
     module: YDModule
@@ -576,8 +587,7 @@ def inv_part(env: EnvTetramodule) -> InvariantPart:
     return InvariantPart(module, tuple(vectors))
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     ok: bool
     im_in_ker_eps: bool
     colinear: bool
@@ -656,8 +666,7 @@ def antipode_component(env: EnvTetramodule, vec: dict) -> dict:
         {(h1, e1): c for h1, e1, c in env.left_coact_tab[e]}, left_term))
 
 
-@dataclass(frozen=True)
-class AntipodeReport:
+class AntipodeReport(NamedTuple):
     ok: bool
     scope: str
     witness: object | None

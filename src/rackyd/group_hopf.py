@@ -22,7 +22,7 @@ right structures are stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .linalg import lincomb, vsum
@@ -226,8 +226,7 @@ def ker_eps_yd(group: FiniteGroup, field=QQ) -> YDModule:
     return YDModule(hopf, basis, action, coaction)
 
 
-@dataclass(frozen=True)
-class LinearizedRack:
+class LinearizedRack(NamedTuple):
     """kX as a kG module-comodule, remembering the grading map p."""
 
     module: YDModule
@@ -300,8 +299,7 @@ def rack_q_map(lin: LinearizedRack):
     return out
 
 
-@dataclass(frozen=True)
-class DualReport:
+class DualReport(NamedTuple):
     ok: bool
     p_star_right_colinear: bool
     witnesses: dict

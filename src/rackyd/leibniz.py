@@ -26,7 +26,7 @@ unital shelf coefficient for coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .envelope import EnvelopingDescriptor, LieMapObject, TruncatedPBW, check_lie
 from .errors import ConsistencyError, ValidationError, as_int
@@ -117,8 +117,7 @@ def bracket_entries(table):
     ]
 
 
-@dataclass(frozen=True)
-class LeibnizReport:
+class LeibnizReport(NamedTuple):
     ok: bool
     witness: tuple | None
 
@@ -242,8 +241,7 @@ def squares_ideal(alg: LeibnizAlgebra):
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class LieQuotientData:
+class LieQuotientData(NamedTuple):
     """The quotient pi: g -> g_Lie with a chosen section and lifted action."""
 
     parent: LeibnizAlgebra
@@ -335,8 +333,7 @@ def lie_map_object(alg: LeibnizAlgebra) -> LieMapObject:
 # ---------------------------------------------------------------------------
 # the unital shelf and the first-order module on k (+) g
 
-@dataclass(frozen=True)
-class BilinearMap:
+class BilinearMap(NamedTuple):
     """A bilinear operation given by its table on basis pairs."""
 
     basis: tuple

@@ -85,6 +85,33 @@ def vec_from_json(vec, field, what, size=None) -> dict:
     return out
 
 
+def sparse_rows_from_json(d, field=QQ):
+    """``(rows, cols, sparse rows)`` of a matrix in the dense JSON format
+    ``{"rows", "cols", "entries"}`` of :meth:`Matrix.to_json_dict`.
+
+    Every entry is parsed, so a malformed one raises ValidationError, and the
+    table must match the declared shape; only the nonzero entries are kept.
+    A field parses an entry through its ``str``, so each distinct literal is
+    parsed once.
+    """
+    parsed = {}
+
+    def parse(s):
+        key = str(s)
+        if key not in parsed:
+            parsed[key] = field.parse(s)
+        return parsed[key]
+
+    try:
+        rows, cols, entries = d["rows"], d["cols"], d["entries"]
+        sparse = [{j: x for j, x in enumerate(map(parse, row)) if x} for row in entries]
+    except (KeyError, TypeError) as exc:
+        raise ValidationError("matrix JSON needs rows/cols/entries") from exc
+    if len(entries) != rows or any(len(r) != cols for r in entries):
+        raise ShapeError("entry table does not match declared shape")
+    return rows, cols, sparse
+
+
 def integral(a) -> int:
     """A rational or GF(p) scalar as a plain int; raises unless it is integral."""
     if getattr(a, "denominator", 1) != 1:
@@ -199,14 +226,8 @@ class Matrix:
 
     @classmethod
     def from_json_dict(cls, d, field=QQ):
-        try:
-            rows, cols, entries = d["rows"], d["cols"], d["entries"]
-            data = [[field.parse(s) for s in row] for row in entries]
-        except (KeyError, TypeError) as exc:
-            raise ValidationError("matrix JSON needs rows/cols/entries") from exc
-        if len(data) != rows or any(len(r) != cols for r in data):
-            raise ShapeError("entry table does not match declared shape")
-        return cls(data, rows, cols)
+        rows, cols, sparse = sparse_rows_from_json(d, field)
+        return cls([[row.get(j, field.zero) for j in range(cols)] for row in sparse], rows, cols)
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"

@@ -19,9 +19,9 @@ witness as the deterministic merge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations as _permutations
+from typing import NamedTuple
 
 from .errors import ConsistencyError, ValidationError, as_int
 
@@ -93,8 +93,7 @@ class FiniteShelf:
             raise ValidationError("shelf JSON needs elements/op") from exc
 
 
-@dataclass(frozen=True)
-class ShelfReport:
+class ShelfReport(NamedTuple):
     is_shelf: bool
     is_rack: bool
     is_quandle: bool
@@ -385,11 +384,18 @@ class AugmentedRack:
     The constructor verifies that the action table really is a right action;
     whether the augmentation identity holds is checked by
     :func:`check_augmented`, so deliberately broken examples can be built.
+    With ``proved`` true nothing is checked: the caller has already proved
+    that ``action`` (a tuple of int tuples) is a right action and that ``p``
+    maps X into G, as :func:`rack_tensor_and_braiding` has for the diagonal
+    action of two verified actions.
     """
 
-    def __init__(self, elements, group: FiniteGroup, action, p):
+    def __init__(self, elements, group: FiniteGroup, action, p, proved=False):
         self.elements = tuple(str(e) for e in elements)
         self.group = group
+        if proved:
+            self.action, self.p = action, tuple(p)
+            return
         nx, ng = len(self.elements), group.size
         action = tuple(tuple(as_int(v, "action entry") for v in row) for row in action)
         if len(action) != nx or any(len(row) != ng for row in action):
@@ -449,8 +455,7 @@ class AugmentedRack:
             ) from exc
 
 
-@dataclass(frozen=True)
-class AugmentedReport:
+class AugmentedReport(NamedTuple):
     ok: bool
     witness: tuple | None
 
@@ -528,7 +533,9 @@ def rack_tensor_and_braiding(a1: AugmentedRack, a2: AugmentedRack):
 
     Both inputs must satisfy the augmentation identity (else ValidationError);
     the tensor then satisfies it too, since ``p1(x.h) p2(y.h) = h^-1 p1(x) h
-    h^-1 p2(y) h``, so it is not checked again.
+    h^-1 p2(y) h``, so it is not checked again.  Nor is the diagonal action:
+    both input actions were proved to be right actions when they were built,
+    and then so is ``(x, y) . h = (x . h, y . h)``.
     """
     if a1.group != a2.group:
         raise ValidationError("augmented racks must share the same group")
@@ -538,9 +545,10 @@ def rack_tensor_and_braiding(a1: AugmentedRack, a2: AugmentedRack):
     pairs = [(x, y) for x in range(a1.size) for y in range(a2.size)]
     labels = [f"({a1.elements[x]},{a2.elements[y]})" for x, y in pairs]
     pos = {xy: k for k, xy in enumerate(pairs)}
-    action = [[pos[(a1.act(x, h), a2.act(y, h))] for h in range(g.size)] for x, y in pairs]
+    action = tuple(tuple(pos[(a1.act(x, h), a2.act(y, h))] for h in range(g.size))
+                   for x, y in pairs)
     p = [g.mul_idx(a1.p[x], a2.p[y]) for x, y in pairs]
-    tensor = AugmentedRack(labels, g, action, p)
+    tensor = AugmentedRack(labels, g, action, p, True)  # proved: the action is diagonal
     braiding = {(x, y): (y, a1.act(x, a2.p[y])) for x, y in pairs}
     return tensor, braiding
 

@@ -55,11 +55,11 @@ brute force over basis tuples is a complete verification, not a sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import DegreeOverflowError, ShapeError, ValidationError
-from .linalg import Matrix, flat2, lincomb, vec_from_json, vec_to_json, vsum
+from .linalg import Matrix, flat2, lincomb, sparse_rows_from_json, vec_from_json, vec_to_json, vsum
 from .scalars import QQ
 
 
@@ -218,8 +218,7 @@ class YDModule:
         return lincomb(hvec, lambda h: self.act_basis(vec, h))
 
 
-@dataclass(frozen=True)
-class YDReport:
+class YDReport(NamedTuple):
     ok: bool
     ok_coproduct_form: bool
     ok_antipode_form: bool | None
@@ -309,7 +308,9 @@ class BraidingMatrix:
          "columns": [{"<row>": "<coeff>", ...}, ...]}
 
     with zero coefficients omitted.  The dense format of older files, with
-    ``"matrix": <Matrix JSON>`` in place of ``"columns"``, is still read.
+    ``"matrix": <Matrix JSON>`` in place of ``"columns"``, is still read, and
+    so is a bare ``Matrix`` JSON, on the factor basis 0..n-1; neither builds
+    the dense matrix.
     """
 
     def __init__(self, matrix, factor_basis, convention="second-factor-major"):
@@ -348,16 +349,30 @@ class BraidingMatrix:
     @classmethod
     def from_json_dict(cls, d, field=QQ):
         try:
+            if not (isinstance(d, dict) and ("columns" in d or "matrix" in d)):
+                n, tau = _columns_from_json(d, field)
+                return cls(tau, range(n))
             basis = tuple(d["factor_basis"])
             convention = d.get("basis_order", "second-factor-major")
             if "columns" in d:
                 size = len(d["columns"])  # the matrix is square
                 tau = [vec_from_json(col, field, "braiding column", size) for col in d["columns"]]
             else:
-                tau = Matrix.from_json_dict(d["matrix"], field)
+                _, tau = _columns_from_json(d["matrix"], field)
         except (KeyError, TypeError) as exc:
             raise ValidationError("braiding JSON needs factor_basis and columns or matrix") from exc
         return cls(tau, basis, convention)
+
+
+def _columns_from_json(d, field):
+    """n and the sparse columns of an n^2 x n^2 matrix in the dense JSON format."""
+    rows, cols, sparse = sparse_rows_from_json(d, field)
+    n = _square_side(rows, cols)
+    columns = [{} for _ in range(cols)]
+    for i, row in enumerate(sparse):
+        for j, c in row.items():
+            columns[j][i] = c
+    return n, columns
 
 
 def braiding(module: YDModule) -> BraidingMatrix:
@@ -382,11 +397,11 @@ def flip_matrix(n: int, field=QQ) -> Matrix:
     return Matrix.from_columns(flip_columns(n, field.one), n * n)
 
 
-def _square_side(m: Matrix) -> int:
-    if m.rows != m.cols:
+def _square_side(rows, cols) -> int:
+    if rows != cols:
         raise ShapeError("braiding matrix must be square")
-    n = math.isqrt(m.rows)
-    if n * n != m.rows:
+    n = math.isqrt(rows)
+    if n * n != rows:
         raise ShapeError("braiding matrix size must be a perfect square")
     return n
 
@@ -396,17 +411,28 @@ def _tau_columns(t):
     if isinstance(t, BraidingMatrix):
         columns = t.columns
     else:
-        _square_side(t)
+        _square_side(t.rows, t.cols)
         columns = t.columns()
     return columns, math.isqrt(len(columns))
 
 
-@dataclass(frozen=True)
-class YBEReport:
+class _YBEFields(NamedTuple):
     ok: bool
     witness: tuple | None = None
-    sides: object = dc_field(default=None, repr=False, compare=False)  # f -> (lhs, rhs) at e_f
     size: int = 0  # n^3, the number of basis triples
+
+
+class YBEReport(_YBEFields):
+    """``sides`` (f -> (lhs, rhs) at e_f) is kept outside the tuple, so it takes
+    no part in == or repr; the ``__dict__`` it lives in also caches ``defect``."""
+
+    def __new__(cls, ok, witness=None, sides=None, size=0):
+        self = super().__new__(cls, ok, witness, size)
+        vars(self)["sides"] = sides
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to YBEReport.{name}")
 
     @cached_property
     def defect(self) -> tuple | None:
@@ -456,8 +482,7 @@ def is_involutive(t) -> bool:
     return all(lincomb(col, columns.__getitem__) == {f: 1} for f, col in enumerate(columns))
 
 
-@dataclass(frozen=True)
-class QConditionsReport:
+class QConditionsReport(NamedTuple):
     ok: bool
     equivariance: bool
     coderivation_condition: bool
@@ -517,8 +542,7 @@ def check_q_conditions(module: YDModule, q) -> QConditionsReport:
     return QConditionsReport(equivariance and coderivation, equivariance, coderivation, witnesses)
 
 
-@dataclass(frozen=True)
-class BraidedLeibnizData:
+class BraidedLeibnizData(NamedTuple):
     """A bracket table together with a braiding on the same carrier."""
 
     basis: tuple
@@ -559,8 +583,7 @@ def braided_leibniz_from_q(module: YDModule, q) -> BraidedLeibnizData:
     return BraidedLeibnizData(module.basis, bracket, braiding(module), module.field)
 
 
-@dataclass(frozen=True)
-class BraidedLeibnizReport:
+class BraidedLeibnizReport(NamedTuple):
     ok: bool
     witness: tuple | None
 

@@ -507,3 +507,82 @@ def test_paper_layout_refuses_a_large_grid_before_building_it(tmp_path, capsys, 
     monkeypatch.setattr(cli, "PAPER_LAYOUT_MAX_SIDE", 15)
     assert run(["hv-rmatrix", "--paper-layout"]) == 2
     assert built == [16]
+
+
+def _edit_entry(row, col, value):
+    def edit(matrix):
+        matrix["entries"][row][col] = value
+    return edit
+
+
+def _drop_last_row(matrix):
+    del matrix["entries"][-1]
+    matrix["rows"] -= 1
+
+
+# case -> (edit of the dense 25 x 25 matrix of the D5 braiding, the error it must give)
+MALFORMED_DENSE = {
+    "bad-entry": (_edit_entry(24, 24, "x"), "bad rational literal 'x'"),
+    # true == 1 and the table is full of "1": each entry is parsed by its own literal
+    "boolean-entry": (_edit_entry(24, 24, True), "bad rational literal True"),
+    "zero-denominator": (_edit_entry(0, 3, "1/0"), "bad rational literal '1/0'"),
+    "ragged-row": (lambda matrix: matrix["entries"][7].pop(), "does not match declared shape"),
+    "not-square": (_drop_last_row, "braiding matrix must be square"),
+    "no-entries": (lambda matrix: matrix.pop("entries"), "matrix JSON needs rows/cols/entries"),
+}
+
+
+@pytest.mark.parametrize("layout", ["plain", "braiding"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_DENSE))
+def test_malformed_dense_braiding_exits_two(tmp_path, capsys, case, layout):
+    edit, message = MALFORMED_DENSE[case]
+    payload = _dense_payload(_d5_braiding())
+    edit(payload["matrix"])
+    if layout == "plain":
+        payload = payload["matrix"]
+    assert run(["check-ybe", _write(tmp_path, "braid.json", payload)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
+    assert message in out.err and "Traceback" not in out.err
+
+
+def test_dense_braiding_files_are_read_into_sparse_columns(tmp_path, capsys, monkeypatch):
+    bm = _d5_braiding()
+    dense = _dense_payload(bm)
+    paths = [_write(tmp_path, "plain.json", dense["matrix"]), _write(tmp_path, "dense.json", dense)]
+    for path in paths:
+        assert BraidingMatrix.from_json_dict(json.loads(pathlib.Path(path).read_text())).columns \
+            == bm.columns
+    built = []
+    real_init = Matrix.__init__
+
+    def counted(self, data, rows=None, cols=None):
+        built.append((rows, cols))
+        real_init(self, data, rows, cols)
+
+    monkeypatch.setattr(Matrix, "__init__", counted)
+    for path in paths:
+        assert run(["check-ybe", path]) == 0
+    assert built == []  # no dense matrix is built from either file
+
+
+@pytest.mark.parametrize("command", ["env-build", "env-checks", "theorem1-bracket"])
+def test_degree_budget_refuses_before_building(capsys, fixtures_dir, monkeypatch, command):
+    # sl2 at degree 2: 10 PBW monomials times dim M = 3
+    path = str(fixtures_dir / "leibniz_sl2.json")
+    built = []
+    real_init = rackyd.envelope.TruncatedPBW.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[1])
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(rackyd.envelope.TruncatedPBW, "__init__", counted)
+    monkeypatch.setattr(rackyd.envelope, "ENV_MAX_SIZE", 29)
+    assert run([command, path, "--degree", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "truncation degree 2 gives a tetramodule of dimension 30, above ENV_MAX_SIZE = 29" in err
+    assert built == []
+    monkeypatch.setattr(rackyd.envelope, "ENV_MAX_SIZE", 30)
+    assert run([command, path, "--degree", "2"]) == 0
+    assert built == [2]

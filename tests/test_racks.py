@@ -247,6 +247,32 @@ def test_rack_tensor_heterogeneous():
     assert all(c[(0, y)] == (y, 0) for y in range(6))
 
 
+
+TENSOR_INPUTS = [
+    *(pytest.param(lambda n=n: inner_augmentation(dihedral_quandle(n)), id=f"D{n}")
+      for n in range(3, 10)),
+    *(pytest.param(lambda n=n: conjugation_augmented(FiniteGroup.symmetric(n)),
+                   id=f"S{n}-conjugation") for n in (3, 4)),
+]
+
+
+@pytest.mark.parametrize("make", TENSOR_INPUTS)
+def test_the_tensor_passes_the_verifying_constructor(make, monkeypatch):
+    aug = make()
+    sweeps = []
+    real = FiniteGroup.action_witness
+
+    def counted(self, points, act):
+        sweeps.append(len(points))
+        return real(self, points, act)
+
+    monkeypatch.setattr(FiniteGroup, "action_witness", counted)
+    tensor, _ = rack_tensor_and_braiding(aug, aug)
+    assert sweeps == []  # the diagonal action is not swept again
+    checked = AugmentedRack(tensor.elements, tensor.group, tensor.action, tensor.p)
+    assert sweeps == [aug.size ** 2]
+    assert checked == tensor and check_augmented(checked).ok
+
 def test_braiding_of_trivial_action_is_swap():
     z2 = FiniteGroup.cyclic(2)
     aug = AugmentedRack("01", z2, [[0, 0], [1, 1]], [0, 0])
