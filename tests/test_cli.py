@@ -515,6 +515,11 @@ def _edit_entry(row, col, value):
     return edit
 
 
+def _one_then_true(matrix):
+    matrix["entries"][0][0] = 1
+    matrix["entries"][24][24] = True
+
+
 def _drop_last_row(matrix):
     del matrix["entries"][-1]
     matrix["rows"] -= 1
@@ -523,8 +528,8 @@ def _drop_last_row(matrix):
 # case -> (edit of the dense 25 x 25 matrix of the D5 braiding, the error it must give)
 MALFORMED_DENSE = {
     "bad-entry": (_edit_entry(24, 24, "x"), "bad rational literal 'x'"),
-    # true == 1 and the table is full of "1": each entry is parsed by its own literal
-    "boolean-entry": (_edit_entry(24, 24, True), "bad rational literal True"),
+    # true == 1 is read after 1: each entry is parsed by its own literal
+    "boolean-entry": (_one_then_true, "bad rational literal True"),
     "zero-denominator": (_edit_entry(0, 3, "1/0"), "bad rational literal '1/0'"),
     "ragged-row": (lambda matrix: matrix["entries"][7].pop(), "does not match declared shape"),
     "not-square": (_drop_last_row, "braiding matrix must be square"),
@@ -551,8 +556,8 @@ def test_dense_braiding_files_are_read_into_sparse_columns(tmp_path, capsys, mon
     dense = _dense_payload(bm)
     paths = [_write(tmp_path, "plain.json", dense["matrix"]), _write(tmp_path, "dense.json", dense)]
     for path in paths:
-        assert BraidingMatrix.from_json_dict(json.loads(pathlib.Path(path).read_text())).columns \
-            == bm.columns
+        loaded = BraidingMatrix.from_json_dict(json.loads(pathlib.Path(path).read_text()))
+        assert loaded.columns == bm.columns
     built = []
     real_init = Matrix.__init__
 
