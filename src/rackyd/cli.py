@@ -14,9 +14,7 @@ import json
 import sys
 import time
 
-from . import envelope, group_hopf, jsonio, leibniz, racks, yd
 from .errors import ValidationError
-from .linalg import integral, vec_to_json
 from .scalars import field_from_name
 
 
@@ -74,6 +72,7 @@ PAPER_LAYOUT_MAX_SIDE = 1024
 
 def _emit_matrix(bm, args, report):
     """Shared tail for braiding-matrix and hv-rmatrix; returns (code, report)."""
+    from .linalg import integral
     if args.paper_layout:
         side = bm.factor_dim ** 2
         if side > PAPER_LAYOUT_MAX_SIDE:
@@ -97,6 +96,7 @@ def _emit_matrix(bm, args, report):
 def _emit_bracket(args, report, data):
     """Shared tail for the braided-bracket commands: the bracket entries go in
     the report, or with the basis and tau into the --json artifact."""
+    from . import leibniz
     entries = leibniz.bracket_entries(data.bracket)
     artifact = None
     if args.json:
@@ -106,6 +106,7 @@ def _emit_bracket(args, report, data):
 
 def _rack_q(module):
     """q(x) = p(x) - 1 recovered from a diagonal group grading."""
+    from . import group_hopf
     if not isinstance(module.hopf, group_hopf.GroupAlgebraDescriptor):
         raise ValidationError("--rack-q needs a module over a group algebra")
     p = []
@@ -119,6 +120,7 @@ def _rack_q(module):
 
 
 def _get_q(args, module, field):
+    from . import jsonio
     if getattr(args, "rack_q", False):
         return _rack_q(module)
     if getattr(args, "q", None):
@@ -127,9 +129,12 @@ def _get_q(args, module, field):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (exit_code, report_dict or None)
+# subcommand handlers; each returns (exit_code, report_dict or None).  Each
+# imports only the modules it runs, the one with the longest import chain
+# first: without bytecode, compiling in that order keeps the peak RSS lower.
 
 def _cmd_check_rack(args, field):
+    from . import racks
     shelf = racks.FiniteShelf.from_json_dict(_load_json(args.file))
     rep = racks.check_shelf(shelf)
     report = {
@@ -142,6 +147,7 @@ def _cmd_check_rack(args, field):
 
 
 def _cmd_make_dihedral(args, field):
+    from . import racks
     shelf = racks.dihedral_quandle(args.n)
     rep = racks.check_shelf(shelf)
     report = {"size": shelf.size, "is_quandle": rep.is_quandle}
@@ -150,6 +156,7 @@ def _cmd_make_dihedral(args, field):
 
 
 def _cmd_make_conjugation(args, field):
+    from . import racks
     group = racks.FiniteGroup.from_json_dict(_load_json(args.file))
     shelf = racks.conjugation_rack(group)
     rep = racks.check_shelf(shelf)
@@ -159,6 +166,7 @@ def _cmd_make_conjugation(args, field):
 
 
 def _cmd_inner_augmentation(args, field):
+    from . import racks
     shelf = racks.FiniteShelf.from_json_dict(_load_json(args.file))
     aug = racks.inner_augmentation(shelf)
     report = {
@@ -171,6 +179,7 @@ def _cmd_inner_augmentation(args, field):
 
 
 def _cmd_check_augmented(args, field):
+    from . import racks
     aug = racks.AugmentedRack.from_json_dict(_load_json(args.file))
     rep = racks.check_augmented(aug)
     report = {"ok": rep.ok, "witness": _jsonable(rep.witness)}
@@ -178,6 +187,7 @@ def _cmd_check_augmented(args, field):
 
 
 def _cmd_rack_braiding(args, field):
+    from . import racks
     aug1 = racks.AugmentedRack.from_json_dict(_load_json(args.file))
     aug2 = racks.AugmentedRack.from_json_dict(_load_json(args.file2)) if args.file2 else aug1
     tensor, braid = racks.rack_tensor_and_braiding(aug1, aug2)
@@ -196,6 +206,7 @@ def _cmd_rack_braiding(args, field):
 
 
 def _cmd_linearize(args, field):
+    from . import jsonio, group_hopf, racks, yd
     aug = racks.AugmentedRack.from_json_dict(_load_json(args.file))
     lin = group_hopf.linearize_augmented(aug, field)
     rep = yd.check_yd(lin.module)
@@ -209,6 +220,7 @@ def _cmd_linearize(args, field):
 
 
 def _cmd_check_yd(args, field):
+    from . import jsonio, yd
     module = jsonio.yd_from_dict(_load_json(args.file), field)
     rep = yd.check_yd(module)
     report = {
@@ -221,6 +233,7 @@ def _cmd_check_yd(args, field):
 
 
 def _cmd_braiding_matrix(args, field):
+    from . import jsonio, yd
     module = jsonio.yd_from_dict(_load_json(args.file), field)
     bm = yd.braiding(module)
     report = {"factor_dim": bm.factor_dim, "size": bm.factor_dim ** 2}
@@ -228,6 +241,8 @@ def _cmd_braiding_matrix(args, field):
 
 
 def _cmd_check_ybe(args, field):
+    from . import yd
+    from .linalg import vec_to_json
     tau = yd.BraidingMatrix.from_json_dict(_load_json(args.file), field)
     rep = yd.check_ybe(tau)
     report = {"ok": rep.ok}
@@ -240,6 +255,7 @@ def _cmd_check_ybe(args, field):
 
 
 def _cmd_check_leibniz(args, field):
+    from . import leibniz
     alg = leibniz.LeibnizAlgebra.from_json_dict(_load_json(args.file), field)
     rep = leibniz.check_leibniz(alg)
     report = {"ok": rep.ok, "witness": _jsonable(rep.witness)}
@@ -247,6 +263,7 @@ def _cmd_check_leibniz(args, field):
 
 
 def _cmd_lie_quotient(args, field):
+    from . import leibniz
     alg = leibniz.LeibnizAlgebra.from_json_dict(_load_json(args.file), field)
     lq = leibniz.lie_quotient(alg)
     report = {
@@ -266,6 +283,7 @@ def _cmd_lie_quotient(args, field):
 
 
 def _cmd_unital_shelf(args, field):
+    from . import leibniz
     alg = leibniz.LeibnizAlgebra.from_json_dict(_load_json(args.file), field)
     shelf = leibniz.unital_shelf(alg)
     report = {"dim": shelf.dim}
@@ -275,6 +293,7 @@ def _cmd_unital_shelf(args, field):
 
 
 def _cmd_first_order_yd(args, field):
+    from . import leibniz, jsonio, yd
     alg = leibniz.LeibnizAlgebra.from_json_dict(_load_json(args.file), field)
     module = leibniz.first_order_yd(alg, args.degree)
     rep = yd.check_yd(module)
@@ -284,6 +303,7 @@ def _cmd_first_order_yd(args, field):
 
 
 def _cmd_hv_rmatrix(args, field):
+    from . import leibniz, yd
     module = leibniz.first_order_yd(leibniz.heisenberg_voros(field), args.degree)
     bm = yd.braiding(module)
     report = {"factor_basis": list(bm.factor_basis), "size": bm.factor_dim ** 2}
@@ -291,6 +311,8 @@ def _cmd_hv_rmatrix(args, field):
 
 
 def _cmd_env_build(args, field):
+    from . import leibniz, envelope
+    from .linalg import vec_to_json
     alg = leibniz.LeibnizAlgebra.from_json_dict(_load_json(args.file), field)
     env = envelope.build_env(leibniz.lie_map_object(alg), args.degree)
     report = {
@@ -314,6 +336,7 @@ def _cmd_env_build(args, field):
 
 
 def _cmd_env_checks(args, field):
+    from . import leibniz, envelope
     alg = leibniz.LeibnizAlgebra.from_json_dict(_load_json(args.file), field)
     env = envelope.build_env(leibniz.lie_map_object(alg), args.degree)
     pr = envelope.phi_checks(env)
@@ -336,6 +359,7 @@ def _cmd_env_checks(args, field):
 
 
 def _cmd_theorem1_bracket(args, field):
+    from . import leibniz, envelope, yd
     alg = leibniz.LeibnizAlgebra.from_json_dict(_load_json(args.file), field)
     env = envelope.build_env(leibniz.lie_map_object(alg), args.degree)
     data = envelope.enveloping_bracket(env)
@@ -354,6 +378,7 @@ def _cmd_theorem1_bracket(args, field):
 
 
 def _cmd_q_conditions(args, field):
+    from . import jsonio, yd
     module = jsonio.yd_from_dict(_load_json(args.file), field)
     q = _get_q(args, module, field)
     rep = yd.check_q_conditions(module, q)
@@ -367,6 +392,7 @@ def _cmd_q_conditions(args, field):
 
 
 def _cmd_braided_leibniz(args, field):
+    from . import leibniz, jsonio, yd  # noqa: F401  (leibniz is _emit_bracket's)
     module = jsonio.yd_from_dict(_load_json(args.file), field)
     q = _get_q(args, module, field)
     data = yd.braided_leibniz_from_q(module, q)
@@ -377,6 +403,7 @@ def _cmd_braided_leibniz(args, field):
 
 
 def _cmd_dual_check(args, field):
+    from . import group_hopf, racks
     aug = racks.AugmentedRack.from_json_dict(_load_json(args.file))
     rep = group_hopf.function_dual_check(aug, field)
     report = {

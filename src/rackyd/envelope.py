@@ -80,9 +80,16 @@ def _mono_label(exp, labels):
     return "*".join(parts)
 
 
+# sl2 at degree 70 has 62196 monomials: `first-order-yd` there takes about
+# 0.5 s and peaks at 38 MB
+PBW_MAX_SIZE = 65536
+
+
 class TruncatedPBW:
     """Ordered monomials of degree <= d in a Lie algebra basis.
 
+    There are ``comb(dim g + d, d)`` of them; above ``PBW_MAX_SIZE`` the
+    construction is refused with a ValidationError before any is enumerated.
     ``product`` truncates; ``product_exact`` raises DegreeOverflowError when
     the result would not be representable, and is what the Hopf-descriptor
     facade exposes.
@@ -91,9 +98,13 @@ class TruncatedPBW:
     def __init__(self, brackets, degree, labels=None, field=QQ):
         if degree < 0:
             raise ValidationError("truncation degree must be >= 0")
+        n = len(brackets)
+        size = math.comb(n + degree, degree)
+        if size > PBW_MAX_SIZE:
+            raise ValidationError(f"truncation degree {degree} gives {size} PBW monomials, "
+                                  f"above PBW_MAX_SIZE = {PBW_MAX_SIZE}")
         self.field = field
         self.degree = degree
-        n = len(brackets)
         self.dim_lie = n
         self.brackets = tuple(tuple(vsum(v) for v in row) for row in brackets)
         for row in self.brackets:

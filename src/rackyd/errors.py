@@ -27,7 +27,13 @@ class ConsistencyError(RuntimeError):
 
 
 def as_int(value, what: str) -> int:
-    """``int(value)`` for an index read from input, or a ValidationError."""
+    """``int(value)`` for an index read from input, or a ValidationError.
+
+    A float is refused, not truncated: ``2.7`` is no index, and ``1.0`` is
+    not the integer literal a count or an index is written as.
+    """
+    if isinstance(value, float):
+        raise ValidationError(f"{what} {value!r} is not an integer")
     try:
         return int(value)
     except (TypeError, ValueError) as exc:

@@ -24,10 +24,8 @@ q-map::
 
 from __future__ import annotations
 
-from .envelope import EnvelopingDescriptor, TruncatedPBW
 from .errors import ValidationError, as_int
 from .group_hopf import GroupAlgebraDescriptor
-from .leibniz import LeibnizAlgebra
 from .linalg import vec_from_json, vec_to_json
 from .racks import FiniteGroup
 from .scalars import QQ
@@ -37,7 +35,11 @@ from .yd import YDModule
 def hopf_to_dict(hopf) -> dict:
     if isinstance(hopf, GroupAlgebraDescriptor):
         return {"kind": "group_algebra", "group": hopf.group.to_json_dict()}
+    from .envelope import EnvelopingDescriptor
+
     if isinstance(hopf, EnvelopingDescriptor):
+        from .leibniz import LeibnizAlgebra
+
         pbw = hopf.pbw
         lie = LeibnizAlgebra(pbw.lie_labels, pbw.brackets, pbw.field)
         return {
@@ -56,6 +58,9 @@ def hopf_from_dict(d, field=QQ):
     if kind == "group_algebra":
         return GroupAlgebraDescriptor(FiniteGroup.from_json_dict(d["group"]), field)
     if kind == "first_order_enveloping":
+        from .envelope import EnvelopingDescriptor, TruncatedPBW
+        from .leibniz import LeibnizAlgebra
+
         lie = LeibnizAlgebra.from_json_dict(d["lie"], field)
         return EnvelopingDescriptor(
             TruncatedPBW(lie.brackets, as_int(d.get("degree", 2), "degree"), lie.basis, field)

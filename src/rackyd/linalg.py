@@ -103,7 +103,7 @@ def sparse_rows_from_json(d, field=QQ):
         return parsed[key]
 
     try:
-        rows, cols, entries = d["rows"], d["cols"], d["entries"]
+        rows, cols, entries = as_int(d["rows"], "rows"), as_int(d["cols"], "cols"), d["entries"]
         sparse = [{j: x for j, x in enumerate(map(parse, row)) if x} for row in entries]
     except (KeyError, TypeError) as exc:
         raise ValidationError("matrix JSON needs rows/cols/entries") from exc

@@ -525,6 +525,10 @@ def _drop_last_row(matrix):
     matrix["rows"] -= 1
 
 
+def _float_shape(matrix):
+    matrix["rows"], matrix["cols"] = float(matrix["rows"]), float(matrix["cols"])
+
+
 # case -> (edit of the dense 25 x 25 matrix of the D5 braiding, the error it must give)
 MALFORMED_DENSE = {
     "bad-entry": (_edit_entry(24, 24, "x"), "bad rational literal 'x'"),
@@ -534,6 +538,7 @@ MALFORMED_DENSE = {
     "ragged-row": (lambda matrix: matrix["entries"][7].pop(), "does not match declared shape"),
     "not-square": (_drop_last_row, "braiding matrix must be square"),
     "no-entries": (lambda matrix: matrix.pop("entries"), "matrix JSON needs rows/cols/entries"),
+    "float-shape": (_float_shape, "rows 25.0 is not an integer"),
 }
 
 
@@ -591,3 +596,24 @@ def test_degree_budget_refuses_before_building(capsys, fixtures_dir, monkeypatch
     monkeypatch.setattr(rackyd.envelope, "ENV_MAX_SIZE", 30)
     assert run([command, path, "--degree", "2"]) == 0
     assert built == [2]
+
+
+# case -> (argv, the number of PBW monomials it enumerates at degree 2): sl2 has
+# dimension 3, the Lie quotient of Heisenberg-Voros dimension 2
+PBW_AT_DEGREE_2 = {
+    "first-order-yd": (["first-order-yd", "leibniz_sl2.json"], 10),
+    "hv-rmatrix": (["hv-rmatrix"], 6),
+    "module-file-degree": (["check-yd", "yd_hv_first_order.json"], 6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PBW_AT_DEGREE_2))
+def test_pbw_budget_refuses_before_enumerating(capsys, fixtures_dir, monkeypatch, case):
+    argv, size = PBW_AT_DEGREE_2[case]
+    argv = [str(fixtures_dir / a) if a.endswith(".json") else a for a in argv]
+    monkeypatch.setattr(rackyd.envelope, "PBW_MAX_SIZE", size - 1)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert f"truncation degree 2 gives {size} PBW monomials, above PBW_MAX_SIZE = {size - 1}" in err
+    monkeypatch.setattr(rackyd.envelope, "PBW_MAX_SIZE", size)
+    assert run(argv) == 0

@@ -2,9 +2,11 @@
 
 Each record was a frozen dataclass; importing ``dataclasses`` (which pulls in
 ``inspect``) and generating each record's methods cost every ``rackyd``
-process about 20 ms of start-up.
+process about 20 ms of start-up.  The package loads its submodules on first
+use, and each subcommand imports only the modules it runs.
 """
 
+import ast
 import pathlib
 import subprocess
 import sys
@@ -27,15 +29,92 @@ RECORDS = [
 ]
 
 
-def test_importing_the_cli_imports_neither_dataclasses_nor_inspect():
-    src = str(pathlib.Path(rackyd.__file__).resolve().parent.parent)
-    script = (f"import sys; sys.path.insert(0, {src!r}); import rackyd.cli; "
-              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    # -S: no site hook, so nothing but rackyd.cli can have imported them
+SRC = pathlib.Path(rackyd.__file__).resolve().parent.parent
+FIXTURES = SRC.parent / "fixtures"
+
+
+def _modules_after(statements):
+    """The modules a fresh interpreter has loaded after running ``statements``.
+
+    The child runs with -S: no site hook, so nothing but ``statements`` can
+    have imported them.
+    """
+    script = (f"import sys; sys.path.insert(0, {str(SRC)!r})\n{statements}\n"
+              "print(sorted(sys.modules))")
     proc = subprocess.run([sys.executable, "-S", "-c", script],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+
+
+def _modules_after_command(*argv):
+    """The rackyd submodules loaded by one ``rackyd`` command that exits 0."""
+    loaded = _modules_after(f"from rackyd.cli import run; assert run({list(argv)!r}) == 0")
+    return {name[len("rackyd."):] for name in loaded if name.startswith("rackyd.")}
+
+
+def test_importing_the_cli_imports_neither_dataclasses_nor_inspect():
+    assert {"dataclasses", "inspect"} & _modules_after("import rackyd.cli") == set()
+
+
+def test_importing_the_package_imports_no_submodule():
+    assert not any(name.startswith("rackyd.") for name in _modules_after("import rackyd"))
+
+
+def test_check_ybe_imports_no_rack_group_or_envelope_code():
+    loaded = _modules_after_command("check-ybe", str(FIXTURES / "braiding_hv_sparse.json"))
+    assert loaded & {"racks", "group_hopf", "jsonio", "leibniz", "envelope"} == set()
+
+
+def test_rack_braiding_imports_no_linear_algebra():
+    loaded = _modules_after_command("rack-braiding", str(FIXTURES / "aug_s3_conj.json"))
+    assert loaded & {"yd", "linalg", "jsonio", "leibniz", "envelope"} == set()
+
+
+# perfbench/tracer.py reads these modules from sys.modules after one untraced
+# in-process pass; braided-leibniz is in the rack_ybe and group_descriptor
+# ladders, first-order-yd in envelope_inv, so each must load all eight
+TRACED_MODULES = {"cli", "jsonio", "racks", "group_hopf", "yd", "linalg", "leibniz", "envelope"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("braided-leibniz", "yd_s3_conj.json", "--rack-q"),
+    ("first-order-yd", "leibniz_heisenberg_voros.json"),
+], ids=lambda argv: argv[0])
+def test_a_ladder_command_loads_every_module_the_tracer_reads(argv):
+    command, fixture, *rest = argv
+    assert TRACED_MODULES <= _modules_after_command(command, str(FIXTURES / fixture), *rest)
+
+
+# the names ``rackyd/__init__.py`` bound when it imported every submodule
+PACKAGE_NAMES = """
+    ConsistencyError DegreeOverflowError ShapeError ValidationError
+    QQ PrimeField field_from_name Matrix kron mat_mul
+    AugmentedRack FiniteGroup FiniteShelf check_augmented check_shelf conjugation_augmented
+    conjugation_rack dihedral_quandle induced_rack inner_augmentation rack_braiding_ybe
+    rack_tensor_and_braiding
+    BraidedLeibnizData BraidingMatrix YDModule braided_leibniz_from_q braiding
+    check_braided_leibniz check_hopf_axioms check_q_conditions check_yd check_ybe flip_matrix
+    is_involutive
+    GroupAlgebraDescriptor GroupAlgebraElement adjoint_action function_dual_check
+    grading_module hopf_ops ker_eps_yd linearize_augmented rack_q_map trivial_coaction_module
+    LeibnizAlgebra abelian_lie central_square2 check_leibniz first_order_yd heisenberg_voros
+    lie_map_object lie_quotient non_leibniz1 nonabelian_lie2 sl2 squares_ideal unital_shelf
+    EnvTetramodule EnvelopingDescriptor LieMapObject TruncatedPBW antipode_checks
+    antipode_component build_env enveloping_bracket f_tilde_checks inv_part phi_checks phi_map
+    errors scalars linalg racks yd group_hopf leibniz jsonio envelope __version__
+""".split()
+
+
+def test_every_name_the_package_exported_resolves_and_is_listed():
+    namespace = {}
+    exec(f"from rackyd import {', '.join(PACKAGE_NAMES)}", namespace)
+    listed = dir(rackyd)
+    for name in PACKAGE_NAMES:
+        assert namespace[name] is getattr(rackyd, name)
+        assert name in listed
+    assert rackyd.check_hopf_axioms is yd.check_hopf_axioms
+    assert rackyd.yd is yd and rackyd.QQ is rackyd.scalars.QQ
 
 
 @pytest.mark.parametrize("module, name", RECORDS, ids=[name for _, name in RECORDS])
