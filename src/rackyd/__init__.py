@@ -22,7 +22,7 @@ _EXPORTS = {
     "yd": (
         "BraidedLeibnizData", "BraidingMatrix", "YDModule", "braided_leibniz_from_q",
         "braiding", "check_braided_leibniz", "check_hopf_axioms", "check_q_conditions",
-        "check_yd", "check_ybe", "flip_matrix", "is_involutive",
+        "check_yd", "check_ybe", "flip_matrix", "is_involutive", "ybe_defect",
     ),
     "group_hopf": (
         "GroupAlgebraDescriptor", "GroupAlgebraElement", "adjoint_action",

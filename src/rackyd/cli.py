@@ -249,7 +249,7 @@ def _cmd_check_ybe(args, field):
     if not rep.ok:
         report["witness"] = list(rep.witness)
         if args.json:
-            _write_json(args.json, {"columns": [vec_to_json(col) for col in rep.defect]})
+            _write_json(args.json, {"columns": [vec_to_json(col) for col in yd.ybe_defect(tau)]})
             report["defect_artifact"] = args.json
     return (0 if rep.ok else 1), report
 

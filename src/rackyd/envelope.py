@@ -46,9 +46,9 @@ from .yd import (
     YDModule,
     braided_leibniz_from_q,
     braided_leibniz_witness,
+    check_q_conditions,
     flip_columns,
     hvec_coproduct,
-    hvec_counit,
 )
 
 
@@ -66,6 +66,24 @@ def check_lie(brackets):
                 return ("antisymmetry", i, j)
     witness = braided_leibniz_witness(brackets, flip_columns(n))
     return None if witness is None else ("jacobi", *witness)
+
+
+def lie_action_witness(dim, brackets, act, one) -> tuple | None:
+    """The least (m, a, b) at which (m.x_a).x_b - (m.x_b).x_a = m.[x_a, x_b] fails.
+
+    ``brackets`` is the Lie bracket table and ``act(vec, k)`` the right action
+    of x_k on a sparse vector of a ``dim``-dimensional module.  None means the
+    action is a right Lie action.
+    """
+    n = len(brackets)
+    for m in range(dim):
+        moved = [act({m: one}, a) for a in range(n)]  # m.x_a
+        for a in range(n):
+            for b in range(n):
+                rhs = lincomb(brackets[a][b], moved.__getitem__)
+                if act(moved[a], b) != vsum(rhs, act(moved[b], a)):
+                    return (m, a, b)
+    return None
 
 
 def _mono_label(exp, labels):
@@ -202,9 +220,9 @@ class TruncatedPBW:
     def product_exact(self, i: int, j: int) -> dict:
         return self._mul_words(self.word(i), self.word(j), exact=True)
 
-    def mul_hvec(self, a: dict, b: dict, exact=False) -> dict:
-        prod = self.product_exact if exact else self.product
-        return lincomb(a, lambda i: lincomb(b, lambda j: prod(i, j)))
+    def mul_hvec(self, a: dict, b: dict) -> dict:
+        """Truncating product of two sparse combinations of monomials."""
+        return lincomb(a, lambda i: lincomb(b, lambda j: self.product(i, j)))
 
     def coproduct(self, i: int):
         """Delta(monomial), multiplicative from Delta(x) = x (x) 1 + 1 (x) x.
@@ -238,10 +256,6 @@ class TruncatedPBW:
 
     def generator_word(self, i: int):
         return tuple(self.gen_index[k] for k in self.word(i))
-
-    def bracket_gen(self, a: int, b: int) -> dict:
-        """[x_a, x_b] as a sparse vector over degree-1 basis indices."""
-        return {self.gen_index[k]: c for k, c in self.brackets[a][b].items()}
 
     def __repr__(self):
         return f"TruncatedPBW(dim_lie={self.dim_lie}, degree={self.degree})"
@@ -290,20 +304,10 @@ class EnvelopingDescriptor:
         return self.pbw.generator_word(i)
 
     def check_action_axioms(self, module) -> tuple | None:
-        """(m.x).y - (m.y).x = m.[x,y] on all generator pairs."""
-        one = self.field.one
-        for m in range(module.dim):
-            for a in range(len(self.pbw.gen_index)):
-                ga = self.pbw.gen_index[a]
-                ma = module.act_basis({m: one}, ga)
-                for b in range(len(self.pbw.gen_index)):
-                    gb = self.pbw.gen_index[b]
-                    lhs = module.act_basis(ma, gb)
-                    mba = module.act_basis(module.act_basis({m: one}, gb), ga)
-                    rhs = module.act_hvec({m: one}, self.pbw.bracket_gen(a, b))
-                    if lhs != vsum(rhs, mba):
-                        return (m, a, b)
-        return None
+        """(m.x).y - (m.y).x = m.[x,y] on all generator pairs (none at degree 0)."""
+        gens = self.pbw.gen_index
+        return lie_action_witness(module.dim, self.pbw.brackets if gens else (),
+                                  lambda vec, k: module.act_basis(vec, gens[k]), self.field.one)
 
     def __repr__(self):
         return f"EnvelopingDescriptor({self.pbw!r})"
@@ -335,19 +339,11 @@ class LieMapObject:
             raise ValidationError("f needs one value per module basis vector")
         self.f = tuple(vsum(v) for v in f)
 
-        def act(vec, k):
-            return lincomb(vec, self.action[k].__getitem__)
-
-        one = field.one
-        for m in range(nm):
-            for a in range(n):
-                for b in range(n):
-                    # m.[x,y] = (m.x).y - (m.y).x
-                    rhs = lincomb(self.brackets[a][b], lambda j: self.action[j][m])
-                    if act(act({m: one}, a), b) != vsum(rhs, act(act({m: one}, b), a)):
-                        raise ValidationError(
-                            f"not a right Lie action at (m={m}, x={a}, y={b})"
-                        )
+        witness = lie_action_witness(
+            nm, self.brackets, lambda vec, k: lincomb(vec, self.action[k].__getitem__), field.one)
+        if witness is not None:
+            m, a, b = witness
+            raise ValidationError(f"not a right Lie action at (m={m}, x={a}, y={b})")
         for m in range(nm):
             for k in range(n):
                 lhs = lincomb(self.action[k][m], self.f.__getitem__)
@@ -390,19 +386,23 @@ class EnvTetramodule:
         )
         right_act, left_act = [], []
         left_coact, right_coact = [], []
+        lie = range(self.pbw.dim_lie)
         for h in range(self.pbw.size):
+            # the products and the coproduct of h are shared by every m
+            times_gen = [self.pbw.times_gen(h, k) for k in lie]
+            gen_times = [self.pbw.gen_times(k, h) for k in lie]
+            delta = self.pbw.coproduct(h)
             for m in range(nm):
                 right_act.append(tuple(
-                    vsum({self.eidx(h2, m): c for h2, c in self.pbw.times_gen(h, k).items()},
+                    vsum({self.eidx(h2, m): c for h2, c in times_gen[k].items()},
                          {self.eidx(h, m2): c for m2, c in obj.action[k][m].items()})
-                    for k in range(self.pbw.dim_lie)
+                    for k in lie
                 ))
                 left_act.append(tuple(
-                    {self.eidx(h2, m): c for h2, c in self.pbw.gen_times(k, h).items()}
-                    for k in range(self.pbw.dim_lie)
+                    {self.eidx(h2, m): c for h2, c in gen_times[k].items()} for k in lie
                 ))
                 lco, rco = [], []
-                for c, a, b in self.pbw.coproduct(h):
+                for c, a, b in delta:
                     lco.append((a, self.eidx(b, m), c))
                     rco.append((self.eidx(a, m), b, c))
                 left_coact.append(tuple(lco))
@@ -606,61 +606,38 @@ class LemmaReport(NamedTuple):
     witnesses: dict
 
 
-def _require_degree_two(env: EnvTetramodule):
+def _restricted_phi(env: EnvTetramodule):
+    """The invariants as a YD module, and phi~ on its basis (the q of ``x <| y = x q(y)``)."""
     if env.pbw.degree < 2:
         raise ValidationError("invariant checks need truncation degree >= 2")
+    inv = inv_part(env)
+    return inv.module, [phi_map(env, vec) for vec in inv.vectors]
 
 
 def f_tilde_checks(env: EnvTetramodule) -> LemmaReport:
-    """The restriction of phi to the invariants, verified on every basis vector.
+    """The restriction lemma: phi~, the restriction of phi to the invariants,
+    satisfies the conditions of :func:`check_q_conditions <rackyd.yd.check_q_conditions>`.
 
-    (1) its image lies in ker(counit);
+    (1) its image lies in ker(counit): phi(1 (x) m) = f(m) lies in the
+        degree-1 span, so this holds on every tetramodule (and
+        ``check_q_conditions`` raises if it did not);
     (2) it is colinear for the coaction ``h -> h_(1) (x) h_(2) - 1 (x) h`` on
-        ker(counit);
+        ker(counit) (``coderivation_condition``);
     (3) it intertwines the right adjoint actions, making it a morphism of
-        Yetter-Drinfel'd modules.
+        Yetter-Drinfel'd modules (``equivariance``).
 
-    Requires degree >= 2 so the adjoint-action products stay exact.
+    Both are decided by ``check_q_conditions``; their witnesses come back as
+    labels.  Requires degree >= 2 so the adjoint-action products stay exact.
     """
-    _require_degree_two(env)
-    inv = inv_part(env)
-    pbw = env.pbw
-    one = env.field.one
+    module, q = _restricted_phi(env)
+    rep = check_q_conditions(module, q)
     witnesses = {}
-    im_ok = True
-    for j, vec in enumerate(inv.vectors):
-        if hvec_counit(pbw, phi_map(env, vec)):
-            im_ok = False
-            witnesses["im_in_ker_eps"] = inv.module.basis[j]
-            break
-    colinear_ok = True
-    for j, vec in enumerate(inv.vectors):
-        # Delta phi(x) - 1 (x) phi(x) = phi(x_(0)) (x) x_(1)
-        fv = phi_map(env, vec)
-        rhs = lincomb({(m0, h1): c for m0, h1, c in inv.module.coaction[j]}, lambda mh: {
-            (k, mh[1]): c for k, c in phi_map(env, inv.vectors[mh[0]]).items()})
-        if hvec_coproduct(pbw, fv) != vsum({(pbw.unit, k): c for k, c in fv.items()}, rhs):
-            colinear_ok = False
-            witnesses["colinear"] = inv.module.basis[j]
-            break
-    morphism_ok = True
-    for j, vec in enumerate(inv.vectors):
-        for k in range(pbw.dim_lie):
-            gen = pbw.gen_index[k]
-            # phi(x . g) = phi(x) g - g phi(x)
-            moved = inv.module.act_basis({j: one}, gen)
-            lhs = lincomb(moved, lambda m0: phi_map(env, inv.vectors[m0]))
-            fv = phi_map(env, vec)
-            right = pbw.mul_hvec(fv, {gen: one}, exact=True)
-            left = pbw.mul_hvec({gen: one}, fv, exact=True)
-            if vsum(lhs, left) != right:
-                morphism_ok = False
-                witnesses["yd_morphism"] = (inv.module.basis[j], pbw.lie_labels[k])
-                break
-        if not morphism_ok:
-            break
-    ok = im_ok and colinear_ok and morphism_ok
-    return LemmaReport(ok, im_ok, colinear_ok, morphism_ok, witnesses)
+    if not rep.coderivation_condition:
+        witnesses["colinear"] = module.basis[rep.witnesses["coderivation_condition"][0]]
+    if not rep.equivariance:
+        m, h = rep.witnesses["equivariance"]
+        witnesses["yd_morphism"] = (module.basis[m], env.pbw.labels[h])
+    return LemmaReport(rep.ok, True, rep.coderivation_condition, rep.equivariance, witnesses)
 
 
 def antipode_component(env: EnvTetramodule, vec: dict) -> dict:
@@ -708,6 +685,4 @@ def enveloping_bracket(env: EnvTetramodule) -> BraidedLeibnizData:
     returned data passes :func:`rackyd.yd.check_braided_leibniz`.  Requires
     degree >= 2, like :func:`f_tilde_checks`.
     """
-    _require_degree_two(env)
-    inv = inv_part(env)
-    return braided_leibniz_from_q(inv.module, [phi_map(env, vec) for vec in inv.vectors])
+    return braided_leibniz_from_q(*_restricted_phi(env))

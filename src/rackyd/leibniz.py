@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .envelope import EnvelopingDescriptor, LieMapObject, TruncatedPBW, check_lie
 from .errors import ConsistencyError, ValidationError, as_int
-from .linalg import Matrix, lincomb, reduce_mod, rref, vsum
+from .linalg import Matrix, lincomb, reduce_mod, rref, vec_from_json, vsum
 from .scalars import QQ
 from .yd import YDModule, braided_leibniz_witness, flip_columns
 
@@ -86,11 +86,13 @@ class LeibnizAlgebra:
     @classmethod
     def from_json_dict(cls, d, field=QQ):
         try:
-            n = d["dim"]
+            n = as_int(d["dim"], "dim")
             basis = d["basis"]
             raw = d["brackets"]
         except (KeyError, TypeError) as exc:
             raise ValidationError("Leibniz JSON needs dim/basis/brackets") from exc
+        if not (isinstance(basis, list) and isinstance(raw, list)):
+            raise ValidationError("Leibniz basis and brackets must be lists")
         if len(basis) != n:
             raise ValidationError("basis length does not match dim")
         table = [[{} for _ in range(n)] for _ in range(n)]
@@ -99,13 +101,11 @@ class LeibnizAlgebra:
                 i, j, out = entry["i"], entry["j"], entry["out"]
             except (KeyError, TypeError) as exc:
                 raise ValidationError("bracket entry needs i/j/out") from exc
-            if not (isinstance(i, int) and isinstance(j, int) and isinstance(out, dict)):
-                raise ValidationError("bracket entry needs integer i/j and an out object")
+            if not (isinstance(i, int) and isinstance(j, int)):
+                raise ValidationError("bracket entry needs integer i/j")
             if not (0 <= i < n and 0 <= j < n):
                 raise ValidationError(f"bracket entry ({i},{j}) out of range")
-            table[i][j] = {
-                as_int(k, "bracket output index"): field.parse(v) for k, v in out.items()
-            }
+            table[i][j] = vec_from_json(out, field, "bracket output", n)
         return cls(basis, table, field)
 
 

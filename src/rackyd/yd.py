@@ -55,7 +55,6 @@ brute force over basis tuples is a complete verification, not a sample.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import NamedTuple
 
 from .errors import DegreeOverflowError, ShapeError, ValidationError
@@ -298,9 +297,8 @@ class BraidingMatrix:
     """The map tau on M (x) M, in the global flattening convention.
 
     It is held as n*n sparse columns, ``columns[flat2(a, b, n)]`` being
-    tau(e_a (x) e_b); ``matrix`` is the dense view, built on first use.  The
-    first argument is either that dense ``Matrix`` or the columns, and there
-    must be one column per basis pair of ``factor_basis``.
+    tau(e_a (x) e_b), one per basis pair of ``factor_basis``; ``matrix`` is
+    the dense view, built on first use.
 
     The JSON format is the columns themselves::
 
@@ -313,15 +311,9 @@ class BraidingMatrix:
     the dense matrix.
     """
 
-    def __init__(self, matrix, factor_basis, convention="second-factor-major"):
-        if isinstance(matrix, Matrix):
-            if matrix.rows != matrix.cols:
-                raise ShapeError("braiding matrix must be square")
-            self._matrix = matrix
-            self.columns = matrix.columns()
-        else:
-            self._matrix = None
-            self.columns = tuple(matrix)
+    def __init__(self, columns, factor_basis, convention="second-factor-major"):
+        self.columns = tuple(columns)
+        self._matrix = None
         self.factor_basis = tuple(factor_basis)
         self.convention = convention
         n = self.factor_dim
@@ -406,55 +398,15 @@ def _square_side(rows, cols) -> int:
     return n
 
 
-def _tau_columns(t):
-    """Sparse columns of a braiding given as a BraidingMatrix or a Matrix, and dim M."""
-    if isinstance(t, BraidingMatrix):
-        columns = t.columns
-    else:
-        _square_side(t.rows, t.cols)
-        columns = t.columns()
-    return columns, math.isqrt(len(columns))
-
-
-class _YBEFields(NamedTuple):
+class YBEReport(NamedTuple):
     ok: bool
-    witness: tuple | None = None
-    size: int = 0  # n^3, the number of basis triples
+    witness: tuple | None
+    size: int  # n^3, the number of basis triples
 
 
-class YBEReport(_YBEFields):
-    """``sides`` (f -> (lhs, rhs) at e_f) is kept outside the tuple, so it takes
-    no part in == or repr; the ``__dict__`` it lives in also caches ``defect``."""
-
-    def __new__(cls, ok, witness=None, sides=None, size=0):
-        self = super().__new__(cls, ok, witness, size)
-        vars(self)["sides"] = sides
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to YBEReport.{name}")
-
-    @cached_property
-    def defect(self) -> tuple | None:
-        """The sparse columns of lhs - rhs, built on first read.
-
-        Column f is (lhs - rhs)(e_f) for the flat triple f, so it is empty
-        exactly where the braid relation holds.
-        """
-        if self.ok:
-            return None
-        return tuple(lincomb({0: 1, 1: -1}, self.sides(f).__getitem__) for f in range(self.size))
-
-
-def check_ybe(t) -> YBEReport:
-    """Exact Yang-Baxter check: (T x 1)(1 x T)(T x 1) = (1 x T)(T x 1)(1 x T).
-
-    Both sides are applied to one basis triple e_i (x) e_j (x) e_k at a time.
-    On failure ``witness`` is the lexicographically least failing (i, j, k),
-    and ``defect`` holds the n^3 sparse columns of the difference of the two
-    sides; it repeats the whole sweep, so it is built only when it is read.
-    """
-    columns, n = _tau_columns(t)
+def _ybe_sides(t: BraidingMatrix):
+    """n, and f -> (lhs, rhs): both sides of the braid relation at the flat triple e_f."""
+    columns, n = t.columns, t.factor_dim
     nn = n * n
 
     def t12(f):  # f = flat2(flat2(i, j, n), k, nn)
@@ -465,8 +417,18 @@ def check_ybe(t) -> YBEReport:
         i, jk = f % n, f // n
         return {flat2(i, r, n): c for r, c in columns[jk].items()}
 
-    def sides(f):
-        return lincomb(lincomb(t12(f), t23), t12), lincomb(lincomb(t23(f), t12), t23)
+    return n, lambda f: (lincomb(lincomb(t12(f), t23), t12), lincomb(lincomb(t23(f), t12), t23))
+
+
+def check_ybe(t: BraidingMatrix) -> YBEReport:
+    """Exact Yang-Baxter check: (T x 1)(1 x T)(T x 1) = (1 x T)(T x 1)(1 x T).
+
+    Both sides are applied to one basis triple e_i (x) e_j (x) e_k at a time.
+    On failure ``witness`` is the lexicographically least failing (i, j, k);
+    :func:`ybe_defect` gives the difference of the two sides.
+    """
+    n, sides = _ybe_sides(t)
+    nn = n * n
 
     def fails(i, j, k):
         lhs, rhs = sides(flat2(flat2(i, j, n), k, nn))
@@ -474,11 +436,21 @@ def check_ybe(t) -> YBEReport:
 
     triples = ((i, j, k) for i in range(n) for j in range(n) for k in range(n))
     witness = next((ijk for ijk in triples if fails(*ijk)), None)
-    return YBEReport(witness is None, witness, sides, nn * n)
+    return YBEReport(witness is None, witness, nn * n)
 
 
-def is_involutive(t) -> bool:
-    columns, _ = _tau_columns(t)
+def ybe_defect(t: BraidingMatrix) -> tuple:
+    """The n^3 sparse columns of (T x 1)(1 x T)(T x 1) - (1 x T)(T x 1)(1 x T).
+
+    Column f is the difference at the flat triple e_f, so it is empty exactly
+    where the braid relation holds.
+    """
+    n, sides = _ybe_sides(t)
+    return tuple(lincomb({0: 1, 1: -1}, sides(f).__getitem__) for f in range(n ** 3))
+
+
+def is_involutive(t: BraidingMatrix) -> bool:
+    columns = t.columns
     return all(lincomb(col, columns.__getitem__) == {f: 1} for f, col in enumerate(columns))
 
 

@@ -1,12 +1,17 @@
+import copy
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import rackyd
 from rackyd import cli, jsonio, racks, yd
@@ -137,29 +142,34 @@ def _sparse_columns(payload):
     return tuple({int(r): Fraction(c) for r, c in col.items()} for col in payload["columns"])
 
 
-def test_failing_check_ybe_builds_the_defect_only_for_json(tmp_path, capsys, monkeypatch):
+def test_failing_check_ybe_builds_the_defect_only_for_json(tmp_path, capsys, monkeypatch,
+                                                           fixtures_dir):
     tau = _edited_flip(3)
     path = _write(tmp_path, "tau.json", tau.to_json_dict())
     built, reads = [], []
     real = Matrix.from_columns
-    real_defect = vars(yd.YBEReport)["defect"].func
+    real_defect = yd.ybe_defect
 
     def counted(cls, columns, rows):
         built.append((rows, len(columns)))
         return real(columns, rows)
 
-    def read_defect(rep):
-        reads.append(rep.size)
-        return real_defect(rep)
+    def read_defect(t):
+        reads.append(t.factor_dim ** 3)
+        return real_defect(t)
 
     monkeypatch.setattr(Matrix, "from_columns", classmethod(counted))
-    monkeypatch.setattr(yd.YBEReport, "defect", property(read_defect))
+    monkeypatch.setattr(yd, "ybe_defect", read_defect)
     code, rep = report(capsys, "check-ybe", path)
     assert (code, rep["witness"], reads) == (1, [1, 0, 0], [])
     out = tmp_path / "defect.json"
     code, rep = report(capsys, "check-ybe", path, "--json", str(out))
     assert (code, rep["witness"], reads) == (1, [1, 0, 0], [27])
     assert built == []  # the defect is never dense
+    unused = tmp_path / "unused.json"
+    code, _ = report(capsys, "check-ybe", str(fixtures_dir / "braiding_hv_sparse.json"),
+                     "--json", str(unused))
+    assert (code, reads, unused.exists()) == (0, [27], False)
     eye = Matrix.identity(3)
     t12, t23 = kron(tau, eye), kron(eye, tau)
     dense = mat_mul(mat_mul(t12, t23), t12) - mat_mul(mat_mul(t23, t12), t23)
@@ -309,6 +319,82 @@ def test_every_file_command_on_every_fixture_exits_0_1_or_2(capsys, fixtures_dir
         if code not in (0, 1, 2):
             bad.append((command, path.name, code))
     assert bad == []
+
+
+# the fixtures each file command reads, by file-name prefix
+FIXTURE_KINDS = {
+    ("rack_", "shelf_", "not_a_shelf"): ("check-rack", "inner-augmentation"),
+    ("group_",): ("make-conjugation",),
+    ("aug_",): ("check-augmented", "rack-braiding", "linearize", "dual-check"),
+    ("yd_",): ("check-yd", "braiding-matrix", "q-conditions", "braided-leibniz"),
+    ("braiding_", "matrix_"): ("check-ybe",),
+    ("leibniz_",): ("check-leibniz", "lie-quotient", "unital-shelf", "first-order-yd",
+                    "env-build", "env-checks", "theorem1-bracket"),
+}
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+FUZZ_CASES = [
+    (command, json.loads(path.read_text()))
+    for prefixes, commands in FIXTURE_KINDS.items() for command in commands
+    for path in sorted(FIXTURES.glob("*.json")) if path.name.startswith(prefixes)
+]
+DELETE = object()
+REPLACEMENTS = st.one_of(
+    st.just(DELETE), st.none(), st.booleans(), st.integers(-2, 8), st.floats(),
+    st.text(max_size=4), st.lists(st.integers(-2, 8), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 8), max_size=2),
+)
+
+
+def test_every_file_command_has_a_fixture_kind():
+    assert sorted(c for commands in FIXTURE_KINDS.values() for c in commands) == \
+        sorted(file_commands())
+
+
+def _slots(node):
+    """Every (container, key) below ``node``, depth first."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    return [slot for key, child in items for slot in [(node, key), *_slots(child)]]
+
+
+@st.composite
+def mutated_fixture(draw, case):
+    """A fixture with one to three keys or items deleted or replaced by junk."""
+    command, doc = case
+    box = [copy.deepcopy(doc)]  # box[0] is itself a slot, so the whole document can go
+    for _ in range(draw(st.integers(1, 3))):
+        slots = _slots(box)
+        if not slots:
+            break
+        container, key = slots[draw(st.integers(0, len(slots) - 1))]
+        value = draw(REPLACEMENTS)
+        if value is DELETE:
+            del container[key]
+        else:
+            container[key] = value
+    return command, (box[0] if box else None)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(FUZZ_CASES).flatmap(mutated_fixture))
+@example(("check-leibniz", {"dim": 2, "basis": 0, "brackets": []}))
+@example(("check-leibniz", {"dim": 2, "basis": ["a", "b"], "brackets": 5}))
+@example(("check-leibniz", {"dim": 2.0, "basis": ["a", "b"], "brackets": []}))
+def test_every_file_command_on_a_mutated_fixture_exits_0_1_or_2(case):
+    command, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "input.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, str(path)]
+        if command in ("q-conditions", "braided-leibniz"):
+            argv.append("--rack-q")
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = run(argv)  # an exception escaping run() fails the test
+    assert code in (0, 1, 2)
 
 
 def test_dual_check_command(capsys, fixtures_dir):

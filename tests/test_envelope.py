@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rackyd.envelope import (
     EnvelopingDescriptor,
@@ -14,6 +15,7 @@ from rackyd.envelope import (
     enveloping_bracket,
     f_tilde_checks,
     inv_part,
+    lie_action_witness,
     phi_checks,
     phi_map,
 )
@@ -28,7 +30,14 @@ from rackyd.leibniz import (
 )
 from rackyd.linalg import lincomb, nullspace, reduce_mod, rref, vsum
 from rackyd.scalars import QQ, PrimeField
-from rackyd.yd import YDModule, check_braided_leibniz, check_hopf_axioms, check_yd, flip_matrix
+from rackyd.yd import (
+    YDModule,
+    check_braided_leibniz,
+    check_hopf_axioms,
+    check_yd,
+    flip_matrix,
+    hvec_coproduct,
+)
 
 F = Fraction
 
@@ -343,6 +352,96 @@ def test_f_tilde_checks_fixtures():
     for make in FIXTURE_ALGEBRAS:
         rep = f_tilde_checks(build_env(lie_map_object(make()), 2))
         assert rep.im_in_ker_eps and rep.colinear and rep.yd_morphism
+
+
+def lemma_by_loops(env):
+    """The restriction lemma swept on its own, condition by condition, with label witnesses."""
+    inv, pbw, one = inv_part(env), env.pbw, env.field.one
+    basis = inv.module.basis
+    phi = [phi_map(env, vec) for vec in inv.vectors]
+    witnesses = {}
+    for j, fv in enumerate(phi):
+        if sum((c * pbw.counit(k) for k, c in fv.items()), env.field.zero):
+            witnesses.setdefault("im_in_ker_eps", basis[j])
+    for j, fv in enumerate(phi):
+        # Delta phi(x) = 1 (x) phi(x) + phi(x_(0)) (x) x_(1)
+        rhs = vsum({(pbw.unit, k): c for k, c in fv.items()}, *(
+            {(k, h1): c * ck} for m0, h1, c in inv.module.coaction[j] for k, ck in phi[m0].items()))
+        if hvec_coproduct(pbw, fv) != rhs:
+            witnesses.setdefault("colinear", basis[j])
+    for j, fv in enumerate(phi):
+        for k, g in enumerate(pbw.gen_index):
+            # phi(x . g) = phi(x) g - g phi(x)
+            lhs = lincomb(inv.module.act_basis({j: one}, g), phi.__getitem__)
+            right = lincomb(fv, lambda i: pbw.product_exact(i, g))
+            left = lincomb(fv, lambda i: pbw.product_exact(g, i))
+            if vsum(lhs, left) != right:
+                witnesses.setdefault("yd_morphism", (basis[j], pbw.lie_labels[k]))
+    parts = tuple(name not in witnesses for name in ("im_in_ker_eps", "colinear", "yd_morphism"))
+    return (all(parts), *parts, witnesses)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_f_tilde_checks_match_the_loops_on_edited_f(data):
+    make = data.draw(st.sampled_from(FIXTURE_ALGEBRAS))
+    env = build_env(lie_map_object(make()), data.draw(st.sampled_from((2, 3))))
+    n = env.pbw.dim_lie
+    vectors = st.dictionaries(st.integers(0, n - 1), st.integers(-2, 2).map(F), max_size=2)
+    f = list(env.obj.f)
+    for m, vec in data.draw(st.lists(st.tuples(st.integers(0, len(f) - 1), vectors), max_size=2)):
+        f[m] = vsum(vec)
+    env.obj.f = tuple(f)  # phi reads f; the tetramodule's tables do not
+    assert tuple(f_tilde_checks(env)) == lemma_by_loops(env)
+
+
+def action_witness_by_loops(brackets, action):
+    """The least (m, a, b) with (m.x_a).x_b - (m.x_b).x_a != m.[x_a, x_b]."""
+    n, dim = len(brackets), len(action[0]) if action else 0
+
+    def act(vec, k):
+        return lincomb(vec, action[k].__getitem__)
+
+    for m, a, b in product(range(dim), range(n), range(n)):
+        e = {m: F(1)}
+        rhs = lincomb(brackets[a][b], lambda k: action[k][m])
+        if act(act(e, a), b) != vsum(rhs, act(act(e, b), a)):
+            return (m, a, b)
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_lie_action_witness_is_the_least_failing_triple_on_both_paths(data):
+    alg = data.draw(st.sampled_from([sl2(), nonabelian_lie2(), abelian_lie(2)]))
+    n = alg.dim
+    # the adjoint module m.x_k = [x_m, x_k], with up to two entries edited
+    action = [[dict(alg.brackets[m][k]) for m in range(n)] for k in range(n)]
+    vectors = st.dictionaries(st.integers(0, n - 1), st.integers(-1, 1).map(F), max_size=2)
+    for k, m, vec in data.draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), vectors), max_size=2)):
+        action[k][m] = vsum(vec)
+    expect = action_witness_by_loops(alg.brackets, action)
+    assert lie_action_witness(
+        n, alg.brackets, lambda vec, k: lincomb(vec, action[k].__getitem__), F(1)) == expect
+    labels = [f"m{i}" for i in range(n)]
+    if expect is None:
+        LieMapObject(alg.brackets, alg.basis, labels, action, [{}] * n)
+    else:
+        m, a, b = expect
+        with pytest.raises(ValidationError, match=rf"^not a right Lie action at \(m={m}, x={a}, y={b}\)$"):
+            LieMapObject(alg.brackets, alg.basis, labels, action, [{}] * n)
+    # the same action as a module over the enveloping descriptor, which has
+    # no generators (so no action to check) at degree 0
+    for degree in (0, 1, 2):
+        hopf = EnvelopingDescriptor(TruncatedPBW(alg.brackets, degree, alg.basis))
+        rows = [[action[k][m] for k in range(len(hopf.generators))] for m in range(n)]
+        coaction = [[(m, hopf.unit, F(1))] for m in range(n)]
+        if expect is None or degree == 0:
+            YDModule(hopf, labels, rows, coaction)
+        else:
+            with pytest.raises(ValidationError, match=rf"module axioms at \({m}, {a}, {b}\)$"):
+                YDModule(hopf, labels, rows, coaction)
 
 
 def test_f_tilde_checks_need_degree_two():

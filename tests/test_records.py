@@ -10,13 +10,12 @@ import ast
 import pathlib
 import subprocess
 import sys
-from functools import cached_property
 
 import pytest
 
 import rackyd
 from rackyd import envelope, group_hopf, leibniz, racks, yd
-from rackyd.yd import BraidingMatrix, YBEReport, check_ybe, flip_columns
+from rackyd.yd import BraidingMatrix, check_ybe, flip_columns, ybe_defect
 
 RECORDS = [
     (racks, "ShelfReport"), (racks, "AugmentedReport"),
@@ -95,7 +94,7 @@ PACKAGE_NAMES = """
     rack_tensor_and_braiding
     BraidedLeibnizData BraidingMatrix YDModule braided_leibniz_from_q braiding
     check_braided_leibniz check_hopf_axioms check_q_conditions check_yd check_ybe flip_matrix
-    is_involutive
+    is_involutive ybe_defect
     GroupAlgebraDescriptor GroupAlgebraElement adjoint_action function_dual_check
     grading_module hopf_ops ker_eps_yd linearize_augmented rack_q_map trivial_coaction_module
     LeibnizAlgebra abelian_lie central_square2 check_leibniz first_order_yd heisenberg_voros
@@ -121,29 +120,20 @@ def test_every_name_the_package_exported_resolves_and_is_listed():
 def test_every_field_of_a_record_is_read_only(module, name):
     cls = getattr(module, name)
     assert issubclass(cls, tuple)
-    fields = cls._fields + (("sides",) if cls is YBEReport else ())
-    record = cls(*[None] * len(fields))
-    for field in fields:
+    record = cls(*[None] * len(cls._fields))
+    for field in cls._fields:
         with pytest.raises(AttributeError):
             setattr(record, field, 0)
         assert getattr(record, field) is None
 
 
-def _failing_ybe():
+def test_a_failing_ybe_report_is_a_plain_record_and_the_defect_is_built_apart():
     # the flip on 3 basis vectors with e_1 (x) e_0 -> e_0 (x) e_1 + e_1 (x) e_0
     columns = flip_columns(3)
     columns[1] = {3: 1, 1: 1}
-    return check_ybe(BraidingMatrix(columns, "abc"))
-
-
-def test_ybe_defect_is_built_on_first_read_and_sides_stay_out_of_eq_and_repr():
-    assert isinstance(vars(YBEReport)["defect"], cached_property)
-    rep = _failing_ybe()
-    assert "defect" not in vars(rep)
-    defect = rep.defect
-    assert vars(rep)["defect"] is defect and rep.defect is defect
-    assert len(defect) == 27 and defect[0] == {} and defect[1] != {}
-    again = _failing_ybe()
-    assert again.sides is not rep.sides and again == rep
-    assert rep == (False, (1, 0, 0), 27)
+    tau = BraidingMatrix(columns, "abc")
+    rep = check_ybe(tau)
+    assert rep == (False, (1, 0, 0), 27) and not hasattr(rep, "__dict__")
     assert repr(rep) == "YBEReport(ok=False, witness=(1, 0, 0), size=27)"
+    defect = ybe_defect(tau)
+    assert len(defect) == rep.size and defect[0] == {} and defect[1] != {}

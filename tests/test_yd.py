@@ -25,14 +25,17 @@ from rackyd.racks import (
 from rackyd.scalars import PrimeField
 from rackyd.yd import (
     BraidedLeibnizData,
+    BraidingMatrix,
     braided_leibniz_from_q,
     braiding,
     check_braided_leibniz,
     check_q_conditions,
     check_yd,
     check_ybe,
+    flip_columns,
     flip_matrix,
     is_involutive,
+    ybe_defect,
 )
 from test_acceptance import _biconditional_corpus
 
@@ -100,14 +103,14 @@ def test_braiding_of_rack_module_is_induced_rack_permutation():
 
 
 def test_check_ybe_flip_and_defect():
-    assert check_ybe(flip_matrix(3)).ok
+    assert check_ybe(BraidingMatrix(flip_columns(3), "abc")).ok
     _, aug, _ = s3_modules()
     grading = list(range(6))
     grading[1], grading[2] = grading[2], grading[1]
     broken = grading_module(aug, grading)
-    rep = check_ybe(braiding(broken))
-    assert not rep.ok
-    assert rep.defect is not None and any(rep.defect)
+    bm = braiding(broken)
+    assert not check_ybe(bm).ok
+    assert any(ybe_defect(bm))
 
 
 def test_ybe_alone_does_not_imply_yd():
@@ -122,9 +125,8 @@ def test_ybe_alone_does_not_imply_yd():
 
 
 def test_is_involutive():
-    assert is_involutive(flip_matrix(4))
-    from rackyd.linalg import Matrix
-    assert is_involutive(Matrix.identity(9))
+    assert is_involutive(BraidingMatrix(flip_columns(4), "abcd"))
+    assert is_involutive(BraidingMatrix(Matrix.identity(9).columns(), "abc"))
     assert not is_involutive(braiding(first_order_yd(heisenberg_voros())))
 
 
@@ -217,10 +219,9 @@ def test_flip_plus_classical_bracket_reduces_to_leibniz_check():
     # with tau the flip, the braided identity is the classical one, so the
     # check agrees with check_leibniz on both a Lie algebra and a non-example
     from rackyd.leibniz import check_leibniz, non_leibniz1
-    from rackyd.yd import BraidingMatrix
 
     for alg, expect in ((sl2(), True), (non_leibniz1(), False)):
-        tau = BraidingMatrix(flip_matrix(alg.dim), alg.basis)
+        tau = BraidingMatrix(flip_columns(alg.dim), alg.basis)
         data = BraidedLeibnizData(alg.basis, alg.brackets, tau)
         assert check_braided_leibniz(data).ok is expect
         assert check_leibniz(alg).ok is expect
@@ -309,8 +310,7 @@ def assert_matches_dense_reference(bm):
     rep = check_ybe(bm)
     assert rep.ok == defect.is_zero()
     assert rep.witness == (failing[0] if failing else None)
-    if not rep.ok:
-        assert rep.defect == defect.columns()
+    assert ybe_defect(bm) == defect.columns()
     assert is_involutive(bm) == mat_mul(bm.matrix, bm.matrix).is_identity()
 
 
