@@ -337,12 +337,16 @@ def _cmd_env_build(args, field):
 
 def _cmd_env_checks(args, field):
     from . import leibniz, envelope
+    envelope.require_invariant_degree(args.degree)
     alg = leibniz.LeibnizAlgebra.from_json_dict(_load_json(args.file), field)
     env = envelope.build_env(leibniz.lie_map_object(alg), args.degree)
     pr = envelope.phi_checks(env)
     fr = envelope.f_tilde_checks(env)
     ar = envelope.antipode_checks(env)
     ok = pr.ok and fr.ok and ar.ok
+    witnesses = {**pr.witnesses, **fr.witnesses}
+    if not ar.ok:
+        witnesses["antipode_square"] = ar.witness
     report = {
         "ok": ok,
         "phi_bimodule": {"ok": pr.bimodule_ok, "scope": pr.bimodule_scope},
@@ -351,15 +355,14 @@ def _cmd_env_checks(args, field):
         "restriction_colinear": {"ok": fr.colinear, "scope": "exact"},
         "restriction_yd_morphism": {"ok": fr.yd_morphism, "scope": "exact"},
         "antipode_square": {"ok": ar.ok, "scope": ar.scope},
-        "witnesses": _limit_witnesses(
-            {**pr.witnesses, **fr.witnesses}, args.witness_limit
-        ),
+        "witnesses": _limit_witnesses(witnesses, args.witness_limit),
     }
     return (0 if ok else 1), report
 
 
 def _cmd_theorem1_bracket(args, field):
     from . import leibniz, envelope, yd
+    envelope.require_invariant_degree(args.degree)
     alg = leibniz.LeibnizAlgebra.from_json_dict(_load_json(args.file), field)
     env = envelope.build_env(leibniz.lie_map_object(alg), args.degree)
     data = envelope.enveloping_bracket(env)

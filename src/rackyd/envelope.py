@@ -30,7 +30,11 @@ bracket on g.
 
 Checks that involve products near the degree window are restricted to basis
 elements whose intermediate degrees provably stay inside it; each report says
-which scope it used.
+which scope it used.  phi's bimodule, coderivation and antipode identities
+are not swept: :func:`phi_checks` and :func:`antipode_checks` decide them
+from f's equivariance, which :class:`LieMapObject` checks in
+O(dim M * dim g), and from the primitivity of each f(m) in g.  Their
+docstrings hold the proofs.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ from .yd import (
     braided_leibniz_witness,
     check_q_conditions,
     flip_columns,
-    hvec_coproduct,
 )
 
 
@@ -165,9 +168,6 @@ class TruncatedPBW:
 
     has_antipode = True
 
-    def degree_of(self, i: int) -> int:
-        return sum(self.basis[i])
-
     def word(self, i: int):
         out = []
         for k, e in enumerate(self.basis[i]):
@@ -220,10 +220,6 @@ class TruncatedPBW:
     def product_exact(self, i: int, j: int) -> dict:
         return self._mul_words(self.word(i), self.word(j), exact=True)
 
-    def mul_hvec(self, a: dict, b: dict) -> dict:
-        """Truncating product of two sparse combinations of monomials."""
-        return lincomb(a, lambda i: lincomb(b, lambda j: self.product(i, j)))
-
     def coproduct(self, i: int):
         """Delta(monomial), multiplicative from Delta(x) = x (x) 1 + 1 (x) x.
 
@@ -250,9 +246,6 @@ class TruncatedPBW:
         word = tuple(reversed(self.word(i)))
         sign = 1 if len(word) % 2 == 0 else -1
         return lincomb({word: sign}, lambda w: self._straighten(w, exact=True))
-
-    def antipode_hvec(self, a: dict) -> dict:
-        return lincomb(a, self.antipode)
 
     def generator_word(self, i: int):
         return tuple(self.gen_index[k] for k in self.word(i))
@@ -344,12 +337,22 @@ class LieMapObject:
         if witness is not None:
             m, a, b = witness
             raise ValidationError(f"not a right Lie action at (m={m}, x={a}, y={b})")
-        for m in range(nm):
-            for k in range(n):
+        witness = next(self.equivariance_defects(), None)
+        if witness is not None:
+            m, k = witness
+            raise ValidationError(f"f is not equivariant at (m={m}, x={k})")
+
+    def equivariance_defects(self):
+        """The pairs (m, k), in lexicographic order, at which f(m.x_k) != [f(m), x_k].
+
+        Reads ``self.f`` on every call, so it sees an f edited after construction.
+        """
+        for m in range(self.dim_module):
+            for k in range(self.dim_lie):
                 lhs = lincomb(self.action[k][m], self.f.__getitem__)
                 rhs = lincomb(self.f[m], lambda j: self.brackets[j][k])
                 if lhs != rhs:
-                    raise ValidationError(f"f is not equivariant at (m={m}, x={k})")
+                    yield m, k
 
     @property
     def dim_lie(self) -> int:
@@ -483,52 +486,46 @@ class PhiReport(NamedTuple):
     witnesses: dict
 
 
+def _equivariance_defects(env: EnvTetramodule) -> list:
+    """f's equivariance defects (m, k), or none below degree 2 where the identities are vacuous."""
+    return list(env.obj.equivariance_defects()) if env.pbw.degree >= 2 else []
+
+
 def phi_checks(env: EnvTetramodule) -> PhiReport:
     """phi is H-bilinear and a coderivation, on the exactly-representable range.
 
-    The coderivation identity compares Delta(phi(n)) with
-    n_(-1) (x) phi(n_(0)) + phi(n_(0)) (x) n_(1); it is exact on basis
-    elements of first-factor degree <= d-1.  The bimodule identities involve
-    one more product and are exact on first-factor degree <= d-2.
+    The scopes are those of the basis elements u (x) m on which every product
+    in the identity stays inside the window: first-factor degree <= d-1 for
+    the coderivation identity, <= d-2 for the bimodule identities, which
+    involve one more product.  Both are decided from two facts instead of a
+    sweep: f is equivariant, f(m.x) = [f(m), x], and each f(m) lies in g, so
+    it is primitive.
+
+    Coderivation.  Delta(phi(u (x) m)) = Delta(u) Delta(f(m)) because Delta is
+    multiplicative, and Delta(f(m)) = f(m) (x) 1 + 1 (x) f(m), so it equals
+    u_(1) (x) u_(2) f(m) + u_(1) f(m) (x) u_(2) = n_(-1) (x) phi(n_(0)) +
+    phi(n_(0)) (x) n_(1).  This holds for every f into g.
+
+    Bimodule.  On the left, phi(x_k . (u (x) m)) = (x_k u) f(m) = x_k (u f(m))
+    is associativity of the product, exact on the scope.  On the right,
+    (u (x) m) . x_k = u x_k (x) m + u (x) m.x_k, so
+    phi((u (x) m) . x_k) - phi(u (x) m) x_k = u (f(m.x_k) - [f(m), x_k]).
+    That vanishes for every u when (m, k) is equivariant, and at u = 1 it is
+    the defect itself, so for d >= 2 the identity fails exactly when some
+    (m, k) is not equivariant, and the least failing basis element, in the
+    order u (x) m then x_k, is 1 (x) m at the least failing (m, k).  For
+    d < 2 the bimodule scope is empty.
     """
     d = env.pbw.degree
-    one = env.field.one
+    defects = _equivariance_defects(env)
     witnesses = {}
-    coderivation_ok = True
-    for e in range(env.size):
-        h, _ = env.split(e)
-        if env.pbw.degree_of(h) > d - 1:
-            continue
-        lhs = hvec_coproduct(env.pbw, phi_map(env, {e: one}))
-        left = lincomb({(h1, e1): c for h1, e1, c in env.left_coact_tab[e]},
-                       lambda he: {(he[0], k): c for k, c in phi_map(env, {he[1]: one}).items()})
-        right = lincomb({(e1, h1): c for e1, h1, c in env.right_coact_tab[e]},
-                        lambda eh: {(k, eh[1]): c for k, c in phi_map(env, {eh[0]: one}).items()})
-        if lhs != vsum(left, right):
-            coderivation_ok = False
-            witnesses["coderivation"] = env.labels[e]
-            break
-    bimodule_ok = True
-    for e in range(env.size):
-        h, _ = env.split(e)
-        if env.pbw.degree_of(h) > d - 2:
-            continue
-        for k in range(env.pbw.dim_lie):
-            gen = {env.pbw.gen_index[k]: one}
-            right_lhs = phi_map(env, env.right_act_gen({e: one}, k))
-            right_rhs = env.pbw.mul_hvec(phi_map(env, {e: one}), gen)
-            left_lhs = phi_map(env, env.left_act_gen(k, {e: one}))
-            left_rhs = env.pbw.mul_hvec(gen, phi_map(env, {e: one}))
-            if right_lhs != right_rhs or left_lhs != left_rhs:
-                bimodule_ok = False
-                witnesses["bimodule"] = (env.labels[e], env.pbw.lie_labels[k])
-                break
-        if not bimodule_ok:
-            break
+    if defects:
+        m, k = defects[0]
+        witnesses["bimodule"] = (env.labels[env.eidx(env.pbw.unit, m)], env.pbw.lie_labels[k])
     return PhiReport(
-        bimodule_ok and coderivation_ok,
-        bimodule_ok,
-        coderivation_ok,
+        not defects,
+        not defects,
+        True,
         f"first-factor degree <= {d - 2}",
         f"first-factor degree <= {d - 1}",
         witnesses,
@@ -606,10 +603,19 @@ class LemmaReport(NamedTuple):
     witnesses: dict
 
 
+def require_invariant_degree(degree: int) -> None:
+    """Refuse a truncation degree 0 or 1, too small for the restriction lemma and the bracket.
+
+    A negative degree is left to :class:`TruncatedPBW`, which refuses it with
+    its own message.
+    """
+    if 0 <= degree < 2:
+        raise ValidationError("invariant checks need truncation degree >= 2")
+
+
 def _restricted_phi(env: EnvTetramodule):
     """The invariants as a YD module, and phi~ on its basis (the q of ``x <| y = x q(y)``)."""
-    if env.pbw.degree < 2:
-        raise ValidationError("invariant checks need truncation degree >= 2")
+    require_invariant_degree(env.pbw.degree)
     inv = inv_part(env)
     return inv.module, [phi_map(env, vec) for vec in inv.vectors]
 
@@ -661,18 +667,30 @@ class AntipodeReport(NamedTuple):
 
 
 def antipode_checks(env: EnvTetramodule) -> AntipodeReport:
-    """phi(T(n)) = S(phi(n)) on first-factor degree <= d-1 (exact there)."""
-    d = env.pbw.degree
-    one = env.field.one
-    for e in range(env.size):
-        h, _ = env.split(e)
-        if env.pbw.degree_of(h) > d - 1:
-            continue
-        lhs = phi_map(env, antipode_component(env, {e: one}))
-        rhs = env.pbw.antipode_hvec(phi_map(env, {e: one}))
-        if lhs != rhs:
-            return AntipodeReport(False, f"first-factor degree <= {d - 1}", env.labels[e])
-    return AntipodeReport(True, f"first-factor degree <= {d - 1}", None)
+    """phi(T(n)) = S(phi(n)) on first-factor degree <= d-1 (exact there).
+
+    Decided from f's equivariance, like the bimodule identity of
+    :func:`phi_checks`.  With n = u (x) m, T(n) = -S(u_(1)) (u_(2) (x) m) S(u_(3)),
+    and when phi is a bimodule map on the scope,
+
+        phi(T(u (x) m)) = -S(u_(1)) u_(2) f(m) S(u_(3)) = -f(m) S(u) = S(u f(m)),
+
+    where the middle step is the antipode law S(u_(1)) u_(2) = counit(u) 1
+    and the last uses S(f(m)) = -f(m), since f(m) is primitive.  Every product
+    has degree <= d, so all of it is exact.  At u = 1 both sides are -f(m).
+    At u = x_k, T(x_k (x) m) = (1 (x) m) . x_k, and the two sides differ by
+    f(m.x_k) - [f(m), x_k].  So for d >= 2 the identity fails exactly when
+    some (m, k) is not equivariant, and the least failing basis element is
+    x_k (x) m at the least failing (k, m): the degree-1 monomials come in the
+    order x_0, x_1, ... right after 1.  For d < 2 the scope holds at most
+    u = 1, where the identity always holds.
+    """
+    scope = f"first-factor degree <= {env.pbw.degree - 1}"
+    defect = min(((k, m) for m, k in _equivariance_defects(env)), default=None)
+    if defect is None:
+        return AntipodeReport(True, scope, None)
+    k, m = defect
+    return AntipodeReport(False, scope, env.labels[env.eidx(env.pbw.gen_index[k], m)])
 
 
 def enveloping_bracket(env: EnvTetramodule) -> BraidedLeibnizData:

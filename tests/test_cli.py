@@ -256,6 +256,66 @@ def test_env_checks_higher_degree(capsys, fixtures_dir):
     assert rep["phi_bimodule"]["scope"] == "first-factor degree <= 1"
 
 
+def test_env_checks_names_the_antipode_witness(monkeypatch, capsys, fixtures_dir):
+    from rackyd import envelope
+    build = envelope.build_env
+
+    def build_with_edited_f(obj, degree):
+        env = build(obj, degree)
+        f = list(env.obj.f)
+        f[2] = {0: Fraction(1), 2: Fraction(1)}  # f(h) = e + h breaks equivariance
+        env.obj.f = tuple(f)
+        return env
+
+    monkeypatch.setattr(envelope, "build_env", build_with_edited_f)
+    code, rep = report(capsys, "env-checks", str(fixtures_dir / "leibniz_sl2.json"))
+    assert code == 1
+    assert rep["antipode_square"] == {"ok": False, "scope": "first-factor degree <= 1"}
+    assert rep["phi_bimodule"]["ok"] is False and rep["phi_coderivation"]["ok"] is True
+    # the least failing (k, m) names x_k (x) m; the least failing (m, k) names 1 (x) m
+    assert rep["witnesses"]["antipode_square"] == "e⊗f"
+    assert rep["witnesses"]["bimodule"] == ["1⊗e", "f"]
+
+
+@pytest.mark.parametrize("command", ["env-checks", "theorem1-bracket"])
+def test_invariant_commands_refuse_a_small_degree_before_building(monkeypatch, capsys,
+                                                                  fixtures_dir, command):
+    from rackyd import envelope
+    built = []
+    monkeypatch.setattr(envelope, "build_env", lambda *a: built.append(a))
+    path = str(fixtures_dir / "leibniz_sl2.json")
+    for degree in ("0", "1"):
+        assert run([command, path, "--degree", degree]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: invariant checks need truncation degree >= 2" in captured.err
+    assert built == []
+    monkeypatch.undo()
+    assert run([command, path, "--degree", "-1"]) == 2
+    assert "error: truncation degree must be >= 0" in capsys.readouterr().err
+
+
+def _verdicts(command, rep):
+    if command == "env-checks":
+        return {key: (val["ok"] if isinstance(val, dict) and "ok" in val else val)
+                for key, val in rep.items() if key not in ("command", "witnesses")}
+    return {key: rep[key] for key in ("braided_leibniz_ok", "recovers_input_brackets",
+                                      "tau_is_flip")}
+
+
+@pytest.mark.parametrize("command", ["env-checks", "theorem1-bracket"])
+def test_invariant_verdicts_agree_over_qq_and_gfp(capsys, fixtures_dir, command):
+    for path in sorted(fixtures_dir.glob("leibniz_*.json")):
+        for degree in ("2", "3"):
+            results = []
+            for field in ("rational", "gfp:10007"):
+                code, out = invoke(capsys, command, str(path), "--degree", degree,
+                                   "--field", field)
+                results.append((code, _verdicts(command, json.loads(out)) if out else None))
+            assert results[0] == results[1], (path.name, degree)
+            assert (results[0][0] == 2) == (path.name == "leibniz_not.json")
+
+
 def test_check_leibniz_exit_codes(capsys, fixtures_dir):
     assert run(["check-leibniz", str(fixtures_dir / "leibniz_sl2.json")]) == 0
     capsys.readouterr()
@@ -703,3 +763,51 @@ def test_pbw_budget_refuses_before_enumerating(capsys, fixtures_dir, monkeypatch
     assert f"truncation degree 2 gives {size} PBW monomials, above PBW_MAX_SIZE = {size - 1}" in err
     monkeypatch.setattr(rackyd.envelope, "PBW_MAX_SIZE", size)
     assert run(argv) == 0
+
+
+def _permute_module(doc, sigma):
+    """The module with basis vector x renamed sigma[x]."""
+    n = len(sigma)
+    out = copy.deepcopy(doc)
+    out["basis"] = [None] * n
+    out["action"] = [None] * n
+    out["coaction"] = [None] * n
+    for x in range(n):
+        out["basis"][sigma[x]] = doc["basis"][x]
+        out["action"][sigma[x]] = [{str(sigma[int(y)]): c for y, c in vec.items()}
+                                   for vec in doc["action"][x]]
+        out["coaction"][sigma[x]] = [[sigma[m], h, c] for m, h, c in doc["coaction"][x]]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("yd_*.json")))
+def test_relabelling_a_module_conjugates_its_braiding(tmp_path, capsys, fixtures_dir, name):
+    import random
+    doc = json.loads((fixtures_dir / name).read_text())
+    n = len(doc["basis"])
+    sigma, rng = list(range(n)), random.Random(name)
+    while n > 1 and sigma == sorted(sigma):
+        rng.shuffle(sigma)
+    (tmp_path / "relabelled.json").write_text(json.dumps(_permute_module(doc, sigma)))
+    braidings, ybe = [], []
+    for i, source in enumerate((fixtures_dir / name, tmp_path / "relabelled.json")):
+        artifact = tmp_path / f"tau{i}.json"
+        code, rep = report(capsys, "braiding-matrix", str(source), "--json", str(artifact))
+        assert code == 0
+        braidings.append(json.loads(artifact.read_text()))
+        code, rep = report(capsys, "check-ybe", str(artifact))
+        ybe.append((code, rep["ok"]))
+    old, new = braidings
+    assert new["factor_basis"] == [old["factor_basis"][sigma.index(x)] for x in range(n)]
+
+    def flat(i, j):  # second-factor-major, as in rackyd.linalg.flat2
+        return i + n * j
+
+    expect = [None] * n * n
+    for i in range(n):
+        for j in range(n):
+            expect[flat(sigma[i], sigma[j])] = {
+                str(flat(sigma[int(r) % n], sigma[int(r) // n])): c
+                for r, c in old["columns"][flat(i, j)].items()}
+    assert new["columns"] == expect
+    assert ybe[0] == ybe[1]
