@@ -36,8 +36,8 @@ _EXPORTS = {
     ),
     "envelope": (
         "EnvTetramodule", "EnvelopingDescriptor", "LieMapObject", "TruncatedPBW",
-        "antipode_checks", "antipode_component", "build_env", "enveloping_bracket",
-        "f_tilde_checks", "inv_part", "phi_checks", "phi_map",
+        "antipode_checks", "build_env", "enveloping_bracket", "f_tilde_checks", "inv_part",
+        "phi_checks", "phi_map",
     ),
 }
 _SUBMODULES = ("cli", "envelope", "errors", "group_hopf", "jsonio", "leibniz", "linalg",

@@ -26,15 +26,17 @@ structure (right adjoint action, restricted right coaction -- here
 trivial), phi restricts to them with image in ker(counit), and the bracket
 ``x <| y = x phi~(y)`` makes them a braided Leibniz algebra.  Feeding in
 the quotient pair pi: g -> g_Lie of a Leibniz algebra returns the original
-bracket on g.
+bracket on g.  The tetramodule keeps only its four tables; the adjoint
+action is needed on generators only, where it is n.x_k - x_k.n.
 
 Checks that involve products near the degree window are restricted to basis
 elements whose intermediate degrees provably stay inside it; each report says
-which scope it used.  phi's bimodule, coderivation and antipode identities
-are not swept: :func:`phi_checks` and :func:`antipode_checks` decide them
-from f's equivariance, which :class:`LieMapObject` checks in
-O(dim M * dim g), and from the primitivity of each f(m) in g.  Their
-docstrings hold the proofs.
+which scope it used.  None of phi's identities is swept: :func:`phi_checks`,
+:func:`antipode_checks` and the restriction lemma :func:`f_tilde_checks`
+decide their verdicts from f's equivariance, which :class:`LieMapObject`
+checks in O(dim M * dim g), and from the primitivity of each f(m) in g.
+Their docstrings hold the proofs.  Only :func:`enveloping_bracket`, which
+needs phi~ as its q, builds the invariants.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .yd import (
     YDModule,
     braided_leibniz_from_q,
     braided_leibniz_witness,
-    check_q_conditions,
     flip_columns,
 )
 
@@ -166,19 +167,19 @@ class TruncatedPBW:
     def generators(self):
         return list(self.gen_index)
 
-    has_antipode = True
-
     def word(self, i: int):
         out = []
         for k, e in enumerate(self.basis[i]):
             out.extend([k] * e)
         return tuple(out)
 
-    def _straighten(self, word, exact) -> dict:
-        """A word in the Lie basis as a combination of ordered monomials.
+    def _straighten(self, word) -> dict:
+        """A word in the Lie basis as a combination of ordered monomials, truncated above d.
 
         The first out-of-order pair ``ab`` is rewritten as ``ba + [a, b]``;
         the rewritten words are distinct, so they index one combination.
+        Rewriting never lengthens a word, so a word of length <= d stays
+        inside the window: exactness is decided by the callers, on lengths.
         """
         for pos in range(len(word) - 1):
             a, b = word[pos], word[pos + 1]
@@ -186,12 +187,8 @@ class TruncatedPBW:
                 head, tail = word[:pos], word[pos + 2:]
                 rewrite = {head + (k,) + tail: c for k, c in self.brackets[a][b].items()}
                 rewrite[head + (b, a) + tail] = self.field.one
-                return lincomb(rewrite, lambda w: self._straighten(w, exact))
+                return lincomb(rewrite, self._straighten)
         if len(word) > self.degree:
-            if exact:
-                raise DegreeOverflowError(
-                    f"monomial of degree {len(word)} exceeds the window (d={self.degree})"
-                )
             return {}
         exp = [0] * self.dim_lie
         for g in word:
@@ -203,7 +200,7 @@ class TruncatedPBW:
             raise DegreeOverflowError(
                 f"exact product of degrees {len(w1)} and {len(w2)} exceeds d={self.degree}"
             )
-        return self._straighten(tuple(w1) + tuple(w2), exact)
+        return self._straighten(tuple(w1) + tuple(w2))
 
     def product(self, i: int, j: int) -> dict:
         """Truncating product of two basis monomials."""
@@ -242,10 +239,11 @@ class TruncatedPBW:
         return self.field.one if i == self.unit else self.field.zero
 
     def antipode(self, i: int) -> dict:
-        """S(x) = -x on generators, extended anti-multiplicatively."""
+        """S(x) = -x on generators, extended anti-multiplicatively (exact: the
+        reversed word has the degree of the monomial)."""
         word = tuple(reversed(self.word(i)))
         sign = 1 if len(word) % 2 == 0 else -1
-        return lincomb({word: sign}, lambda w: self._straighten(w, exact=True))
+        return lincomb({word: sign}, self._straighten)
 
     def generator_word(self, i: int):
         return tuple(self.gen_index[k] for k in self.word(i))
@@ -278,8 +276,6 @@ class EnvelopingDescriptor:
         return self.pbw.generators
 
     algebra_generators = generators
-
-    has_antipode = True
 
     def product(self, i, j):
         return self.pbw.product_exact(i, j)
@@ -425,7 +421,7 @@ class EnvTetramodule:
     def split(self, e: int):
         return divmod(e, self.module_dim)
 
-    # -- action helpers (truncating, like the tables they fold) ------------
+    # -- the generator actions (truncating, like the tables they read) ------
 
     def right_act_gen(self, vec: dict, k: int) -> dict:
         return lincomb(vec, lambda e: self.right_act_tab[e][k])
@@ -433,33 +429,16 @@ class EnvTetramodule:
     def left_act_gen(self, k: int, vec: dict) -> dict:
         return lincomb(vec, lambda e: self.left_act_tab[e][k])
 
-    def right_act_basis(self, vec: dict, h_idx: int) -> dict:
-        out = dict(vec)
-        for g in self.pbw.word(h_idx):
-            out = self.right_act_gen(out, g)
-        return out
+    def adjoint(self, vec: dict, k: int) -> dict:
+        """Right adjoint action S(h_(1)) . n . h_(2) of the generator h = x_k.
 
-    def left_mul_basis(self, h_idx: int, vec: dict) -> dict:
-        out = dict(vec)
-        for g in reversed(self.pbw.word(h_idx)):
-            out = self.left_act_gen(g, out)
-        return out
-
-    def right_act_hvec(self, vec: dict, hvec: dict) -> dict:
-        return lincomb(hvec, lambda h: self.right_act_basis(vec, h))
-
-    def left_mul_hvec(self, hvec: dict, vec: dict) -> dict:
-        return lincomb(hvec, lambda h: self.left_mul_basis(h, vec))
-
-    def adjoint(self, vec: dict, hvec: dict) -> dict:
-        """Right adjoint action S(h_(1)) . n . h_(2), linear in h."""
-
-        def on_basis(h):
-            delta = {(h1, h2): c for c, h1, h2 in self.pbw.coproduct(h)}
-            return lincomb(delta, lambda hh: self.left_mul_hvec(
-                self.pbw.antipode(hh[0]), self.right_act_basis(vec, hh[1])))
-
-        return lincomb(hvec, on_basis)
+        Delta(x_k) = x_k (x) 1 + 1 (x) x_k and S(x_k) = -x_k, S(1) = 1, so the
+        sum has two terms, S(x_k) . n . 1 + S(1) . n . x_k = n . x_k - x_k . n.
+        On an invariant 1 (x) m it gives 1 (x) m.x_k, since both actions add
+        the term x_k (x) m.
+        """
+        return vsum(self.right_act_gen(vec, k),
+                    {e: -c for e, c in self.left_act_gen(k, vec).items()})
 
 
 def build_env(obj: LieMapObject, degree: int = 2) -> EnvTetramodule:
@@ -581,7 +560,8 @@ def inv_part(env: EnvTetramodule) -> InvariantPart:
             coords[m] = c
         return coords
 
-    action = [[unit_row(env.adjoint(vec, {g: one})) for g in pbw.gen_index] for vec in vectors]
+    action = [[unit_row(env.adjoint(vec, k)) for k in range(len(pbw.gen_index))]
+              for vec in vectors]
     coaction = []
     for vec in vectors:
         delta_r = lincomb(vec, lambda e: {(e1, h1): c for e1, h1, c in env.right_coact_tab[e]})
@@ -613,51 +593,39 @@ def require_invariant_degree(degree: int) -> None:
         raise ValidationError("invariant checks need truncation degree >= 2")
 
 
-def _restricted_phi(env: EnvTetramodule):
-    """The invariants as a YD module, and phi~ on its basis (the q of ``x <| y = x q(y)``)."""
-    require_invariant_degree(env.pbw.degree)
-    inv = inv_part(env)
-    return inv.module, [phi_map(env, vec) for vec in inv.vectors]
-
-
 def f_tilde_checks(env: EnvTetramodule) -> LemmaReport:
-    """The restriction lemma: phi~, the restriction of phi to the invariants,
-    satisfies the conditions of :func:`check_q_conditions <rackyd.yd.check_q_conditions>`.
+    """The restriction lemma: phi~, the restriction of phi to the invariants
+    1 (x) M, satisfies the conditions of :func:`check_q_conditions
+    <rackyd.yd.check_q_conditions>`.  Decided from f's equivariance, like
+    :func:`phi_checks`, instead of building the invariants:
 
     (1) its image lies in ker(counit): phi(1 (x) m) = f(m) lies in the
-        degree-1 span, so this holds on every tetramodule (and
-        ``check_q_conditions`` raises if it did not);
-    (2) it is colinear for the coaction ``h -> h_(1) (x) h_(2) - 1 (x) h`` on
-        ker(counit) (``coderivation_condition``);
+        degree-1 span, where the counit vanishes;
+    (2) it is colinear, Delta phi~(n) = 1 (x) phi~(n) + phi~(n_(0)) (x) n_(1):
+        the invariants' right coaction is m -> m (x) 1, because Delta(1) =
+        1 (x) 1, and f(m) is primitive, so both sides are
+        1 (x) f(m) + f(m) (x) 1;
     (3) it intertwines the right adjoint actions, making it a morphism of
-        Yetter-Drinfel'd modules (``equivariance``).
+        Yetter-Drinfel'd modules: the adjoint action of x_k sends 1 (x) m to
+        1 (x) m.x_k (see :meth:`EnvTetramodule.adjoint`), so the condition at
+        (m, x_k), phi~(n.x_k) = phi~(n) x_k - x_k phi~(n), reads
+        f(m.x_k) = [f(m), x_k]; the commutator of two degree-1 elements is
+        exact for d >= 2.  ``check_q_conditions`` decides it on the
+        generators x_k in order, so its least witness is the least (m, k)
+        at which f is not equivariant, reported as labels.
 
-    Both are decided by ``check_q_conditions``; their witnesses come back as
-    labels.  Requires degree >= 2 so the adjoint-action products stay exact.
+    So (1) and (2) hold on every tetramodule, and ``ok`` and ``yd_morphism``
+    hold exactly when f has no equivariance defect.  Degree 0 and 1 are
+    refused, as for :func:`enveloping_bracket`, which still builds phi~ and
+    runs ``check_q_conditions`` on it.
     """
-    module, q = _restricted_phi(env)
-    rep = check_q_conditions(module, q)
-    witnesses = {}
-    if not rep.coderivation_condition:
-        witnesses["colinear"] = module.basis[rep.witnesses["coderivation_condition"][0]]
-    if not rep.equivariance:
-        m, h = rep.witnesses["equivariance"]
-        witnesses["yd_morphism"] = (module.basis[m], env.pbw.labels[h])
-    return LemmaReport(rep.ok, True, rep.coderivation_condition, rep.equivariance, witnesses)
-
-
-def antipode_component(env: EnvTetramodule, vec: dict) -> dict:
-    """T(n) = -S(n_(-1)) n_(0) S(n_(1)), from the coaction tables."""
-    one = env.field.one
-
-    def left_term(he):
-        h1, e1 = he
-        s1 = env.pbw.antipode(h1)
-        return lincomb({(e2, h2): c for e2, h2, c in env.right_coact_tab[e1]}, lambda eh: (
-            env.left_mul_hvec(s1, env.right_act_hvec({eh[0]: one}, env.pbw.antipode(eh[1])))))
-
-    return lincomb({e: -c for e, c in vec.items()}, lambda e: lincomb(
-        {(h1, e1): c for h1, e1, c in env.left_coact_tab[e]}, left_term))
+    require_invariant_degree(env.pbw.degree)
+    defect = next(env.obj.equivariance_defects(), None)
+    if defect is None:
+        return LemmaReport(True, True, True, True, {})
+    m, k = defect
+    witnesses = {"yd_morphism": (env.obj.module_labels[m], env.pbw.lie_labels[k])}
+    return LemmaReport(False, True, True, False, witnesses)
 
 
 class AntipodeReport(NamedTuple):
@@ -703,4 +671,6 @@ def enveloping_bracket(env: EnvTetramodule) -> BraidedLeibnizData:
     returned data passes :func:`rackyd.yd.check_braided_leibniz`.  Requires
     degree >= 2, like :func:`f_tilde_checks`.
     """
-    return braided_leibniz_from_q(*_restricted_phi(env))
+    require_invariant_degree(env.pbw.degree)
+    inv = inv_part(env)
+    return braided_leibniz_from_q(inv.module, [phi_map(env, vec) for vec in inv.vectors])

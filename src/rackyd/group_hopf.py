@@ -171,8 +171,6 @@ class GroupAlgebraDescriptor:
     def algebra_generators(self):
         return self.group.generators
 
-    has_antipode = True
-
     def product(self, i: int, j: int) -> dict:
         return {self.group.mul_idx(i, j): self.field.one}
 

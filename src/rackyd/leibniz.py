@@ -96,6 +96,7 @@ class LeibnizAlgebra:
         if len(basis) != n:
             raise ValidationError("basis length does not match dim")
         table = [[{} for _ in range(n)] for _ in range(n)]
+        seen = set()
         for entry in raw:
             try:
                 i, j, out = entry["i"], entry["j"], entry["out"]
@@ -105,6 +106,9 @@ class LeibnizAlgebra:
                 raise ValidationError("bracket entry needs integer i/j")
             if not (0 <= i < n and 0 <= j < n):
                 raise ValidationError(f"bracket entry ({i},{j}) out of range")
+            if (i, j) in seen:
+                raise ValidationError(f"bracket entry ({i},{j}) given twice")
+            seen.add((i, j))
             table[i][j] = vec_from_json(out, field, "bracket output", n)
         return cls(basis, table, field)
 

@@ -70,15 +70,19 @@ def vec_from_json(vec, field, what, size=None) -> dict:
     """Read a sparse vector written by :func:`vec_to_json`.
 
     Zero coefficients are dropped; with ``size``, every index must lie in
-    ``range(size)``.  Malformed input raises a ValidationError.
+    ``range(size)``.  Malformed input raises a ValidationError, and so does an
+    index given twice (as ``"1"`` and ``"01"``, say).
     """
     if not isinstance(vec, dict):
         raise ValidationError(f"{what} must be an object of index: coefficient")
-    out = {}
+    out, seen = {}, set()
     for k, c in vec.items():
         i = as_int(k, f"{what} index")
         if size is not None and not 0 <= i < size:
             raise ValidationError(f"{what} index {i} out of range({size})")
+        if i in seen:
+            raise ValidationError(f"{what} index {i} given twice")
+        seen.add(i)
         x = field.parse(c)
         if x:
             out[i] = x

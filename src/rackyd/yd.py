@@ -2,7 +2,7 @@
 
 A *Hopf descriptor* is any object with a finite distinguished basis exposing
 
-    field, size, labels, unit, generators, algebra_generators, has_antipode,
+    field, size, labels, unit, generators, algebra_generators,
     product(i, j)        -> {idx: coeff}      (exact; may raise DegreeOverflowError)
     coproduct(i)         -> [(coeff, a, b)]   (distinct pairs (a, b))
     counit(i)            -> scalar
@@ -28,7 +28,7 @@ when M satisfies the Yetter-Drinfel'd compatibility condition
 
     (x h_(2))_(0) (x) h_(1) (x h_(2))_(1)  =  x_(0) h_(1) (x) x_(1) h_(2)
 
-When the descriptor has an antipode the condition is equivalent to
+Every descriptor has an antipode, and the condition is equivalent to
 
     (x h)_(0) (x) (x h)_(1)  =  x_(0) h_(2) (x) S(h_(1)) x_(1) h_(3),
 
@@ -102,8 +102,8 @@ def check_hopf_axioms(hopf, skip_overflow=False):
     """Verify the bialgebra/Hopf laws of a descriptor on basis elements.
 
     Checks coassociativity, the counit laws, multiplicativity of the coproduct
-    and counit, counit(S(h)) = counit(h), and (when an antipode is present)
-    the convolution identities S(h_(1)) h_(2) = counit(h) 1 = h_(1) S(h_(2)).
+    and counit, counit(S(h)) = counit(h), and the convolution identities
+    S(h_(1)) h_(2) = counit(h) 1 = h_(1) S(h_(2)).
     Returns the first witness, or None.  With ``skip_overflow`` pairs whose
     exact product leaves a truncated descriptor's window are skipped (used for
     degree-truncated descriptors, whose laws only hold inside the window).
@@ -119,14 +119,13 @@ def check_hopf_axioms(hopf, skip_overflow=False):
         right = lincomb(d, lambda ab: {ab[0]: hopf.counit(ab[1])})
         if left != {i: one} or right != {i: one}:
             return ("counit law", i)
-        if hopf.has_antipode:
-            if hvec_counit(hopf, hopf.antipode(i)) != hopf.counit(i):
-                return ("counit of antipode", i)
-            conv_l = lincomb(d, lambda ab: hvec_mul(hopf, hopf.antipode(ab[0]), {ab[1]: one}))
-            conv_r = lincomb(d, lambda ab: hvec_mul(hopf, {ab[0]: one}, hopf.antipode(ab[1])))
-            want = vsum({hopf.unit: hopf.counit(i)})
-            if conv_l != want or conv_r != want:
-                return ("antipode convolution identity", i)
+        if hvec_counit(hopf, hopf.antipode(i)) != hopf.counit(i):
+            return ("counit of antipode", i)
+        conv_l = lincomb(d, lambda ab: hvec_mul(hopf, hopf.antipode(ab[0]), {ab[1]: one}))
+        conv_r = lincomb(d, lambda ab: hvec_mul(hopf, {ab[0]: one}, hopf.antipode(ab[1])))
+        want = vsum({hopf.unit: hopf.counit(i)})
+        if conv_l != want or conv_r != want:
+            return ("antipode convolution identity", i)
     for i in range(hopf.size):
         for j in range(hopf.size):
             try:
@@ -220,7 +219,7 @@ class YDModule:
 class YDReport(NamedTuple):
     ok: bool
     ok_coproduct_form: bool
-    ok_antipode_form: bool | None
+    ok_antipode_form: bool
     witness: tuple | None
 
 
@@ -244,9 +243,9 @@ def _least_failure(module: YDModule, holds):
 def check_yd(module: YDModule) -> YDReport:
     """Verify the Yetter-Drinfel'd condition on the whole module.
 
-    Both the coproduct form and (when the descriptor has an antipode) the
-    antipode form are computed independently; for a Hopf descriptor they are
-    equivalent and the two booleans agree on every instance we construct.
+    The coproduct form and the antipode form are computed independently; for
+    a Hopf descriptor they are equivalent and the two booleans agree on every
+    instance we construct.
     Each form is decided on (basis, algebra generator) pairs, which is
     complete (see the module docstring); a failing form reports the least
     failing (basis, generator) pair.
@@ -284,13 +283,9 @@ def check_yd(module: YDModule) -> YDReport:
         return lhs == lincomb(coproduct2(hopf, h), rhs_term)
 
     wit2 = _least_failure(module, coproduct_form)
-    ok2 = wit2 is None
-    wit3, ok3 = None, None
-    if hopf.has_antipode:
-        wit3 = _least_failure(module, antipode_form)
-        ok3 = wit3 is None
-    ok = ok2 and (ok3 is not False)
-    return YDReport(ok, ok2, ok3, wit2 if wit2 is not None else wit3)
+    wit3 = _least_failure(module, antipode_form)
+    return YDReport(wit2 is None and wit3 is None, wit2 is None, wit3 is None,
+                    wit2 if wit2 is not None else wit3)
 
 
 class BraidingMatrix:
@@ -308,14 +303,16 @@ class BraidingMatrix:
     with zero coefficients omitted.  The dense format of older files, with
     ``"matrix": <Matrix JSON>`` in place of ``"columns"``, is still read, and
     so is a bare ``Matrix`` JSON, on the factor basis 0..n-1; neither builds
-    the dense matrix.
+    the dense matrix.  A ``basis_order`` other than ``convention`` is
+    refused; a file without one is read in that order.
     """
 
-    def __init__(self, columns, factor_basis, convention="second-factor-major"):
+    convention = "second-factor-major"
+
+    def __init__(self, columns, factor_basis):
         self.columns = tuple(columns)
         self._matrix = None
         self.factor_basis = tuple(factor_basis)
-        self.convention = convention
         n = self.factor_dim
         if len(self.columns) != n * n:
             raise ShapeError(
@@ -345,7 +342,10 @@ class BraidingMatrix:
                 n, tau = _columns_from_json(d, field)
                 return cls(tau, range(n))
             basis = tuple(d["factor_basis"])
-            convention = d.get("basis_order", "second-factor-major")
+            order = d.get("basis_order", cls.convention)
+            if order != cls.convention:
+                raise ValidationError(
+                    f"braiding basis_order must be {cls.convention!r}, got {order!r}")
             if "columns" in d:
                 size = len(d["columns"])  # the matrix is square
                 tau = [vec_from_json(col, field, "braiding column", size) for col in d["columns"]]
@@ -353,7 +353,7 @@ class BraidingMatrix:
                 _, tau = _columns_from_json(d["matrix"], field)
         except (KeyError, TypeError) as exc:
             raise ValidationError("braiding JSON needs factor_basis and columns or matrix") from exc
-        return cls(tau, basis, convention)
+        return cls(tau, basis)
 
 
 def _columns_from_json(d, field):

@@ -3,12 +3,59 @@
 ``rackyd.envelope.phi_checks`` and ``antipode_checks`` decide their verdicts
 from f's equivariance; these are the basis-by-basis sweeps they replaced,
 kept as the oracle for the differential tests.  Each returns the same
-record, with the same scopes and witnesses.
+record, with the same scopes and witnesses.  The actions of whole elements
+of the truncated envelope, the general adjoint action and the antipode
+component T are folded here from the tetramodule's generator tables.
 """
 
-from rackyd.envelope import AntipodeReport, PhiReport, antipode_component, phi_map
+from rackyd.envelope import AntipodeReport, PhiReport, phi_map
 from rackyd.linalg import lincomb, vsum
 from rackyd.yd import hvec_coproduct
+
+
+def right_act(env, vec, hvec):
+    """n . h for an element h of the truncated envelope, one letter at a time."""
+
+    def on_basis(h):
+        out = vec
+        for g in env.pbw.word(h):
+            out = env.right_act_gen(out, g)
+        return out
+
+    return lincomb(hvec, on_basis)
+
+
+def left_mul(env, hvec, vec):
+    """h . n for an element h of the truncated envelope, last letter first."""
+
+    def on_basis(h):
+        out = vec
+        for g in reversed(env.pbw.word(h)):
+            out = env.left_act_gen(g, out)
+        return out
+
+    return lincomb(hvec, on_basis)
+
+
+def adjoint_by_coproduct(env, vec, h):
+    """The right adjoint action S(h_(1)) . n . h_(2) of a basis monomial h, summed over Delta(h)."""
+    one = env.field.one
+    return lincomb({(h1, h2): c for c, h1, h2 in env.pbw.coproduct(h)}, lambda hh: left_mul(
+        env, env.pbw.antipode(hh[0]), right_act(env, vec, {hh[1]: one})))
+
+
+def antipode_component(env, vec):
+    """T(n) = -S(n_(-1)) n_(0) S(n_(1)), from the coaction tables."""
+    one = env.field.one
+
+    def left_term(he):
+        h1, e1 = he
+        s1 = env.pbw.antipode(h1)
+        return lincomb({(e2, h2): c for e2, h2, c in env.right_coact_tab[e1]}, lambda eh: (
+            left_mul(env, s1, right_act(env, {eh[0]: one}, env.pbw.antipode(eh[1])))))
+
+    return lincomb({e: -c for e, c in vec.items()}, lambda e: lincomb(
+        {(h1, e1): c for h1, e1, c in env.left_coact_tab[e]}, left_term))
 
 
 def phi_checks_by_sweep(env) -> PhiReport:

@@ -608,6 +608,10 @@ MALFORMED_SPARSE = {
     "row-not-an-integer": (_set_column({"a": "1"}), "braiding column index 'a' is not an integer"),
     "row-out-of-range": (_set_column({"25": "1"}), "braiding column index 25 out of range(25)"),
     "bad-coefficient": (_set_column({"0": "1/0"}), "bad rational literal '1/0'"),
+    # "1" and "01" name one row; reading both kept only the last
+    "row-given-twice": (_set_column({"1": "2", "01": "3"}), "braiding column index 1 given twice"),
+    "other-basis-order": (lambda payload: payload.update(basis_order="first-factor-major"),
+                          "basis_order must be 'second-factor-major', got 'first-factor-major'"),
     "truncated-basis": (lambda payload: payload.update(factor_basis=payload["factor_basis"][:3]),
                         "needs 9 columns, got 25"),
 }
@@ -811,3 +815,59 @@ def test_relabelling_a_module_conjugates_its_braiding(tmp_path, capsys, fixtures
                 for r, c in old["columns"][flat(i, j)].items()}
     assert new["columns"] == expect
     assert ybe[0] == ybe[1]
+
+
+def _refused(capsys, argv, message):
+    assert run(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "Traceback" not in out.err
+    assert f"error: {message}" in out.err
+
+
+def test_a_sparse_term_given_twice_exits_two(tmp_path, capsys, fixtures_dir):
+    # as for a braiding column (MALFORMED_SPARSE): reading both kept only the last
+    module = json.loads((fixtures_dir / "yd_kereps_z2.json").read_text())
+    module["action"][0][1] = {"0": "1", "00": "0"}
+    _refused(capsys, ["check-yd", _write(tmp_path, "yd.json", module)],
+             "action vector index 0 given twice")
+    line = {"dim": 1, "basis": ["x"], "brackets": [{"i": 0, "j": 0, "out": {"0": "1", "+0": "1"}}]}
+    _refused(capsys, ["check-leibniz", _write(tmp_path, "line.json", line)],
+             "bracket output index 0 given twice")
+
+
+def test_a_bracket_entry_given_twice_exits_two(tmp_path, capsys):
+    # [x,x] = x then [x,x] = 0 read as the abelian line, which passes
+    entries = [{"i": 0, "j": 0, "out": {"0": "1"}}, {"i": 0, "j": 0, "out": {}}]
+    line = {"dim": 1, "basis": ["x"], "brackets": entries}
+    _refused(capsys, ["check-leibniz", _write(tmp_path, "line.json", line)],
+             "bracket entry (0,0) given twice")
+    line["brackets"] = entries[1:]
+    assert run(["check-leibniz", _write(tmp_path, "abelian.json", line)]) == 0
+
+
+def test_a_braiding_without_a_basis_order_is_read(tmp_path, capsys, fixtures_dir):
+    braid = json.loads((fixtures_dir / "braiding_hv_sparse.json").read_text())
+    del braid["basis_order"]
+    assert run(["check-ybe", _write(tmp_path, "braid.json", braid)]) == 0
+
+
+def test_env_checks_decides_the_restriction_lemma_without_the_invariants(monkeypatch, capsys,
+                                                                        fixtures_dir):
+    from rackyd import envelope
+    calls = Counter()
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(envelope, "inv_part")
+    counted(yd, "check_q_conditions")
+    path = str(fixtures_dir / "leibniz_sl2.json")
+    assert run(["env-checks", path, "--degree", "3"]) == 0
+    assert calls == Counter()
+    assert run(["theorem1-bracket", path, "--degree", "3"]) == 0
+    assert calls == Counter(inv_part=1, check_q_conditions=1)

@@ -9,7 +9,6 @@ from rackyd.envelope import (
     LieMapObject,
     TruncatedPBW,
     antipode_checks,
-    antipode_component,
     build_env,
     check_lie,
     enveloping_bracket,
@@ -39,7 +38,12 @@ from rackyd.yd import (
     hvec_coproduct,
 )
 
-from envelope_sweeps import antipode_checks_by_sweep, phi_checks_by_sweep
+from envelope_sweeps import (
+    adjoint_by_coproduct,
+    antipode_checks_by_sweep,
+    antipode_component,
+    phi_checks_by_sweep,
+)
 
 F = Fraction
 
@@ -265,7 +269,7 @@ def elimination_inv_part(env):
             raise ConsistencyError("structure map left the invariant subspace")
         return {j: full[p] for j, p in enumerate(pivots) if full[p]}
 
-    action = [[to_coords(env.adjoint(vec, {g: one})) for g in env.pbw.gen_index]
+    action = [[to_coords(env.adjoint(vec, k)) for k in range(len(env.pbw.gen_index))]
               for vec in vectors]
     coaction = []
     for vec in vectors:
@@ -428,6 +432,9 @@ def test_phi_and_antipode_checks_match_the_sweeps_on_failing_edits():
         assert tuple(phi) == tuple(phi_checks_by_sweep(env))
         assert tuple(anti) == tuple(antipode_checks_by_sweep(env))
         assert phi.coderivation_ok and phi.bimodule_ok == anti.ok
+        lemma = f_tilde_checks(env)
+        assert tuple(lemma) == lemma_by_loops(env)
+        assert lemma.yd_morphism == phi.bimodule_ok
         failing += not anti.ok
     assert failing >= 20
 
@@ -489,6 +496,15 @@ def test_lie_action_witness_is_the_least_failing_triple_on_both_paths(data):
         else:
             with pytest.raises(ValidationError, match=rf"module axioms at \({m}, {a}, {b}\)$"):
                 YDModule(hopf, labels, rows, coaction)
+
+
+@pytest.mark.parametrize("degree", (1, 2, 3))
+def test_generator_adjoint_is_the_adjoint_summed_over_the_coproduct(degree):
+    for make in FIXTURE_ALGEBRAS:
+        env = build_env(lie_map_object(make()), degree)
+        one = env.field.one
+        for e, (k, g) in product(range(env.size), enumerate(env.pbw.gen_index)):
+            assert env.adjoint({e: one}, k) == adjoint_by_coproduct(env, {e: one}, g)
 
 
 def test_f_tilde_checks_need_degree_two():

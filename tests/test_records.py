@@ -100,7 +100,7 @@ PACKAGE_NAMES = """
     LeibnizAlgebra abelian_lie central_square2 check_leibniz first_order_yd heisenberg_voros
     lie_map_object lie_quotient non_leibniz1 nonabelian_lie2 sl2 squares_ideal unital_shelf
     EnvTetramodule EnvelopingDescriptor LieMapObject TruncatedPBW antipode_checks
-    antipode_component build_env enveloping_bracket f_tilde_checks inv_part phi_checks phi_map
+    build_env enveloping_bracket f_tilde_checks inv_part phi_checks phi_map
     errors scalars linalg racks yd group_hopf leibniz jsonio envelope __version__
 """.split()
 
