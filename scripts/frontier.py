@@ -1,0 +1,127 @@
+#!/usr/bin/env python3
+"""Time the frontier instances in-process and write BENCH_frontier.json.
+
+Run from anywhere:  python scripts/frontier.py
+
+It imports rackyd from this checkout's src/ and times, in one process:
+
+- kX of the dihedral quandle D21 (over its inner group) and of the S4
+  conjugation quandle (over S4): ``braided-leibniz --rack-q`` on the module
+  and ``check-ybe`` on its braiding, each a whole ``rackyd.cli.run`` call
+  with stdout captured (the module and braiding files are written first,
+  untimed);
+- sl2 ``build_env`` at degree 10 (the constructor alone, from the fixture);
+- sl2 ``env-checks`` at degree 7 (a whole ``rackyd.cli.run`` call).
+
+Each row records its three runs and their median in seconds, and the file
+records the Python version, the platform, the CPU count, the git commit
+(null outside a git checkout) and a sha256 of ``src/rackyd/*.py``.
+"""
+
+import hashlib
+import io
+import json
+import os
+import pathlib
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from contextlib import redirect_stderr, redirect_stdout
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from rackyd import envelope, leibniz, racks  # noqa: E402
+from rackyd.cli import run  # noqa: E402
+
+RUNS = 3
+
+
+def cli(*argv):
+    """One in-process CLI call; raises unless it exits 0."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = run([str(a) for a in argv])
+    if code != 0:
+        raise SystemExit(f"rackyd {' '.join(map(str, argv))} exited {code}")
+
+
+def timed(call):
+    runs = []
+    for _ in range(RUNS):
+        t0 = time.perf_counter()
+        call()
+        runs.append(time.perf_counter() - t0)
+    return {"runs_s": [round(t, 4) for t in runs], "median_s": round(statistics.median(runs), 4)}
+
+
+def rack_rows(tmp):
+    instances = [
+        ("kX of D21", racks.inner_augmentation(racks.dihedral_quandle(21))),
+        ("kX of the S4 conjugation quandle",
+         racks.conjugation_augmented(racks.FiniteGroup.symmetric(4))),
+    ]
+    rows = []
+    for name, aug in instances:
+        stem = tmp / name.replace(" ", "_")
+        aug_path, module, braid = (stem.with_suffix(s) for s in (".aug.json", ".yd.json", ".tau.json"))
+        aug_path.write_text(json.dumps(aug.to_json_dict()))
+        cli("linearize", aug_path, "--json", module)
+        cli("braiding-matrix", module, "--json", braid)
+        for argv in (("braided-leibniz", module, "--rack-q"), ("check-ybe", braid)):
+            rows.append({"instance": name, "dim": aug.size, "command": " ".join(argv[:1] + argv[2:]),
+                         **timed(lambda: cli(*argv))})
+    return rows
+
+
+def envelope_rows():
+    sl2 = str(ROOT / "fixtures" / "leibniz_sl2.json")
+    lie_map = leibniz.lie_map_object(leibniz.LeibnizAlgebra.from_json_dict(
+        json.loads(pathlib.Path(sl2).read_text())))
+    return [
+        {"instance": "sl2", "degree": 10, "command": "build_env",
+         **timed(lambda: envelope.build_env(lie_map, 10))},
+        {"instance": "sl2", "degree": 7, "command": "env-checks",
+         **timed(lambda: cli("env-checks", sl2, "--degree", "7"))},
+    ]
+
+
+def commit():
+    try:
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
+                              capture_output=True, text=True, timeout=30)
+    except OSError:
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def source_sha256():
+    digest = hashlib.sha256()
+    for path in sorted((ROOT / "src" / "rackyd").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        rows = rack_rows(pathlib.Path(tmp)) + envelope_rows()
+    bench = {
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "cpus": os.cpu_count(),
+        "commit": commit(),
+        "src_sha256": source_sha256(),
+        "runs_per_row": RUNS,
+        "rows": rows,
+    }
+    out = ROOT / "BENCH_frontier.json"
+    out.write_text(json.dumps(bench, indent=2) + "\n")
+    for row in rows:
+        print(f"{row['instance']:34} {row['command']:28} {row['median_s']:8.3f} s")
+    print(f"wrote {out}")
+
+
+if __name__ == "__main__":
+    main()

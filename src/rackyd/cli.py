@@ -28,10 +28,21 @@ def _jsonable(obj):
     return str(obj)
 
 
+def _unique_keys(pairs):
+    """``json.load``'s object hook: a key given twice in one object is refused,
+    where ``json`` would keep the last value without any reader seeing it."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ValidationError(f"JSON object key {key!r} given twice")
+    return obj
+
+
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

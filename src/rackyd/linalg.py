@@ -32,7 +32,7 @@ sparse rows inside.
 from __future__ import annotations
 
 from .errors import ShapeError, ValidationError, as_int
-from .scalars import QQ
+from .scalars import QQ, quotient
 
 
 def lincomb(vec, col):
@@ -322,7 +322,7 @@ def _sparse_rref(vectors):
             continue
         piv = min(v)
         lead = v[piv]
-        v = {k: x / lead for k, x in v.items()}
+        v = {k: quotient(x, lead) for k, x in v.items()}
         for r in rows.values():
             if piv in r:
                 _subtract(r, r[piv], v)

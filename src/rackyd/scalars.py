@@ -1,36 +1,56 @@
 """Exact scalar arithmetic: the rationals and optional prime fields GF(p).
 
 Every computation in this package is equality-exact; there is no floating
-point anywhere.  The default field is ``QQ`` (backed by ``fractions.Fraction``,
-which keeps values in lowest terms with positive denominator).  A prime field
-can be selected per computation by passing a ``PrimeField`` instance wherever
-a ``field`` argument is accepted; its elements overload the same operators as
-``Fraction``, so all generic code runs unchanged.
+point anywhere.  The default field is ``QQ``.  An integral rational is a plain
+``int``; any other is a ``fractions.Fraction`` (lowest terms, positive
+denominator).  The two mix exactly under ``+``, ``-`` and ``*``, compare and
+hash alike, and print alike (``str(3) == str(Fraction(3))``), so generic code
+needs no case split.  Only division can leave the integers, and it goes
+through :func:`quotient`.  ``fractions`` is imported on the first literal or
+quotient that is not an integer, so integral inputs never load it.
+
+A prime field can be selected per computation by passing a ``PrimeField``
+instance wherever a ``field`` argument is accepted; its elements overload the
+same operators, so all generic code runs unchanged.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import ValidationError
 
 
+def quotient(x, y):
+    """``x / y`` exactly.  Two ints give an ``int`` when ``y`` divides ``x``
+    and a ``Fraction`` otherwise, never a float; any other pair divides as is."""
+    if type(x) is int and type(y) is int:
+        q, r = divmod(x, y)
+        if not r:
+            return q
+        from fractions import Fraction
+        return Fraction(x, y)
+    return x / y
+
+
 class RationalField:
-    """The field of rational numbers."""
+    """The field of rational numbers: ``int`` when integral, else ``Fraction``."""
 
     name = "rational"
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def scalar(self, v):
-        return Fraction(v)
+    zero = 0
+    one = 1
 
     def parse(self, text):
-        """Parse a scalar literal like ``"3"``, ``"-3/4"``."""
+        """Parse a scalar literal like ``"3"``, ``"-3/4"``; it reads what
+        ``Fraction(str(text))`` reads, and gives an ``int`` when that is one."""
         try:
-            return Fraction(str(text))
+            s = str(text)
+            digits = s[1:] if s[:1] == "-" else s
+            if digits.isascii() and digits.isdigit():
+                return int(s)
+            from fractions import Fraction
+            q = Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"bad rational literal {text!r}") from exc
+        return q.numerator if q.denominator == 1 else q
 
     def __repr__(self):
         return "QQ"
@@ -126,15 +146,6 @@ class PrimeField:
         self.name = f"gfp:{p}"
         self.zero = GFElement(p, 0)
         self.one = GFElement(p, 1)
-
-    def scalar(self, v):
-        if isinstance(v, GFElement):
-            if v.p != self.p:
-                raise ValidationError("mixed prime fields")
-            return v
-        if isinstance(v, Fraction):
-            return self.parse(str(v))
-        return GFElement(self.p, int(v))
 
     def parse(self, text):
         q = QQ.parse(text)

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 import rackyd
 from rackyd import cli, jsonio, racks, yd
 from rackyd.cli import build_parser, run
+from rackyd.errors import ValidationError
 from rackyd.linalg import Matrix, kron, mat_mul
 from rackyd.yd import BraidingMatrix, check_yd, flip_matrix
 
@@ -316,6 +317,34 @@ def test_invariant_verdicts_agree_over_qq_and_gfp(capsys, fixtures_dir, command)
             assert (results[0][0] == 2) == (path.name == "leibniz_not.json")
 
 
+# kX of the S3 conjugation quandle and of D3, each also with a broken grading,
+# and ker(counit) of Z/2 and S3: the integral group-algebra sweeps
+GROUP_ALGEBRA_FIXTURES = ("yd_s3_conj.json", "yd_dihedral3.json", "yd_s3_broken.json",
+                          "yd_dihedral3_broken.json", "yd_kereps_z2.json", "yd_kereps_s3.json")
+
+
+def test_group_algebra_verdicts_agree_over_qq_and_gfp(capsys, tmp_path, fixtures_dir):
+    codes = Counter()
+    for name in GROUP_ALGEBRA_FIXTURES:
+        path = str(fixtures_dir / name)
+        results = []
+        for field in ("rational", "gfp:10007"):
+            braid = str(tmp_path / f"braid_{field.replace(':', '')}.json")
+            runs = [invoke(capsys, *argv, "--field", field) for argv in (
+                ("check-yd", path), ("q-conditions", path, "--rack-q"),
+                ("braided-leibniz", path, "--rack-q"), ("braiding-matrix", path, "--json", braid),
+                ("check-ybe", braid))]
+            verdicts = []
+            for (code, out), keys in zip(runs, (None, None, ("ok", "witness"), (), ("ok", "witness"))):
+                rep = json.loads(out) if out else {}
+                rep.pop("command", None)
+                verdicts.append((code, rep if keys is None else {k: rep.get(k) for k in keys}))
+            results.append(verdicts)
+        assert results[0] == results[1], name
+        codes.update(code for code, _ in results[0])
+    assert codes[0] and codes[1] and codes[2]
+
+
 def test_check_leibniz_exit_codes(capsys, fixtures_dir):
     assert run(["check-leibniz", str(fixtures_dir / "leibniz_sl2.json")]) == 0
     capsys.readouterr()
@@ -408,6 +437,75 @@ REPLACEMENTS = st.one_of(
 def test_every_file_command_has_a_fixture_kind():
     assert sorted(c for commands in FIXTURE_KINDS.values() for c in commands) == \
         sorted(file_commands())
+
+
+class FractionField:
+    """The rationals as they were before integral ones became ints: every
+    scalar a ``Fraction``.  The reference for ``QQ``."""
+
+    name = "rational"
+    zero, one = Fraction(0), Fraction(1)
+    parsed = 0
+
+    def parse(self, text):
+        FractionField.parsed += 1
+        try:
+            return Fraction(str(text))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"bad rational literal {text!r}") from exc
+
+    def __repr__(self):
+        return "QQ"
+
+
+def _outcome(argv, artifact):
+    """Exit code, stdout, stderr without its timing line, and the artifact."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    written = artifact.read_bytes() if artifact.exists() else None
+    artifact.unlink(missing_ok=True)
+    lines = [line for line in err.getvalue().splitlines() if not line.startswith("elapsed_ms=")]
+    return code, out.getvalue(), lines, written
+
+
+def _reference_cases(tmp_path):
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    writes = {name for name, p in sub.choices.items() if any(a.dest == "json" for a in p._actions)}
+    flags = {"q-conditions": ["--rack-q"], "braided-leibniz": ["--rack-q"],
+             "first-order-yd": ["--degree", "3"], "env-build": ["--degree", "3"],
+             "env-checks": ["--degree", "3"], "theorem1-bracket": ["--degree", "3"]}
+    cases = []
+    for prefixes, commands in FIXTURE_KINDS.items():
+        for path in sorted(FIXTURES.glob("*.json")):
+            if path.name.startswith(prefixes):
+                for command in commands:
+                    argv = [command, str(path), *flags.get(command, [])]
+                    cases.append(argv)
+                    if command in writes:
+                        cases.append([*argv, "--json", str(tmp_path / "artifact.json")])
+                    if command == "braiding-matrix":
+                        cases += [[*argv, "--integers"], [*argv, "--paper-layout"]]
+                        braid = str(tmp_path / f"braid_{path.name}")
+                        cases += [[*argv, "--json", braid], ["check-ybe", braid],
+                                  ["check-ybe", braid, "--json", str(tmp_path / "artifact.json")]]
+    return cases
+
+
+def test_qq_matches_the_all_fraction_reference_on_every_fixture(monkeypatch, tmp_path):
+    artifact = tmp_path / "artifact.json"
+    cases = _reference_cases(tmp_path)
+    assert len(cases) > 150
+    results = {}
+    for reference in (False, True):
+        if reference:
+            monkeypatch.setattr(cli, "field_from_name", lambda name: FractionField())
+        results[reference] = [_outcome(argv, artifact) for argv in cases]
+    assert FractionField.parsed > 0
+    mismatched = [argv for argv, a, b in zip(cases, results[False], results[True]) if a != b]
+    assert mismatched == []
+    codes = Counter(code for code, *_ in results[False])
+    assert codes[0] and codes[1] and codes[2]
 
 
 def _slots(node):
@@ -833,6 +931,21 @@ def test_a_sparse_term_given_twice_exits_two(tmp_path, capsys, fixtures_dir):
     line = {"dim": 1, "basis": ["x"], "brackets": [{"i": 0, "j": 0, "out": {"0": "1", "+0": "1"}}]}
     _refused(capsys, ["check-leibniz", _write(tmp_path, "line.json", line)],
              "bracket output index 0 given twice")
+
+
+def test_a_json_key_given_twice_exits_two(tmp_path, capsys, fixtures_dir):
+    # json.load keeps the last value, so both files passed as written
+    line = ('{"dim": 1, "basis": ["x"], '
+            '"brackets": [{"i": 0, "j": 0, "out": {"0": "1", "0": "0"}}]}')
+    path = tmp_path / "line.json"
+    path.write_text(line)
+    _refused(capsys, ["check-leibniz", str(path)], "JSON object key '0' given twice")
+    braid = json.loads((fixtures_dir / "braiding_hv_sparse.json").read_text())
+    assert braid["columns"][0] == {"0": "1"}
+    braid["columns"][0] = "COLUMN"
+    path = tmp_path / "braid.json"
+    path.write_text(json.dumps(braid).replace('"COLUMN"', '{"0": "5", "0": "1"}'))
+    _refused(capsys, ["check-ybe", str(path)], "JSON object key '0' given twice")
 
 
 def test_a_bracket_entry_given_twice_exits_two(tmp_path, capsys):

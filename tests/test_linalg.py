@@ -112,10 +112,10 @@ def test_as_int_rows_rejects_fractions():
 
 def test_gf_matrix_arithmetic():
     gf5 = PrimeField(5)
-    a = Matrix([[gf5.scalar(2), gf5.scalar(3)], [gf5.scalar(4), gf5.scalar(1)]])
+    a = Matrix([[gf5.parse("2"), gf5.parse("3")], [gf5.parse("4"), gf5.parse("1")]])
     sq = mat_mul(a, a)
-    assert sq[0, 0] == gf5.scalar(2 * 2 + 3 * 4)
-    assert gf5.parse("1/2") == gf5.scalar(3)  # 2 * 3 = 6 = 1 mod 5
+    assert sq[0, 0] == gf5.parse(str(2 * 2 + 3 * 4))
+    assert gf5.parse("1/2") == gf5.parse("3")  # 2 * 3 = 6 = 1 mod 5
     with pytest.raises(ValidationError):
         PrimeField(6)
 

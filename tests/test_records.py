@@ -70,6 +70,18 @@ def test_rack_braiding_imports_no_linear_algebra():
     assert loaded & {"yd", "linalg", "jsonio", "leibniz", "envelope"} == set()
 
 
+@pytest.mark.parametrize("argv", [
+    ("check-ybe", "braiding_hv_sparse.json"),
+    ("linearize", "aug_dihedral3.json"),
+], ids=lambda argv: argv[0])
+def test_an_integral_input_loads_neither_fractions_nor_decimal(argv):
+    # QQ holds integral rationals as ints; only a denominator loads fractions
+    command, fixture = argv
+    loaded = _modules_after(f"from rackyd.cli import run; "
+                            f"assert run({[command, str(FIXTURES / fixture)]!r}) == 0")
+    assert {"fractions", "decimal"} & loaded == set()
+
+
 # perfbench/tracer.py reads these modules from sys.modules after one untraced
 # in-process pass; braided-leibniz is in the rack_ybe and group_descriptor
 # ladders, first-order-yd in envelope_inv, so each must load all eight
