@@ -31,11 +31,11 @@ def _jsonable(obj):
 def _unique_keys(pairs):
     """``json.load``'s object hook: a key given twice in one object is refused,
     where ``json`` would keep the last value without any reader seeing it."""
-    obj = dict(pairs)
-    if len(obj) != len(pairs):
-        seen = set()
-        key = next(k for k, _ in pairs if k in seen or seen.add(k))
-        raise ValidationError(f"JSON object key {key!r} given twice")
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValidationError(f"JSON object key {key!r} given twice")
+        obj[key] = value
     return obj
 
 

@@ -6,8 +6,9 @@ point anywhere.  The default field is ``QQ``.  An integral rational is a plain
 denominator).  The two mix exactly under ``+``, ``-`` and ``*``, compare and
 hash alike, and print alike (``str(3) == str(Fraction(3))``), so generic code
 needs no case split.  Only division can leave the integers, and it goes
-through :func:`quotient`.  ``fractions`` is imported on the first literal or
-quotient that is not an integer, so integral inputs never load it.
+through :func:`quotient`.  ``fractions`` is imported on the first literal
+that is not a plain integer or the first quotient that is not an integer, so
+integral inputs never load it.
 
 A prime field can be selected per computation by passing a ``PrimeField``
 instance wherever a ``field`` argument is accepted; its elements overload the
@@ -43,7 +44,7 @@ class RationalField:
         ``Fraction(str(text))`` reads, and gives an ``int`` when that is one."""
         try:
             s = str(text)
-            digits = s[1:] if s[:1] == "-" else s
+            digits = s.removeprefix("-")
             if digits.isascii() and digits.isdigit():
                 return int(s)
             from fractions import Fraction
