@@ -15,7 +15,8 @@ It imports rackyd from this checkout's src/ and times, in one process:
 
 Each row records its three runs and their median in seconds, and the file
 records the Python version, the platform, the CPU count, the git commit
-(null outside a git checkout) and a sha256 of ``src/rackyd/*.py``.
+(null outside a git checkout), a sha256 of ``src/rackyd/*.py`` and their
+total line count (as ``wc -l`` counts it).
 """
 
 import hashlib
@@ -38,6 +39,7 @@ from rackyd import envelope, leibniz, racks  # noqa: E402
 from rackyd.cli import run  # noqa: E402
 
 RUNS = 3
+SOURCES = sorted((ROOT / "src" / "rackyd").glob("*.py"))
 
 
 def cli(*argv):
@@ -99,9 +101,13 @@ def commit():
 
 def source_sha256():
     digest = hashlib.sha256()
-    for path in sorted((ROOT / "src" / "rackyd").glob("*.py")):
+    for path in SOURCES:
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
     return digest.hexdigest()
+
+
+def source_lines():
+    return sum(path.read_bytes().count(b"\n") for path in SOURCES)
 
 
 def main():
@@ -113,6 +119,7 @@ def main():
         "cpus": os.cpu_count(),
         "commit": commit(),
         "src_sha256": source_sha256(),
+        "src_lines": source_lines(),
         "runs_per_row": RUNS,
         "rows": rows,
     }

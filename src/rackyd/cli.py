@@ -132,9 +132,9 @@ def _rack_q(module):
 
 def _get_q(args, module, field):
     from . import jsonio
-    if getattr(args, "rack_q", False):
+    if args.rack_q:
         return _rack_q(module)
-    if getattr(args, "q", None):
+    if args.q:
         return jsonio.q_from_dict(_load_json(args.q), field)
     raise ValidationError("pass --q FILE or --rack-q")
 
@@ -275,6 +275,7 @@ def _cmd_check_leibniz(args, field):
 
 def _cmd_lie_quotient(args, field):
     from . import leibniz
+    from .linalg import Matrix
     alg = leibniz.LeibnizAlgebra.from_json_dict(_load_json(args.file), field)
     lq = leibniz.lie_quotient(alg)
     report = {
@@ -286,8 +287,8 @@ def _cmd_lie_quotient(args, field):
     quotient = lq.quotient.to_json_dict()
     _emit(args, report, "quotient", quotient, {
         "quotient": quotient,
-        "pi": lq.pi.to_json_dict(),
-        "section": lq.section.to_json_dict(),
+        "pi": Matrix.from_columns(lq.pi, lq.dim).to_json_dict(),
+        "section": Matrix.from_columns(lq.section, alg.dim).to_json_dict(),
         "ideal": [[str(c) for c in row] for row in lq.ideal],
     })
     return 0, report
@@ -428,11 +429,22 @@ def _cmd_dual_check(args, field):
     return (0 if rep.ok else 1), report
 
 
+def _witness_limit(text):
+    """``--witness-limit``'s type: a count, so a negative one is refused."""
+    try:
+        limit = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if limit < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {limit}")
+    return limit
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field", default="rational", metavar="rational|gfp:<p>",
                         help="scalar field (default: rational)")
-    common.add_argument("--witness-limit", type=int, default=8, metavar="K",
+    common.add_argument("--witness-limit", type=_witness_limit, default=8, metavar="K",
                         help="cap on witnesses included in the report")
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--json", metavar="PATH", help="write the main artifact to PATH")
@@ -444,6 +456,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="print the matrix as rows of space-separated integers")
     mat.add_argument("--integers", action="store_true",
                      help="emit integer entries, failing if any entry is not integral")
+    qsrc = argparse.ArgumentParser(add_help=False)
+    qmap = qsrc.add_mutually_exclusive_group()
+    qmap.add_argument("--q", metavar="QFILE", help="q-map JSON file")
+    qmap.add_argument("--rack-q", action="store_true",
+                      help="use q(x) = p(x) - 1 read off a grading coaction")
 
     parser = argparse.ArgumentParser(
         prog="rackyd",
@@ -500,16 +517,10 @@ def build_parser() -> argparse.ArgumentParser:
     add("theorem1-bracket", _cmd_theorem1_bracket,
         "braided Leibniz bracket on the invariants of the enveloping tetramodule",
         parents=[out, deg])
-    qp = add("q-conditions", _cmd_q_conditions,
-             "equivariance and colinearity of a map q into ker(counit)")
-    qp.add_argument("--q", metavar="QFILE", help="q-map JSON file")
-    qp.add_argument("--rack-q", action="store_true",
-                    help="use q(x) = p(x) - 1 read off a grading coaction")
-    bp = add("braided-leibniz", _cmd_braided_leibniz,
-             "build and verify the bracket x <| y = x q(y)", parents=[out])
-    bp.add_argument("--q", metavar="QFILE", help="q-map JSON file")
-    bp.add_argument("--rack-q", action="store_true",
-                    help="use q(x) = p(x) - 1 read off a grading coaction")
+    add("q-conditions", _cmd_q_conditions,
+        "equivariance and colinearity of a map q into ker(counit)", parents=[qsrc])
+    add("braided-leibniz", _cmd_braided_leibniz,
+        "build and verify the bracket x <| y = x q(y)", parents=[out, qsrc])
     add("dual-check", _cmd_dual_check,
         "pullback p*: k[G] -> k[X] respects the (co)module structures")
     return parser

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .envelope import EnvelopingDescriptor, LieMapObject, TruncatedPBW, check_lie
 from .errors import ConsistencyError, ValidationError, as_int
-from .linalg import Matrix, lincomb, reduce_mod, rref, vec_from_json, vsum
+from .linalg import echelon_insert, lincomb, reduce_mod, vec_from_json, vsum
 from .scalars import QQ
 from .yd import YDModule, braided_leibniz_witness, flip_columns
 
@@ -201,59 +201,54 @@ def non_leibniz1(field=QQ) -> LeibnizAlgebra:
 # ---------------------------------------------------------------------------
 # squares ideal and the Lie quotient
 
-def _squares_ideal_rows(alg: LeibnizAlgebra):
-    n = alg.dim
-    field = alg.field
-    one = field.one
+def _squares_ideal_rows(alg: LeibnizAlgebra) -> dict:
+    """The reduced echelon basis ``{pivot: sparse row}`` of the squares ideal.
 
-    def as_vec(d):
-        v = [field.zero] * n
-        for k, c in d.items():
-            v[k] = c
-        return tuple(v)
-
-    gens = []
-    for i in range(n):
-        gens.append(as_vec(alg.brackets[i][i]))
-        for j in range(i + 1, n):
-            gens.append(as_vec(vsum(alg.brackets[i][j], alg.brackets[j][i])))
-    rows, pivots = rref(gens, field)
-    # close under bracketing with g on both sides
-    changed = True
-    while changed:
-        changed = False
-        new = []
-        for row in rows:
-            w = {k: c for k, c in enumerate(row) if c}
+    A worklist closure: the basis squares and their polarizations seed it,
+    and each vector that enlarges the span queues its brackets with every
+    basis element on both sides, which suffices by bilinearity.  The span
+    grows at most ``dim`` times and is never recomputed.
+    """
+    n, one = alg.dim, alg.field.one
+    todo = [vsum(alg.brackets[i][j], alg.brackets[j][i]) if i != j else alg.brackets[i][i]
+            for i in range(n) for j in range(i, n)]
+    rows = {}
+    while todo:
+        v = echelon_insert(rows, todo.pop())
+        if v is not None:
             for j in range(n):
-                for cand in (alg.bracket_vec(w, {j: one}), alg.bracket_vec({j: one}, w)):
-                    vec = as_vec(cand)
-                    if any(reduce_mod(vec, rows, pivots)):
-                        new.append(vec)
-        if new:
-            rows, pivots = rref(list(rows) + new, field)
-            changed = True
-    return rows, pivots
+                todo += [alg.bracket_vec(v, {j: one}), alg.bracket_vec({j: one}, v)]
+    return rows
+
+
+def _dense(rows, n, zero) -> tuple:
+    """A reduced echelon basis as dense rows, ordered by pivot."""
+    return tuple(tuple(rows[p].get(k, zero) for k in range(n)) for p in sorted(rows))
 
 
 def squares_ideal(alg: LeibnizAlgebra):
     """Echelon basis of the smallest bracket-closed subspace containing all
     squares [v, v] (generated by the basis squares and their polarizations,
-    which span the same set by bilinearity)."""
+    which span the same set by bilinearity), as dense rows."""
     _require_leibniz(alg)
-    rows, _ = _squares_ideal_rows(alg)
-    return tuple(rows)
+    return _dense(_squares_ideal_rows(alg), alg.dim, alg.field.zero)
 
 
 class LieQuotientData(NamedTuple):
-    """The quotient pi: g -> g_Lie with a chosen section and lifted action."""
+    """The quotient pi: g -> g_Lie with a chosen section and lifted action.
+
+    ``pi`` holds the n sparse columns pi(e_m) over the quotient basis,
+    ``section`` the sparse columns s(xbar_k) = e_(complement k) in g, and
+    ``action[k][m]`` the bracket column [e_m, s(xbar_k)].  ``ideal`` is the
+    echelon basis of the squares ideal as dense rows.
+    """
 
     parent: LeibnizAlgebra
     ideal: tuple
     quotient: LeibnizAlgebra
-    pi: Matrix
-    section: Matrix
-    action_mats: tuple  # per quotient basis vector: v -> [v, lift]
+    pi: tuple
+    section: tuple
+    action: tuple
 
     @property
     def dim(self) -> int:
@@ -271,67 +266,36 @@ def lie_quotient(alg: LeibnizAlgebra) -> LieQuotientData:
     _require_leibniz(alg)
     field = alg.field
     n = alg.dim
-    rows, pivots = _squares_ideal_rows(alg)
-    for row in rows:
-        w = {k: c for k, c in enumerate(row) if c}
+    rows = _squares_ideal_rows(alg)
+    for w in rows.values():
         for i in range(n):
             if alg.bracket_vec({i: field.one}, w):
                 raise ConsistencyError(
                     "lifted action depends on the section: an ideal element "
                     "does not bracket to zero from the right"
                 )
-    complement = [j for j in range(n) if j not in set(pivots)]
-    q = len(complement)
+    complement = [j for j in range(n) if j not in rows]
     cpos = {c: k for k, c in enumerate(complement)}
 
-    def project(vec_dict):
-        full = [field.zero] * n
-        for k, c in vec_dict.items():
-            full[k] = c
-        res = reduce_mod(full, rows, pivots)
-        return {cpos[j]: res[j] for j in complement if res[j]}
+    def project(vec):
+        return {cpos[j]: c for j, c in sorted(reduce_mod(vec, rows).items())}
 
-    pi = Matrix(
-        [[project({j: field.one}).get(k, field.zero) for j in range(n)] for k in range(q)],
-        q, n,
-    )
-    section = Matrix(
-        [[field.one if (j in cpos and cpos[j] == k) else field.zero for k in range(q)]
-         for j in range(n)],
-        n, q,
-    )
-    qbrackets = [
-        [project(alg.bracket(complement[a], complement[b])) for b in range(q)]
-        for a in range(q)
-    ]
+    pi = tuple(project({m: field.one}) for m in range(n))
+    section = tuple({c: field.one} for c in complement)
+    qbrackets = [[project(alg.brackets[a][b]) for b in complement] for a in complement]
     quotient = LeibnizAlgebra([alg.basis[c] for c in complement], qbrackets, field)
     witness = check_lie(quotient.brackets)
     if witness is not None:
         raise ConsistencyError(f"quotient by the squares ideal must be Lie: {witness}")
-    action_mats = []
-    for k in range(q):
-        w = complement[k]
-        cols = [alg.bracket(i, w) for i in range(n)]
-        action_mats.append(Matrix(
-            [[cols[i].get(j, field.zero) for i in range(n)] for j in range(n)],
-            n, n,
-        ))
-    return LieQuotientData(alg, tuple(rows), quotient, pi, section, tuple(action_mats))
+    action = tuple(tuple(row[c] for row in alg.brackets) for c in complement)
+    return LieQuotientData(alg, _dense(rows, n, field.zero), quotient, pi, section, action)
 
 
 def lie_map_object(alg: LeibnizAlgebra) -> LieMapObject:
     """The equivariant pair pi: g -> g_Lie as input for the enveloping build."""
     lq = lie_quotient(alg)
-    n, q = alg.dim, lq.dim
-    action = [
-        [
-            {j: lq.action_mats[k][j, m] for j in range(n)}
-            for m in range(n)
-        ]
-        for k in range(q)
-    ]
-    f = [{k: lq.pi[k, m] for k in range(q)} for m in range(n)]
-    return LieMapObject(lq.quotient.brackets, lq.quotient.basis, alg.basis, action, f, alg.field)
+    return LieMapObject(lq.quotient.brackets, lq.quotient.basis, alg.basis, lq.action, lq.pi,
+                        alg.field)
 
 
 # ---------------------------------------------------------------------------
@@ -393,30 +357,23 @@ def first_order_yd(alg: LeibnizAlgebra, degree: int = 2) -> YDModule:
     lq = lie_quotient(alg)
     field = alg.field
     one = field.one
-    n, q = alg.dim, lq.dim
+    n = alg.dim
     pbw = TruncatedPBW(lq.quotient.brackets, degree, lq.quotient.basis, field)
     hopf = EnvelopingDescriptor(pbw)
     basis = ("1",) + alg.basis
-    action = [[{} for _ in range(q)]]
+    action = [[{} for _ in range(lq.dim)]]
     for i in range(n):
-        row = []
-        for k in range(q):
-            row.append({j + 1: lq.action_mats[k][j, i] for j in range(n)})
-        action.append(row)
+        action.append([{j + 1: c for j, c in col[i].items()} for col in lq.action])
     coaction = [[(0, pbw.unit, one)]]
     for i in range(n):
-        terms = [(i + 1, pbw.unit, one)]
-        for k in range(q):
-            c = lq.pi[k, i]
-            if c:
-                terms.append((0, pbw.gen_index[k], c))
-        coaction.append(terms)
+        coaction.append([(i + 1, pbw.unit, one)]
+                        + [(0, pbw.gen_index[k], c) for k, c in lq.pi[i].items()])
     module = YDModule(hopf, basis, action, coaction)
     shelf = _unital_shelf_table(alg)  # lie_quotient has proved the Leibniz identity
     for j in range(n + 1):
-        qj = {pbw.unit: one} if j == 0 else vsum(
-            {pbw.gen_index[k]: lq.pi[k, j - 1] for k in range(q)}
-        )
+        qj = {pbw.unit: one} if j == 0 else {
+            pbw.gen_index[k]: c for k, c in lq.pi[j - 1].items()
+        }
         for i in range(n + 1):
             if module.act_hvec({i: one}, qj) != shelf[i][j]:
                 raise ConsistencyError(

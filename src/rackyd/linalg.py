@@ -25,8 +25,8 @@ columns in that form.
 JSON format and as the reference in tests; ``kron`` follows the same
 convention, so dense composites like (T (x) 1)(1 (x) T) are plain matrix
 products.  Matrices are immutable after construction and may be shared
-freely.  The echelon utilities take and return dense rows and eliminate on
-sparse rows inside.
+freely.  The echelon utilities take and return sparse vectors: a reduced
+echelon basis is a dict ``{pivot: sparse row}``.
 """
 
 from __future__ import annotations
@@ -293,9 +293,12 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# echelon-form utilities: ``rref`` and ``reduce_mod`` serve the Lie quotient;
-# ``nullspace`` is the elimination reference of the invariant tests, and
-# perfbench/tracer.py names it
+# echelon-form utilities on sparse vectors.  A reduced echelon basis is a dict
+# ``{pivot: row}`` in which every row has a 1 at its pivot and a 0 at every
+# other pivot, so reducing a vector by one row never disturbs its coefficient
+# at another pivot.  ``echelon_insert`` and ``reduce_mod`` serve the Lie
+# quotient; ``rref`` and ``nullspace`` serve the elimination references of the
+# tests, and perfbench/tracer.py names them
 
 def _subtract(v, c, r):
     """``v -= c * r`` in place on sparse vectors, dropping what cancels."""
@@ -307,63 +310,47 @@ def _subtract(v, c, r):
             del v[k]
 
 
-def _sparse_rref(vectors):
-    """Pivot -> sparse row of the reduced echelon basis of the span.
+def reduce_mod(vec, rows):
+    """Residual of ``vec`` modulo the span of the reduced echelon basis ``rows``."""
+    v = {k: x for k, x in vec.items() if x}
+    for p in [p for p in v if p in rows]:
+        _subtract(v, v[p], rows[p])
+    return v
 
-    Every row has a 1 at its pivot and a 0 at every other pivot, so reducing
-    a vector by one row never disturbs its coefficient at another pivot.
+
+def echelon_insert(rows, vec):
+    """Add ``vec`` to the reduced echelon basis ``rows`` in place, keeping it
+    reduced.  Returns the new row, or None when ``vec`` already lies in the span.
     """
+    v = reduce_mod(vec, rows)
+    if not v:
+        return None
+    piv = min(v)
+    lead = v[piv]
+    v = {k: quotient(x, lead) for k, x in v.items()}
+    for r in rows.values():
+        if piv in r:
+            _subtract(r, r[piv], v)
+    rows[piv] = v
+    return v
+
+
+def rref(vectors):
+    """The reduced echelon basis ``{pivot: row}`` of the span of sparse ``vectors``."""
     rows = {}
     for vec in vectors:
-        v = {k: x for k, x in enumerate(vec) if x}
-        for p in [p for p in v if p in rows]:
-            _subtract(v, v[p], rows[p])
-        if not v:
-            continue
-        piv = min(v)
-        lead = v[piv]
-        v = {k: quotient(x, lead) for k, x in v.items()}
-        for r in rows.values():
-            if piv in r:
-                _subtract(r, r[piv], v)
-        rows[piv] = v
+        echelon_insert(rows, vec)
     return rows
 
 
-def rref(vectors, field=QQ):
-    """Reduced row echelon basis of the span of ``vectors``.
-
-    Returns ``(rows, pivots)`` where each row has a leading 1 in its pivot
-    column and zeros in every other pivot column; rows are ordered by pivot.
-    """
-    vectors = list(vectors)
-    rows = _sparse_rref(vectors)
-    pivots = sorted(rows)
-    ncols = len(vectors[0]) if vectors else 0
-    return [tuple(rows[p].get(k, field.zero) for k in range(ncols)) for p in pivots], pivots
-
-
-def reduce_mod(vec, rows, pivots):
-    """Residual of ``vec`` after subtracting its projection onto an rref span."""
-    v = list(vec)
-    for r, p in zip(rows, pivots):
-        c = v[p]
-        if c:
-            v = [x - c * y for x, y in zip(v, r)]
-    return tuple(v)
-
-
-def nullspace(rows_of_matrix, ncols, field=QQ):
-    """Kernel basis of the linear map given by a list of row vectors."""
-    rows = _sparse_rref(rows_of_matrix)
-    basis = []
-    for free in range(ncols):
-        if free in rows:
-            continue
-        v = [field.zero] * ncols
-        v[free] = field.one
-        for p, r in rows.items():
-            if free in r:
-                v[p] = -r[free]
-        basis.append(tuple(v))
-    return basis
+def nullspace(rows_of_matrix, ncols):
+    """Kernel basis, as sparse vectors, of the map on ``range(ncols)`` whose
+    rows are the sparse vectors ``rows_of_matrix``: one vector per non-pivot
+    column, with a 1 there (the field's, read off a pivot; an int 1 when
+    every row is zero)."""
+    rows = rref(rows_of_matrix)
+    one = next((r[p] for p, r in rows.items()), 1)
+    return [
+        {**{p: -r[free] for p, r in rows.items() if free in r}, free: one}
+        for free in range(ncols) if free not in rows
+    ]

@@ -42,6 +42,19 @@ def _greedy_generators(table, start=()) -> tuple:
     return tuple(gens)
 
 
+def _list(value, what):
+    """``value`` if it is a JSON list; a string would be read character by
+    character, so anything else is refused, naming the field."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _table(value, what):
+    """A JSON table: a list whose rows are lists."""
+    return [_list(row, f"{what} row") for row in _list(value, what)]
+
+
 class FiniteShelf:
     """A finite magma table; whether it is a shelf/rack/quandle is a property."""
 
@@ -88,7 +101,7 @@ class FiniteShelf:
     @classmethod
     def from_json_dict(cls, d):
         try:
-            return cls(d["elements"], d["op"])
+            return cls(_list(d["elements"], "elements"), _table(d["op"], "op"))
         except (KeyError, TypeError) as exc:
             raise ValidationError("shelf JSON needs elements/op") from exc
 
@@ -297,7 +310,7 @@ class FiniteGroup:
     @classmethod
     def from_json_dict(cls, d):
         try:
-            return cls(d["elements"], d["mul"])
+            return cls(_list(d["elements"], "elements"), _table(d["mul"], "mul"))
         except (KeyError, TypeError) as exc:
             raise ValidationError("group JSON needs elements/mul") from exc
 
@@ -444,10 +457,10 @@ class AugmentedRack:
     def from_json_dict(cls, d):
         try:
             return cls(
-                d["rack_elements"],
+                _list(d["rack_elements"], "rack_elements"),
                 FiniteGroup.from_json_dict(d["group"]),
-                d["action"],
-                d["p"],
+                _table(d["action"], "action"),
+                _list(d["p"], "p"),
             )
         except (KeyError, TypeError) as exc:
             raise ValidationError(

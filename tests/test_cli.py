@@ -591,6 +591,38 @@ def test_lie_quotient_and_unital_shelf_artifacts(tmp_path, capsys, fixtures_dir)
     assert code == 0 and rep["dim"] == 4
 
 
+PIVOT_NOT_ONE = {  # [c, c] = 2a + 3b, every other bracket 0
+    "dim": 3, "basis": ["a", "b", "c"],
+    "brackets": [{"i": 2, "j": 2, "out": {"0": "2", "1": "3"}}],
+}
+
+
+@pytest.mark.parametrize("source,golden", [
+    ("leibniz_heisenberg_voros.json", {
+        "ideal": [["0", "0", "1"]],
+        "pi": {"rows": 2, "cols": 3, "entries": [["1", "0", "0"], ["0", "1", "0"]]},
+        "section": {"rows": 3, "cols": 2, "entries": [["1", "0"], ["0", "1"], ["0", "0"]]},
+        "quotient": {"basis": ["x", "y"], "brackets": [], "dim": 2},
+    }),
+    (PIVOT_NOT_ONE, {
+        "ideal": [["1", "3/2", "0"]],
+        "pi": {"rows": 2, "cols": 3, "entries": [["-3/2", "1", "0"], ["0", "0", "1"]]},
+        "section": {"rows": 3, "cols": 2, "entries": [["0", "0"], ["1", "0"], ["0", "1"]]},
+        "quotient": {"basis": ["b", "c"], "brackets": [], "dim": 2},
+    }),
+], ids=["heisenberg_voros", "pivot_not_one"])
+def test_lie_quotient_artifact_is_golden(tmp_path, capsys, fixtures_dir, source, golden):
+    path = tmp_path / "alg.json"
+    if isinstance(source, dict):
+        path.write_text(json.dumps(source))
+    else:
+        path = fixtures_dir / source
+    out = tmp_path / "quotient.json"
+    code, _ = report(capsys, "lie-quotient", str(path), "--json", str(out))
+    assert code == 0
+    assert json.loads(out.read_text()) == golden
+
+
 def test_make_commands(tmp_path, capsys, fixtures_dir):
     out = tmp_path / "d6.json"
     code, rep = report(capsys, "make-dihedral", "6", "--json", str(out))
@@ -670,6 +702,65 @@ def test_non_integer_bracket_output_index_exits_two(tmp_path, capsys):
 def test_string_bracket_index_exits_two(tmp_path, capsys):
     alg = {"dim": 2, "basis": ["x", "y"], "brackets": [{"i": "0", "j": 0, "out": {"1": "1"}}]}
     assert run(["check-leibniz", _write(tmp_path, "leibniz.json", alg)]) == 2
+
+
+def _aug_z2(**edits):
+    payload = {"rack_elements": ["0", "1"], "action": [[0, 0], [1, 1]], "p": [0, 1],
+               "group": {"elements": ["0", "1"], "mul": [[0, 1], [1, 0]]}}
+    return {**payload, **edits}
+
+
+# case -> (command, input, the error it must give); a string in place of a
+# list used to be read character by character
+MALFORMED_RACK = {
+    "shelf-op-rows-strings": ("check-rack", {"elements": ["a", "b", "c"],
+                                             "op": ["021", "210", "102"]},
+                              "op row must be a list, got str"),
+    "shelf-op-string": ("check-rack", {"elements": ["a"], "op": "0"},
+                        "op must be a list, got str"),
+    "shelf-elements-string": ("check-rack", {"elements": "abc",
+                                             "op": [[0, 2, 1], [2, 1, 0], [1, 0, 2]]},
+                              "elements must be a list, got str"),
+    "group-elements-string": ("make-conjugation", {"elements": "ea", "mul": [[0, 1], [1, 0]]},
+                              "elements must be a list, got str"),
+    "group-mul-rows-strings": ("make-conjugation", {"elements": ["e", "a"], "mul": ["01", "10"]},
+                               "mul row must be a list, got str"),
+    "augmented-group-elements-string": (
+        "check-augmented", _aug_z2(group={"elements": "ea", "mul": [[0, 1], [1, 0]]}),
+        "elements must be a list, got str"),
+    "augmented-rack-elements-string": ("check-augmented", _aug_z2(rack_elements="01"),
+                                       "rack_elements must be a list, got str"),
+    "augmented-action-rows-strings": ("check-augmented", _aug_z2(action=["00", "11"]),
+                                      "action row must be a list, got str"),
+    "augmented-p-string": ("check-augmented", _aug_z2(p="01"), "p must be a list, got str"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_RACK))
+def test_malformed_rack_input_exits_two(tmp_path, capsys, case):
+    command, payload, message = MALFORMED_RACK[case]
+    assert run([command, _write(tmp_path, "input.json", payload)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
+    assert message in out.err and "Traceback" not in out.err
+
+
+def test_negative_witness_limit_exits_two(capsys, fixtures_dir):
+    path = str(fixtures_dir / "not_a_shelf.json")
+    assert run(["check-rack", path, "--witness-limit", "-1"]) == 2
+    assert "--witness-limit: must be >= 0, not -1" in capsys.readouterr().err
+    code, rep = report(capsys, "check-rack", path, "--witness-limit", "3")
+    assert code == 1 and sorted(rep["witnesses"]) == [
+        "bijectivity", "idempotence", "self_distributivity"]
+
+
+@pytest.mark.parametrize("command", ["q-conditions", "braided-leibniz"])
+def test_q_file_and_rack_q_together_exit_two(capsys, fixtures_dir, command):
+    argv = [command, str(fixtures_dir / "yd_s3_conj.json"), "--rack-q",
+            "--q", str(fixtures_dir / "q_s3_conj.json")]
+    assert run(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "not allowed with argument --rack-q" in out.err
 
 
 def test_check_ybe_failure_names_witness(tmp_path, capsys, fixtures_dir):

@@ -245,12 +245,13 @@ def elimination_inv_part(env):
     rows = {}
     for e in range(ncols):
         for h1, e1, c in env.left_coact_tab[e]:
-            row = rows.setdefault(h1 * ncols + e1, [zero] * ncols)
-            row[e] = row[e] + c
-        row = rows.setdefault(unit * ncols + e, [zero] * ncols)
-        row[e] = row[e] - one
-    basis_rows, pivots = rref(nullspace(list(rows.values()), ncols, env.field), env.field)
-    vectors = [{i: c for i, c in enumerate(row) if c} for row in basis_rows]
+            row = rows.setdefault(h1 * ncols + e1, {})
+            row[e] = row.get(e, zero) + c
+        row = rows.setdefault(unit * ncols + e, {})
+        row[e] = row.get(e, zero) - one
+    basis = rref(nullspace(list(rows.values()), ncols))
+    pivots = sorted(basis)
+    vectors = [dict(sorted(basis[p].items())) for p in pivots]
     labels = []
     for j, vec in enumerate(vectors):
         label = f"inv{j}"
@@ -262,12 +263,9 @@ def elimination_inv_part(env):
         labels.append(label)
 
     def to_coords(vec):
-        full = [zero] * ncols
-        for e, c in vec.items():
-            full[e] = c
-        if any(reduce_mod(full, basis_rows, pivots)):
+        if reduce_mod(vec, basis):
             raise ConsistencyError("structure map left the invariant subspace")
-        return {j: full[p] for j, p in enumerate(pivots) if full[p]}
+        return {j: vec[p] for j, p in enumerate(pivots) if vec.get(p)}
 
     action = [[to_coords(env.adjoint(vec, k)) for k in range(len(env.pbw.gen_index))]
               for vec in vectors]

@@ -121,18 +121,24 @@ def test_gf_matrix_arithmetic():
 
 
 def test_rref_and_nullspace():
-    rows, pivots = rref([(F(0), F(2), F(4)), (F(1), F(1), F(1))])
-    assert pivots == [0, 1]
-    assert not any(reduce_mod((F(1), F(3), F(5)), rows, pivots))
-    assert any(reduce_mod((F(0), F(0), F(1)), rows, pivots))
-    kernel = nullspace([(F(1), F(1), F(1))], 3)
+    rows = rref([{1: F(2), 2: F(4)}, {0: F(1), 1: F(1), 2: F(1)}])
+    assert sorted(rows) == [0, 1]
+    assert not reduce_mod({0: F(1), 1: F(3), 2: F(5)}, rows)
+    assert reduce_mod({2: F(1)}, rows)
+    kernel = nullspace([{0: F(1), 1: F(1), 2: F(1)}], 3)
     assert len(kernel) == 2
     for vec in kernel:
-        assert sum(vec, F(0)) == 0
+        assert sum(vec.values(), F(0)) == 0
 
 
 def _from_sympy(x):
     return F(int(x.p), int(x.q))
+
+
+def _dense(vec, n):
+    """A sparse vector with no stored zeros and no index outside range(n), as a tuple."""
+    assert all(vec.values()) and set(vec) <= set(range(n))
+    return tuple(vec.get(k, F(0)) for k in range(n))
 
 
 @given(st.data())
@@ -142,10 +148,13 @@ def test_rref_and_nullspace_match_sympy(data):
     vectors = data.draw(st.lists(
         st.lists(entry, min_size=n, max_size=n).map(tuple), min_size=m, max_size=m,
     ))
+    sparse = [{k: x for k, x in enumerate(v) if x} for v in vectors]
     ref, ref_pivots = sympy.Matrix(vectors).rref()
-    rows, pivots = rref(vectors)
+    rows = rref(sparse)
+    pivots = sorted(rows)
     assert pivots == list(ref_pivots)
-    assert rows == [tuple(_from_sympy(x) for x in ref.row(r)) for r in range(len(pivots))]
-    kernel = nullspace(vectors, n)
+    assert [_dense(rows[p], n) for p in pivots] == [
+        tuple(_from_sympy(x) for x in ref.row(r)) for r in range(len(pivots))]
+    kernel = nullspace(sparse, n)
     ref_kernel = sympy.Matrix(vectors).nullspace()
-    assert kernel == [tuple(_from_sympy(x) for x in v) for v in ref_kernel]
+    assert [_dense(v, n) for v in kernel] == [tuple(_from_sympy(x) for x in v) for v in ref_kernel]

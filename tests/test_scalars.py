@@ -92,13 +92,13 @@ def _exact(obj):
 
 
 def test_rref_of_integral_rows_with_a_pivot_not_one_is_exact():
-    rows, pivots = rref([(2, 3, 0), (0, 4, 6)])
-    assert pivots == [0, 1]
-    assert rows == [(1, 0, Fraction(-9, 4)), (0, 1, Fraction(3, 2))]
+    rows = rref([{0: 2, 1: 3}, {1: 4, 2: 6}])
+    assert sorted(rows) == [0, 1]
+    assert rows == {0: {0: 1, 2: Fraction(-9, 4)}, 1: {1: 1, 2: Fraction(3, 2)}}
     assert _exact(rows)
     assert not any(type(x) is Fraction and x.denominator == 1 for x in _scalars(rows))
-    kernel = nullspace([(2, 3, 0), (0, 4, 6)], 3)
-    assert kernel == [(Fraction(9, 4), Fraction(-3, 2), 1)]
+    kernel = nullspace([{0: 2, 1: 3}, {1: 4, 2: 6}], 3)
+    assert kernel == [{0: Fraction(9, 4), 1: Fraction(-3, 2), 2: 1}]
     assert _exact(kernel)
 
 
@@ -108,6 +108,6 @@ def test_lie_quotient_of_an_integral_algebra_with_a_pivot_not_one_is_exact():
     alg = LeibnizAlgebra(("a", "b", "c"), [[{}, {}, {}], [{}, {}, {}], [{}, {}, {0: 2, 1: 3}]])
     lq = lie_quotient(alg)
     assert lq.ideal == ((1, Fraction(3, 2), 0),)
-    assert [list(row) for row in lq.pi.data] == [[Fraction(-3, 2), 1, 0], [0, 0, 1]]
+    assert lq.pi == ({0: Fraction(-3, 2)}, {0: 1}, {1: 1})
     assert _exact(lq.ideal) and _exact(lq.pi) and _exact(lq.section)
-    assert _exact(lq.quotient.brackets) and _exact(lq.action_mats)
+    assert _exact(lq.quotient.brackets) and _exact(lq.action)
