@@ -10,6 +10,7 @@ It imports rackyd from this checkout's src/ and times, in one process:
   and ``check-ybe`` on its braiding, each a whole ``rackyd.cli.run`` call
   with stdout captured (the module and braiding files are written first,
   untimed);
+- kX of the S5 conjugation quandle (dimension 120): ``check-ybe`` alone;
 - sl2 ``build_env`` at degree 10 (the constructor alone, from the fixture);
 - sl2 ``env-checks`` at degree 7 (a whole ``rackyd.cli.run`` call).
 
@@ -60,21 +61,25 @@ def timed(call):
 
 
 def rack_rows(tmp):
+    both = ("braided-leibniz", "check-ybe")
     instances = [
-        ("kX of D21", racks.inner_augmentation(racks.dihedral_quandle(21))),
+        ("kX of D21", racks.inner_augmentation(racks.dihedral_quandle(21)), both),
         ("kX of the S4 conjugation quandle",
-         racks.conjugation_augmented(racks.FiniteGroup.symmetric(4))),
+         racks.conjugation_augmented(racks.FiniteGroup.symmetric(4)), both),
+        ("kX of the S5 conjugation quandle",
+         racks.conjugation_augmented(racks.FiniteGroup.symmetric(5)), ("check-ybe",)),
     ]
     rows = []
-    for name, aug in instances:
+    for name, aug, commands in instances:
         stem = tmp / name.replace(" ", "_")
         aug_path, module, braid = (stem.with_suffix(s) for s in (".aug.json", ".yd.json", ".tau.json"))
         aug_path.write_text(json.dumps(aug.to_json_dict()))
         cli("linearize", aug_path, "--json", module)
         cli("braiding-matrix", module, "--json", braid)
         for argv in (("braided-leibniz", module, "--rack-q"), ("check-ybe", braid)):
-            rows.append({"instance": name, "dim": aug.size, "command": " ".join(argv[:1] + argv[2:]),
-                         **timed(lambda: cli(*argv))})
+            if argv[0] in commands:
+                rows.append({"instance": name, "dim": aug.size,
+                             "command": " ".join(argv[:1] + argv[2:]), **timed(lambda: cli(*argv))})
     return rows
 
 

@@ -19,10 +19,12 @@ _EXPORTS = {
         "conjugation_augmented", "conjugation_rack", "dihedral_quandle", "induced_rack",
         "inner_augmentation", "rack_braiding_ybe", "rack_tensor_and_braiding",
     ),
+    "braid": (
+        "BraidingMatrix", "braiding", "check_ybe", "flip_matrix", "is_involutive", "ybe_defect",
+    ),
     "yd": (
-        "BraidedLeibnizData", "BraidingMatrix", "YDModule", "braided_leibniz_from_q",
-        "braiding", "check_braided_leibniz", "check_hopf_axioms", "check_q_conditions",
-        "check_yd", "check_ybe", "flip_matrix", "is_involutive", "ybe_defect",
+        "BraidedLeibnizData", "YDModule", "braided_leibniz_from_q", "check_braided_leibniz",
+        "check_hopf_axioms", "check_q_conditions", "check_yd",
     ),
     "group_hopf": (
         "GroupAlgebraDescriptor", "GroupAlgebraElement", "adjoint_action",
@@ -40,8 +42,8 @@ _EXPORTS = {
         "phi_checks", "phi_map",
     ),
 }
-_SUBMODULES = ("cli", "envelope", "errors", "group_hopf", "jsonio", "leibniz", "linalg",
-               "racks", "scalars", "yd")
+_SUBMODULES = ("braid", "cli", "envelope", "errors", "group_hopf", "jsonio", "leibniz",
+               "linalg", "racks", "scalars", "yd")
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
 

@@ -244,23 +244,23 @@ def _cmd_check_yd(args, field):
 
 
 def _cmd_braiding_matrix(args, field):
-    from . import jsonio, yd
+    from . import jsonio, braid
     module = jsonio.yd_from_dict(_load_json(args.file), field)
-    bm = yd.braiding(module)
+    bm = braid.braiding(module)
     report = {"factor_dim": bm.factor_dim, "size": bm.factor_dim ** 2}
     return _emit_matrix(bm, args, report)
 
 
 def _cmd_check_ybe(args, field):
-    from . import yd
+    from . import braid
     from .linalg import vec_to_json
-    tau = yd.BraidingMatrix.from_json_dict(_load_json(args.file), field)
-    rep = yd.check_ybe(tau)
+    tau = braid.BraidingMatrix.from_json_dict(_load_json(args.file), field)
+    rep = braid.check_ybe(tau)
     report = {"ok": rep.ok}
     if not rep.ok:
         report["witness"] = list(rep.witness)
         if args.json:
-            _write_json(args.json, {"columns": [vec_to_json(col) for col in yd.ybe_defect(tau)]})
+            _write_json(args.json, {"columns": [vec_to_json(col) for col in braid.ybe_defect(tau)]})
             report["defect_artifact"] = args.json
     return (0 if rep.ok else 1), report
 
@@ -315,9 +315,9 @@ def _cmd_first_order_yd(args, field):
 
 
 def _cmd_hv_rmatrix(args, field):
-    from . import leibniz, yd
+    from . import leibniz, braid
     module = leibniz.first_order_yd(leibniz.heisenberg_voros(field), args.degree)
-    bm = yd.braiding(module)
+    bm = braid.braiding(module)
     report = {"factor_basis": list(bm.factor_basis), "size": bm.factor_dim ** 2}
     return _emit_matrix(bm, args, report)
 
@@ -373,7 +373,7 @@ def _cmd_env_checks(args, field):
 
 
 def _cmd_theorem1_bracket(args, field):
-    from . import leibniz, envelope, yd
+    from . import leibniz, envelope, braid, yd
     envelope.require_invariant_degree(args.degree)
     alg = leibniz.LeibnizAlgebra.from_json_dict(_load_json(args.file), field)
     env = envelope.build_env(leibniz.lie_map_object(alg), args.degree)
@@ -386,7 +386,7 @@ def _cmd_theorem1_bracket(args, field):
     report = {
         "braided_leibniz_ok": rep.ok,
         "recovers_input_brackets": matches,
-        "tau_is_flip": list(data.tau.columns) == yd.flip_columns(data.dim, field.one),
+        "tau_is_flip": list(data.tau.columns) == braid.flip_columns(data.dim, field.one),
     }
     _emit_bracket(args, report, data)
     return (0 if rep.ok else 1), report
@@ -440,98 +440,134 @@ def _witness_limit(text):
     return limit
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--field", default="rational", metavar="rational|gfp:<p>",
-                        help="scalar field (default: rational)")
-    common.add_argument("--witness-limit", type=_witness_limit, default=8, metavar="K",
-                        help="cap on witnesses included in the report")
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--json", metavar="PATH", help="write the main artifact to PATH")
-    deg = argparse.ArgumentParser(add_help=False)
-    deg.add_argument("--degree", type=int, default=2, metavar="D",
-                     help="truncation degree for enveloping algebras (default 2)")
-    mat = argparse.ArgumentParser(add_help=False)
-    mat.add_argument("--paper-layout", action="store_true",
-                     help="print the matrix as rows of space-separated integers")
-    mat.add_argument("--integers", action="store_true",
-                     help="emit integer entries, failing if any entry is not integral")
-    qsrc = argparse.ArgumentParser(add_help=False)
-    qmap = qsrc.add_mutually_exclusive_group()
+def _common(p):
+    p.add_argument("--field", default="rational", metavar="rational|gfp:<p>",
+                   help="scalar field (default: rational)")
+    p.add_argument("--witness-limit", type=_witness_limit, default=8, metavar="K",
+                   help="cap on witnesses included in the report")
+
+
+def _out(p):
+    p.add_argument("--json", metavar="PATH", help="write the main artifact to PATH")
+
+
+def _deg(p):
+    p.add_argument("--degree", type=int, default=2, metavar="D",
+                   help="truncation degree for enveloping algebras (default 2)")
+
+
+def _mat(p):
+    p.add_argument("--paper-layout", action="store_true",
+                   help="print the matrix as rows of space-separated integers")
+    p.add_argument("--integers", action="store_true",
+                   help="emit integer entries, failing if any entry is not integral")
+
+
+def _qsrc(p):
+    qmap = p.add_mutually_exclusive_group()
     qmap.add_argument("--q", metavar="QFILE", help="q-map JSON file")
     qmap.add_argument("--rack-q", action="store_true",
                       help="use q(x) = p(x) - 1 read off a grading coaction")
 
-    parser = argparse.ArgumentParser(
+
+def _file(p):
+    p.add_argument("file", help="input JSON file")
+
+
+def _file2(p):
+    p.add_argument("file2", nargs="?", default=None, help="optional second input")
+
+
+def _n(p):
+    p.add_argument("n", type=int)
+
+
+# name: (handler, help, argument adders after _common, in order)
+COMMANDS = {
+    "check-rack": (_cmd_check_rack, "shelf/rack/quandle axioms of a table", (_file,)),
+    "make-dihedral": (_cmd_make_dihedral, "build the dihedral quandle on Z/n", (_out, _n)),
+    "make-conjugation": (_cmd_make_conjugation, "conjugation quandle of a group",
+                         (_out, _file)),
+    "inner-augmentation": (_cmd_inner_augmentation,
+                           "augment a rack over its inner permutation group", (_out, _file)),
+    "check-augmented": (_cmd_check_augmented, "augmentation identity of a G-set", (_file,)),
+    "rack-braiding": (_cmd_rack_braiding,
+                      "tensor braiding c(x,y) = (y, x.p(y)); set-level YBE when braiding "
+                      "with itself", (_out, _file, _file2)),
+    "linearize": (_cmd_linearize, "kX as a graded module over kG", (_out, _file)),
+    "check-yd": (_cmd_check_yd, "Yetter-Drinfel'd compatibility of a module file", (_file,)),
+    "braiding-matrix": (_cmd_braiding_matrix, "matrix of tau on M (x) M", (_out, _mat, _file)),
+    "check-ybe": (_cmd_check_ybe, "Yang-Baxter equation for a matrix file", (_out, _file)),
+    "check-leibniz": (_cmd_check_leibniz, "Leibniz identity of structure constants", (_file,)),
+    "lie-quotient": (_cmd_lie_quotient, "quotient by the squares ideal", (_out, _file)),
+    "unital-shelf": (_cmd_unital_shelf, "the operation aa' + a'u + [u,v] on k+g",
+                     (_out, _file)),
+    "first-order-yd": (_cmd_first_order_yd,
+                       "module on k+g over the truncated enveloping algebra",
+                       (_out, _deg, _file)),
+    "hv-rmatrix": (_cmd_hv_rmatrix, "16x16 braiding matrix of the Heisenberg-Voros module",
+                   (_out, _deg, _mat)),
+    "env-build": (_cmd_env_build, "assemble the enveloping tetramodule", (_out, _deg, _file)),
+    "env-checks": (_cmd_env_checks,
+                   "phi bilinearity/coderivation, restriction, and antipode checks",
+                   (_deg, _file)),
+    "theorem1-bracket": (_cmd_theorem1_bracket,
+                         "braided Leibniz bracket on the invariants of the enveloping "
+                         "tetramodule", (_out, _deg, _file)),
+    "q-conditions": (_cmd_q_conditions,
+                     "equivariance and colinearity of a map q into ker(counit)",
+                     (_qsrc, _file)),
+    "braided-leibniz": (_cmd_braided_leibniz, "build and verify the bracket x <| y = x q(y)",
+                        (_out, _qsrc, _file)),
+    "dual-check": (_cmd_dual_check,
+                   "pullback p*: k[G] -> k[X] respects the (co)module structures", (_file,)),
+}
+
+
+class _Refused(Exception):
+    """A one-command parser's error, raised where argparse would print and exit."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _Refused(message)
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The ``rackyd`` parser; with ``command``, one that knows only that
+    subcommand and raises :class:`_Refused` instead of printing an error."""
+    parser = (argparse.ArgumentParser if command is None else _OneCommandParser)(
         prog="rackyd",
         description="exact verification of racks, Yetter-Drinfel'd modules, "
                     "and braided Leibniz brackets",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help, parents=(), positional=("file",)):
-        p = sub.add_parser(name, parents=[common, *parents], help=help)
-        for pos in positional:
-            if pos == "file":
-                p.add_argument("file", help="input JSON file")
-            elif pos == "file2":
-                p.add_argument("file2", nargs="?", default=None,
-                               help="optional second input")
-            elif pos == "n":
-                p.add_argument("n", type=int)
-        p.set_defaults(handler=handler)
-        return p
-
-    add("check-rack", _cmd_check_rack, "shelf/rack/quandle axioms of a table")
-    add("make-dihedral", _cmd_make_dihedral, "build the dihedral quandle on Z/n",
-        parents=[out], positional=("n",))
-    add("make-conjugation", _cmd_make_conjugation, "conjugation quandle of a group",
-        parents=[out])
-    add("inner-augmentation", _cmd_inner_augmentation,
-        "augment a rack over its inner permutation group", parents=[out])
-    add("check-augmented", _cmd_check_augmented, "augmentation identity of a G-set")
-    add("rack-braiding", _cmd_rack_braiding,
-        "tensor braiding c(x,y) = (y, x.p(y)); set-level YBE when braiding with itself",
-        parents=[out], positional=("file", "file2"))
-    add("linearize", _cmd_linearize, "kX as a graded module over kG", parents=[out])
-    add("check-yd", _cmd_check_yd, "Yetter-Drinfel'd compatibility of a module file")
-    add("braiding-matrix", _cmd_braiding_matrix, "matrix of tau on M (x) M",
-        parents=[out, mat])
-    add("check-ybe", _cmd_check_ybe, "Yang-Baxter equation for a matrix file",
-        parents=[out])
-    add("check-leibniz", _cmd_check_leibniz, "Leibniz identity of structure constants")
-    add("lie-quotient", _cmd_lie_quotient, "quotient by the squares ideal",
-        parents=[out])
-    add("unital-shelf", _cmd_unital_shelf, "the operation aa' + a'u + [u,v] on k+g",
-        parents=[out])
-    add("first-order-yd", _cmd_first_order_yd,
-        "module on k+g over the truncated enveloping algebra", parents=[out, deg])
-    add("hv-rmatrix", _cmd_hv_rmatrix,
-        "16x16 braiding matrix of the Heisenberg-Voros module",
-        parents=[out, deg, mat], positional=())
-    add("env-build", _cmd_env_build, "assemble the enveloping tetramodule",
-        parents=[out, deg])
-    add("env-checks", _cmd_env_checks,
-        "phi bilinearity/coderivation, restriction, and antipode checks",
-        parents=[deg])
-    add("theorem1-bracket", _cmd_theorem1_bracket,
-        "braided Leibniz bracket on the invariants of the enveloping tetramodule",
-        parents=[out, deg])
-    add("q-conditions", _cmd_q_conditions,
-        "equivariance and colinearity of a map q into ker(counit)", parents=[qsrc])
-    add("braided-leibniz", _cmd_braided_leibniz,
-        "build and verify the bracket x <| y = x q(y)", parents=[out, qsrc])
-    add("dual-check", _cmd_dual_check,
-        "pullback p*: k[G] -> k[X] respects the (co)module structures")
+    for name, (handler, help, adders) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help)
+            for add in (_common, *adders):
+                add(p)
+            p.set_defaults(handler=handler)
     return parser
 
 
+def _parse(argv):
+    """Parse with the parser of the named command alone, which is cheaper to
+    build; help, and anything it refuses, goes to the full parser, so every
+    usage line, help text and error message is the full parser's."""
+    if argv and argv[0] in COMMANDS and not any(a.startswith(("-h", "--h")) for a in argv):
+        try:
+            return build_parser(argv[0]).parse_args(argv)
+        except _Refused:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     t0 = time.perf_counter()

@@ -44,16 +44,11 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from .braid import flip_columns
 from .errors import ConsistencyError, DegreeOverflowError, ValidationError
 from .linalg import lincomb, vsum
 from .scalars import QQ
-from .yd import (
-    BraidedLeibnizData,
-    YDModule,
-    braided_leibniz_from_q,
-    braided_leibniz_witness,
-    flip_columns,
-)
+from .yd import BraidedLeibnizData, YDModule, braided_leibniz_from_q, braided_leibniz_witness
 
 
 def check_lie(brackets):

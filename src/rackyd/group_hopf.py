@@ -188,11 +188,20 @@ class GroupAlgebraDescriptor:
 
     def check_action_axioms(self, module) -> tuple | None:
         """:meth:`FiniteGroup.action_witness` on the columns of ``module.action``,
-        the unit's included; group elements in the witness are labels."""
+        the unit's included; group elements in the witness are labels.
+
+        When every entry is a basis vector ``{k: one}`` (a permutation module,
+        such as kX or ker eps) the images are read as indices, which gives
+        the same witness without building a sparse vector per lookup."""
         one, rows = self.field.one, module.action
-        witness = self.group.action_witness(
-            [{m: one} for m in range(module.dim)],
-            lambda vec, g: lincomb(vec, lambda m: rows[m][g]))
+        perm = [[next(iter(v)) if len(v) == 1 and one in v.values() else None for v in row]
+                for row in rows]
+        if all(k is not None for row in perm for k in row):
+            witness = self.group.action_witness(range(module.dim), lambda m, g: perm[m][g])
+        else:
+            witness = self.group.action_witness(
+                [{m: one} for m in range(module.dim)],
+                lambda vec, g: lincomb(vec, lambda m: rows[m][g]))
         if witness is None:
             return None
         return (witness[0], *(self.labels[g] for g in witness[1:]))

@@ -28,11 +28,12 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .braid import flip_columns
 from .envelope import EnvelopingDescriptor, LieMapObject, TruncatedPBW, check_lie
 from .errors import ConsistencyError, ValidationError, as_int
 from .linalg import echelon_insert, lincomb, reduce_mod, vec_from_json, vsum
 from .scalars import QQ
-from .yd import YDModule, braided_leibniz_witness, flip_columns
+from .yd import YDModule, braided_leibniz_witness
 
 
 class LeibnizAlgebra:

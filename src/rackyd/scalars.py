@@ -106,6 +106,14 @@ class GFElement:
             raise ZeroDivisionError("division by zero in GF(p)")
         return GFElement(self.p, self.v * pow(w, -1, self.p))
 
+    def __rtruediv__(self, other):
+        w = self._lift(other)
+        if w is None:
+            return NotImplemented
+        if self.v == 0:
+            raise ZeroDivisionError("division by zero in GF(p)")
+        return GFElement(self.p, w * pow(self.v, -1, self.p))
+
     def __neg__(self):
         return GFElement(self.p, -self.v)
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import rackyd
-from rackyd import cli, jsonio, racks, yd
+from rackyd import braid, cli, jsonio, racks, yd
 from rackyd.cli import build_parser, run
 from rackyd.errors import ValidationError
 from rackyd.linalg import Matrix, kron, mat_mul
@@ -149,7 +149,7 @@ def test_failing_check_ybe_builds_the_defect_only_for_json(tmp_path, capsys, mon
     path = _write(tmp_path, "tau.json", tau.to_json_dict())
     built, reads = [], []
     real = Matrix.from_columns
-    real_defect = yd.ybe_defect
+    real_defect = braid.ybe_defect
 
     def counted(cls, columns, rows):
         built.append((rows, len(columns)))
@@ -160,7 +160,7 @@ def test_failing_check_ybe_builds_the_defect_only_for_json(tmp_path, capsys, mon
         return real_defect(t)
 
     monkeypatch.setattr(Matrix, "from_columns", classmethod(counted))
-    monkeypatch.setattr(yd, "ybe_defect", read_defect)
+    monkeypatch.setattr(braid, "ybe_defect", read_defect)
     code, rep = report(capsys, "check-ybe", path)
     assert (code, rep["witness"], reads) == (1, [1, 0, 0], [])
     out = tmp_path / "defect.json"
@@ -439,6 +439,36 @@ REPLACEMENTS = st.one_of(
 def test_every_file_command_has_a_fixture_kind():
     assert sorted(c for commands in FIXTURE_KINDS.values() for c in commands) == \
         sorted(file_commands())
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["nope"], ["-h"], ["check-ybe"], ["check-ybe", "-h"], ["check-ybe", "x", "--hel"],
+    ["check-ybe", "x", "--bogus"], ["check-ybe", "x", "y"], ["check-ybe", "x", "--field"],
+    ["check-rack", "x", "--witness-limit", "-1"], ["make-dihedral", "five"],
+    ["braided-leibniz", "x", "--q", "a", "--rack-q"], ["env-checks", "x", "--degree", "d"],
+], ids=" ".join)
+def test_help_usage_and_errors_are_the_full_parsers(argv, capsys):
+    with pytest.raises(SystemExit) as full:
+        build_parser().parse_args(argv)
+    want = capsys.readouterr()
+    assert run(argv) == full.value.code
+    got = capsys.readouterr()
+    assert (got.out, got.err) == (want.out, want.err)
+
+
+def test_a_command_builds_only_its_own_subparser(monkeypatch, capsys, fixtures_dir):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or
+                        real(command))
+    path = str(fixtures_dir / "braiding_hv_sparse.json")
+    assert run(["check-ybe", path, "--witness-limit", "2"]) == 0
+    assert built == ["check-ybe"]
+    assert run(["check-ybe", path, "--bogus"]) == 2  # refused, so parsed again in full
+    assert built == ["check-ybe", "check-ybe", None]
+    sub = next(a for a in real("check-ybe")._actions if a.dest == "command")
+    assert list(sub.choices) == ["check-ybe"]
+    capsys.readouterr()
 
 
 class FractionField:

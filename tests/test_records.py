@@ -62,7 +62,7 @@ def test_importing_the_package_imports_no_submodule():
 
 def test_check_ybe_imports_no_rack_group_or_envelope_code():
     loaded = _modules_after_command("check-ybe", str(FIXTURES / "braiding_hv_sparse.json"))
-    assert loaded & {"racks", "group_hopf", "jsonio", "leibniz", "envelope"} == set()
+    assert loaded & {"yd", "racks", "group_hopf", "jsonio", "leibniz", "envelope"} == set()
 
 
 def test_rack_braiding_imports_no_linear_algebra():

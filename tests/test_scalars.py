@@ -73,6 +73,20 @@ def test_quotient_by_zero_raises():
         quotient(1, 0)
 
 
+def test_an_int_divides_by_a_prime_field_element():
+    # the reflected operators let an int meet GF(p) on either side
+    gf7 = PrimeField(7)
+    three = gf7.parse("3")
+    assert 1 - gf7.one == gf7.zero
+    assert 1 / three == quotient(1, three) == gf7.parse("5")  # 3 * 5 = 15 = 1 mod 7
+    assert 6 / three == gf7.parse("2")
+    assert (1 / three) * three == gf7.one
+    with pytest.raises(ZeroDivisionError):
+        1 / gf7.zero
+    with pytest.raises(ValidationError):
+        PrimeField(5).one / three
+
+
 def _scalars(obj):
     """Every scalar inside nested tuples, lists, dicts and matrices."""
     if isinstance(obj, dict):
