@@ -5,12 +5,14 @@ Run from anywhere:  python scripts/frontier.py
 
 It imports rackyd from this checkout's src/ and times, in one process:
 
-- kX of the dihedral quandle D21 (over its inner group) and of the S4
-  conjugation quandle (over S4): ``braided-leibniz --rack-q`` on the module
-  and ``check-ybe`` on its braiding, each a whole ``rackyd.cli.run`` call
-  with stdout captured (the module and braiding files are written first,
-  untimed);
-- kX of the S5 conjugation quandle (dimension 120): ``check-ybe`` alone;
+- kX of the dihedral quandle D21 (over its inner group) and of the S4 and S5
+  conjugation quandles (over S4 and S5): ``braided-leibniz --rack-q`` on the
+  module and ``check-ybe`` on its braiding, each a whole ``rackyd.cli.run``
+  call with stdout captured (the module and braiding files are written
+  first, untimed);
+- kX of the S6 conjugation quandle (dimension 720): ``check-ybe`` alone;
+- the braiding of kX of the S5 conjugation quandle twisted by the diagonal
+  ``d[x] = x + 1`` (so it is no longer unit): ``check-ybe`` alone;
 - sl2 ``build_env`` at degree 10 (the constructor alone, from the fixture);
 - sl2 ``env-checks`` at degree 7 (a whole ``rackyd.cli.run`` call).
 
@@ -32,6 +34,7 @@ import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -60,26 +63,45 @@ def timed(call):
     return {"runs_s": [round(t, 4) for t in runs], "median_s": round(statistics.median(runs), 4)}
 
 
+def twist(braid, out):
+    """Write ``(D (x) D) tau (D (x) D)^-1`` for a rack-form tau and the
+    diagonal ``d[x] = x + 1``: column x + n*y, ``e_y (x) e_(x <| y)``, gets
+    the coefficient ``d[x <| y] / d[x]``."""
+    data = json.loads(braid.read_text())
+    n = len(data["factor_basis"])
+    data["columns"] = [{r: str(Fraction(int(r) // n + 1, f % n + 1)) for r in col}
+                       for f, col in enumerate(data["columns"])]
+    out.write_text(json.dumps(data))
+
+
 def rack_rows(tmp):
     both = ("braided-leibniz", "check-ybe")
+    symmetric = racks.FiniteGroup.symmetric
     instances = [
         ("kX of D21", racks.inner_augmentation(racks.dihedral_quandle(21)), both),
-        ("kX of the S4 conjugation quandle",
-         racks.conjugation_augmented(racks.FiniteGroup.symmetric(4)), both),
-        ("kX of the S5 conjugation quandle",
-         racks.conjugation_augmented(racks.FiniteGroup.symmetric(5)), ("check-ybe",)),
+        ("kX of the S4 conjugation quandle", racks.conjugation_augmented(symmetric(4)), both),
+        ("kX of the S5 conjugation quandle", racks.conjugation_augmented(symmetric(5)),
+         both + ("twisted check-ybe",)),
+        ("kX of the S6 conjugation quandle", racks.conjugation_augmented(symmetric(6)),
+         ("check-ybe",)),
     ]
     rows = []
     for name, aug, commands in instances:
         stem = tmp / name.replace(" ", "_")
-        aug_path, module, braid = (stem.with_suffix(s) for s in (".aug.json", ".yd.json", ".tau.json"))
+        aug_path, module, braid, twisted = (
+            stem.with_suffix(s) for s in (".aug.json", ".yd.json", ".tau.json", ".twisted.json"))
         aug_path.write_text(json.dumps(aug.to_json_dict()))
         cli("linearize", aug_path, "--json", module)
         cli("braiding-matrix", module, "--json", braid)
-        for argv in (("braided-leibniz", module, "--rack-q"), ("check-ybe", braid)):
-            if argv[0] in commands:
-                rows.append({"instance": name, "dim": aug.size,
-                             "command": " ".join(argv[:1] + argv[2:]), **timed(lambda: cli(*argv))})
+        if "twisted check-ybe" in commands:
+            twist(braid, twisted)
+        for command, argv in (("braided-leibniz", ("braided-leibniz", module, "--rack-q")),
+                              ("check-ybe", ("check-ybe", braid)),
+                              ("twisted check-ybe", ("check-ybe", twisted))):
+            if command in commands:
+                label = command + " --rack-q" * (command == "braided-leibniz")
+                rows.append({"instance": name, "dim": aug.size, "command": label,
+                             **timed(lambda: cli(*argv))})
     return rows
 
 

@@ -43,7 +43,7 @@ _EXPORTS = {
     ),
 }
 _SUBMODULES = ("braid", "cli", "envelope", "errors", "group_hopf", "jsonio", "leibniz",
-               "linalg", "racks", "scalars", "yd")
+               "linalg", "racks", "scalars", "selfdist", "yd")
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
 

@@ -10,12 +10,13 @@ is linear, so it holds exactly when it holds on every basis triple
 e_i (x) e_j (x) e_k; :func:`check_ybe` decides it that way and names the
 lexicographically least failing triple.
 
-When every column of tau is one basis vector times a nonzero scalar (a
-*monomial* braiding, as on every linearized rack kX, where the scalar is 1),
-each side of the relation sends a basis triple to one basis triple times a
-product of three scalars, so the sweep runs on an image-index table and a
-coefficient table instead of sparse vectors, in the same order and with the
-same witness.  Any other tau is swept on sparse vectors.
+A tau in *rack form*, ``tau(e_x (x) e_y) = c(x, y) e_y (x) e_(x <| y)`` with
+every c nonzero (c = 1 on a linearized rack kX), sends e_x e_y e_z under the
+two sides to ``c(y, z) e_z e_(y <| z)`` times ``c(x, y) c(x <| y, z) e_w``
+and ``c(x, z) c(x <| z, y <| z) e_w'``, w = ``(x <| y) <| z`` and w' =
+``(x <| z) <| (y <| z)``.  So it fails exactly where ``<|`` is not
+self-distributive (:func:`rackyd.selfdist.witnesses`) or that cocycle
+identity fails, swept only when the c differ.  Other taus are swept sparsely.
 
 This module needs nothing of the Hopf-descriptor layer: :func:`braiding`
 reads a :class:`rackyd.yd.YDModule` only through its coaction and action.
@@ -29,6 +30,7 @@ from typing import NamedTuple
 from .errors import ShapeError, ValidationError
 from .linalg import Matrix, flat2, lincomb, sparse_rows_from_json, vec_from_json, vec_to_json
 from .scalars import QQ
+from .selfdist import witnesses
 
 
 class BraidingMatrix:
@@ -60,6 +62,8 @@ class BraidingMatrix:
         if len(self.columns) != n * n:
             raise ShapeError(
                 f"a braiding of {n} basis vectors needs {n * n} columns, got {len(self.columns)}")
+        if any(not 0 <= r < n * n for col in self.columns for r in col):
+            raise ShapeError(f"a braiding of {n} basis vectors has rows 0..{n * n - 1} only")
 
     @property
     def matrix(self) -> Matrix:
@@ -163,65 +167,54 @@ def _ybe_sides(t: BraidingMatrix):
     return n, lambda f: (lincomb(lincomb(t12(f), t23), t12), lincomb(lincomb(t23(f), t12), t23))
 
 
-def _monomial_tables(columns):
-    """``(img, coef)`` with ``columns[f] == {img[f]: coef[f]}``, or None when
-    some column is not a single nonzero entry at a row of the square."""
+def _rack_form(t: BraidingMatrix):
+    """``(op, coef)`` with ``tau(e_x (x) e_y) = coef[f] e_y (x) e_(op[x][y])``
+    at f = x + n*y and every coef[f] nonzero, or None when tau is not so."""
+    n = t.factor_dim
     img, coef = [], []
-    for col in columns:
+    for f, col in enumerate(t.columns):
         if len(col) != 1:
             return None
         (r, c), = col.items()
-        if not c or not 0 <= r < len(columns):
+        if not c or r % n != f // n:
             return None
-        img.append(r)
+        img.append(r // n)
         coef.append(c)
-    return img, coef
+    return [img[x::n] for x in range(n)], coef
 
 
-def _monomial_failures(n, img, coef):
-    """The failing basis triples of a monomial braiding, in lexicographic order.
-
-    With tau(e_a (x) e_b) = coef[f] e_img[f] (f = a + n*b) and ``lo``, ``hi``
-    the two factors of an image index, T x 1 sends e_i e_j e_k to
-    e_p e_q e_k (p, q the factors of img[i + n*j]) and 1 x T sends it to
-    e_i e_a e_b (a, b those of img[j + n*k]).  Tables are sliced by first
-    factor, ``IMG[x][y] = img[x + n*y]``, so each side is a few lookups.
-    """
-    nn = n * n
-    lo = [r % n for r in img]
-    hi = [r // n for r in img]
-    IMG, LO, HI, C = ([t[x::n] for x in range(n)] for t in (img, lo, hi, coef))
-    # every side is a product of three coefficients, so equal ones never differ
-    scaled = len(set(coef)) > 1
-    for i in range(n):
-        lo_i, hi_i, c_i = LO[i], HI[i], C[i]
-        for j in range(n):
-            ij = i + n * j
-            p, q = lo[ij], hi[ij]
-            img_p, c_p = IMG[p], C[p]
-            rows = zip(LO[q], HI[q], LO[j], HI[j])
-            for k, (u, v, a, b) in enumerate(rows):
-                # lhs: e_p e_u e_v, then T x 1 on (p, u); rhs: T x 1 on (i, a),
-                # giving e_lo[ia] e_y e_b, then 1 x T on (y, b)
-                y = hi_i[a]
-                if img_p[u] + nn * v != lo_i[a] + n * IMG[y][b] or scaled and (
-                        coef[ij] * C[q][k] * c_p[u] != C[j][k] * c_i[a] * C[y][b]):
-                    yield (i, j, k)
+def _cocycle_failure(op, coef, bound):
+    """The least (x, y, z) below ``bound`` with ``c(x, y) c(x <| y, z) !=
+    c(x, z) c(x <| z, y <| z)``, c(x, y) = coef[x + n*y], or None."""
+    n = len(op)
+    C = [coef[x::n] for x in range(n)]
+    for x, (row, c_x) in enumerate(zip(op, C)):
+        for y, xy in enumerate(row):
+            if (x, y) > bound[:2]:
+                return None
+            c, c_xy, op_y = c_x[y], C[xy], op[y]
+            for z in range(n):
+                if c * c_xy[z] != c_x[z] * C[row[z]][op_y[z]] and (x, y, z) < bound:
+                    return (x, y, z)
+    return None
 
 
 def check_ybe(t: BraidingMatrix) -> YBEReport:
     """Exact Yang-Baxter check: (T x 1)(1 x T)(T x 1) = (1 x T)(T x 1)(1 x T).
 
-    Both sides are applied to one basis triple e_i (x) e_j (x) e_k at a time,
-    on index tables when tau is monomial (see the module docstring).  On
-    failure ``witness`` is the lexicographically least failing (i, j, k);
-    :func:`ybe_defect` gives the difference of the two sides.
+    A tau in rack form is decided on its table (see the module docstring);
+    any other has both sides applied to one basis triple e_i (x) e_j (x) e_k
+    at a time.  On failure ``witness`` is the lexicographically least failing
+    (i, j, k); :func:`ybe_defect` gives the difference of the two sides.
     """
     n = t.factor_dim
     nn = n * n
-    tables = _monomial_tables(t.columns)
-    if tables is not None:
-        failures = _monomial_failures(n, *tables)
+    form = _rack_form(t)
+    if form is not None:
+        op, coef = form
+        witness = witnesses(op)[0]
+        if len(set(coef)) > 1:
+            witness = _cocycle_failure(op, coef, witness or (n,)) or witness
     else:
         _, sides = _ybe_sides(t)
 
@@ -230,8 +223,7 @@ def check_ybe(t: BraidingMatrix) -> YBEReport:
             return lhs != rhs
 
         triples = ((i, j, k) for i in range(n) for j in range(n) for k in range(n))
-        failures = (ijk for ijk in triples if fails(*ijk))
-    witness = next(failures, None)
+        witness = next((ijk for ijk in triples if fails(*ijk)), None)
     return YBEReport(witness is None, witness, nn * n)
 
 

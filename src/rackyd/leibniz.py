@@ -31,7 +31,7 @@ from typing import NamedTuple
 from .braid import flip_columns
 from .envelope import EnvelopingDescriptor, LieMapObject, TruncatedPBW, check_lie
 from .errors import ConsistencyError, ValidationError, as_int
-from .linalg import echelon_insert, lincomb, reduce_mod, vec_from_json, vsum
+from .linalg import lincomb, reduce_mod, rref, vec_from_json, vsum
 from .scalars import QQ
 from .yd import YDModule, braided_leibniz_witness
 
@@ -205,20 +205,18 @@ def non_leibniz1(field=QQ) -> LeibnizAlgebra:
 def _squares_ideal_rows(alg: LeibnizAlgebra) -> dict:
     """The reduced echelon basis ``{pivot: sparse row}`` of the squares ideal.
 
-    A worklist closure: the basis squares and their polarizations seed it,
-    and each vector that enlarges the span queues its brackets with every
-    basis element on both sides, which suffices by bilinearity.  The span
-    grows at most ``dim`` times and is never recomputed.
+    It is the span of the basis squares and their polarizations: the right
+    Leibniz identity, which every caller proves first, reads
+    ``[[x, x], c] = [x, [x, c]] + [[x, c], x]`` at (x, x, c), a polarization,
+    and ``[c, [x, x]] = 0`` at (c, x, x).  Closure under right brackets is
+    re-verified as an internal check.
     """
     n, one = alg.dim, alg.field.one
-    todo = [vsum(alg.brackets[i][j], alg.brackets[j][i]) if i != j else alg.brackets[i][i]
-            for i in range(n) for j in range(i, n)]
-    rows = {}
-    while todo:
-        v = echelon_insert(rows, todo.pop())
-        if v is not None:
-            for j in range(n):
-                todo += [alg.bracket_vec(v, {j: one}), alg.bracket_vec({j: one}, v)]
+    rows = rref(vsum(alg.brackets[i][j], alg.brackets[j][i]) if i != j else alg.brackets[i][i]
+                for i in range(n) for j in range(i, n))
+    if any(reduce_mod(alg.bracket_vec(w, {j: one}), rows) for w in rows.values()
+           for j in range(n)):
+        raise ConsistencyError("the squares and their polarizations must span an ideal")
     return rows
 
 

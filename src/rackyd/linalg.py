@@ -296,9 +296,9 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 # echelon-form utilities on sparse vectors.  A reduced echelon basis is a dict
 # ``{pivot: row}`` in which every row has a 1 at its pivot and a 0 at every
 # other pivot, so reducing a vector by one row never disturbs its coefficient
-# at another pivot.  ``echelon_insert`` and ``reduce_mod`` serve the Lie
-# quotient; ``rref`` and ``nullspace`` serve the elimination references of the
-# tests, and perfbench/tracer.py names them
+# at another pivot.  ``rref`` and ``reduce_mod`` serve the Lie quotient;
+# ``nullspace`` serves the elimination references of the tests, and
+# perfbench/tracer.py names it and ``rref``
 
 def _subtract(v, c, r):
     """``v -= c * r`` in place on sparse vectors, dropping what cancels."""

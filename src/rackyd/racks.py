@@ -19,27 +19,11 @@ witness as the deterministic merge.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import permutations as _permutations
 from typing import NamedTuple
 
 from .errors import ConsistencyError, ValidationError, as_int
-
-
-def _greedy_generators(table, start=()) -> tuple:
-    """Each index, in order, that is not yet reached from ``start`` and the
-    generators before it under ``x -> table[x][s]``, s one of those generators."""
-    gens, reached = [], set(start)
-    for g in range(len(table)):
-        if g not in reached:
-            gens.append(g)
-            reached.add(g)
-            frontier = list(reached)
-            while frontier:
-                frontier = [y for y in {table[x][s] for x in frontier for s in gens}
-                            if y not in reached]
-                reached.update(frontier)
-    return tuple(gens)
+from .selfdist import greedy_generators, witnesses
 
 
 def _list(value, what):
@@ -73,14 +57,6 @@ class FiniteShelf:
     @property
     def size(self) -> int:
         return len(self.elements)
-
-    @cached_property
-    def generators(self) -> tuple:
-        """The generating set Z: each element, in order, that is not yet in
-        the closure of the generators before it under ``x -> x <| z``, z in
-        Z.  In a rack that closure is the subrack they generate, because
-        ``R_(y <| z) = R_z R_y R_z^-1``."""
-        return _greedy_generators(self.op)
 
     def apply(self, i: int, j: int) -> int:
         return self.op[i][j]
@@ -122,50 +98,17 @@ def check_shelf(s: FiniteShelf) -> ShelfReport:
 
     Witnesses are the lexicographically first failing tuples, keyed by
     ``self_distributivity`` (x, y, z), ``bijectivity`` (x1, x2, y) with
-    ``x1 <| y = x2 <| y``, and ``idempotence`` (x,).
-
-    Bijectivity is checked first.  In a rack, the z whose right translation
-    R_z is an endomorphism are closed under ``<|``, because
-    ``R_(y <| z) = R_z R_y R_z^-1``; so self-distributivity holds once it
-    holds for every z in ``s.generators``.  A failure there, or a table that
-    is not a rack, gets the sweep over all n^3 triples that names the witness.
+    ``x1 <| y = x2 <| y``, and ``idempotence`` (x,); the first two are
+    decided by :func:`rackyd.selfdist.witnesses`.
     """
-    n = s.size
-    op = s.op
-    not_injective = None
-    for y in range(n):
-        seen = {}
-        for x in range(n):
-            img = op[x][y]
-            if img in seen:
-                not_injective = (seen[img], x, y)
-                break
-            seen[img] = x
-        if not_injective is not None:
-            break
-    bijective = not_injective is None
-
-    def endomorphism(z):
-        r = [row[z] for row in op]
-        return all(r[xy] == op[r[x]][r[y]] for x, row in enumerate(op) for y, xy in enumerate(row))
-
-    witnesses = {}  # self_distributivity first: error messages print the dict as is
-    if not (bijective and all(endomorphism(z) for z in s.generators)):
-        failure = next(((x, y, z) for x in range(n) for y in range(n) for z in range(n)
-                        if op[op[x][y]][z] != op[op[x][z]][op[y][z]]), None)
-        if failure is not None:
-            witnesses["self_distributivity"] = failure
-    is_shelf = "self_distributivity" not in witnesses
-    if not bijective:
-        witnesses["bijectivity"] = not_injective
-    idem = True
-    for x in range(n):
-        if op[x][x] != x:
-            witnesses["idempotence"] = (x,)
-            idem = False
-            break
-    is_rack = is_shelf and bijective
-    return ShelfReport(is_shelf, is_rack, is_rack and idem, witnesses)
+    distributivity, not_injective = witnesses(s.op)
+    idempotence = next(((x,) for x, row in enumerate(s.op) if row[x] != x), None)
+    # self_distributivity first: error messages print the dict as is
+    found = {"self_distributivity": distributivity, "bijectivity": not_injective,
+             "idempotence": idempotence}
+    is_rack = distributivity is None and not_injective is None
+    return ShelfReport(distributivity is None, is_rack, is_rack and idempotence is None,
+                       {key: w for key, w in found.items() if w is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +179,7 @@ class FiniteGroup:
             if inv[x] is None:
                 raise ValidationError(f"element {self.elements[x]} has no inverse")
         self.inv = tuple(inv)
-        self.generators = _greedy_generators(mul, (ident,))
+        self.generators = greedy_generators(mul, (ident,))
         for a in range(n):
             for s in self.generators:
                 a_s = mul[a][s]
@@ -570,13 +513,10 @@ def rack_braiding_ybe(a: AugmentedRack) -> AugmentedReport:
     """Set-level Yang-Baxter check for the braiding ``c(x, y) = (y, x <| y)``
     of `a` with itself, where ``x <| y = x . p(y)``.
 
-    On (x, y, z), ``c12 c23 c12`` gives ``(z, y <| z, (x <| y) <| z)`` and
-    ``c23 c12 c23`` gives ``(z, y <| z, (x <| z) <| (y <| z))``: the braid
-    relation fails exactly at the triples where ``<|`` is not
-    self-distributive.  So the verdict and the least failing (x, y, z) are
-    those of :func:`check_shelf` on the induced table, whose columns are
-    bijections (each is the action of a group element), so it is decided on
-    the table's generating set.  The augmentation identity is not assumed.
+    Both sides send (x, y, z) to ``(z, y <| z, w)``, w = ``(x <| y) <| z`` on
+    one and ``(x <| z) <| (y <| z)`` on the other, so the verdict and the least
+    failing (x, y, z) are those of :func:`rackyd.selfdist.witnesses` on the
+    induced table.  The augmentation identity is not assumed.
     """
-    witness = check_shelf(_induced_table(a)).witnesses.get("self_distributivity")
+    witness = witnesses(_induced_table(a).op)[0]
     return AugmentedReport(witness is None, witness)
