@@ -75,7 +75,7 @@ def twist(braid, out):
 
 
 def rack_rows(tmp):
-    both = ("braided-leibniz", "check-ybe")
+    both = ("braided-leibniz --rack-q", "check-ybe")
     symmetric = racks.FiniteGroup.symmetric
     instances = [
         ("kX of D21", racks.inner_augmentation(racks.dihedral_quandle(21)), both),
@@ -95,12 +95,12 @@ def rack_rows(tmp):
         cli("braiding-matrix", module, "--json", braid)
         if "twisted check-ybe" in commands:
             twist(braid, twisted)
-        for command, argv in (("braided-leibniz", ("braided-leibniz", module, "--rack-q")),
-                              ("check-ybe", ("check-ybe", braid)),
-                              ("twisted check-ybe", ("check-ybe", twisted))):
+        for command, argv in (
+                ("braided-leibniz --rack-q", ("braided-leibniz", module, "--rack-q")),
+                ("check-ybe", ("check-ybe", braid)),
+                ("twisted check-ybe", ("check-ybe", twisted))):
             if command in commands:
-                label = command + " --rack-q" * (command == "braided-leibniz")
-                rows.append({"instance": name, "dim": aug.size, "command": label,
+                rows.append({"instance": name, "dim": aug.size, "command": command,
                              **timed(lambda: cli(*argv))})
     return rows
 
