@@ -16,8 +16,7 @@ from fractions import Fraction
 
 from rackyd import (
     FiniteGroup,
-    GroupAlgebraElement,
-    adjoint_action,
+    GroupAlgebraDescriptor,
     braiding,
     check_ybe,
     check_yd,
@@ -27,17 +26,36 @@ from rackyd import (
     ker_eps_yd,
     linearize_augmented,
 )
+from rackyd.linalg import lincomb
+from rackyd.yd import hvec_coproduct, hvec_counit, hvec_mul
 
 s3 = FiniteGroup.symmetric(3)
+kS3 = GroupAlgebraDescriptor(s3)
+
+
+def element(coeffs):
+    """An element of kS_3 as a sparse vector {group index: coefficient}."""
+    return {s3.index_of(label): Fraction(c) for label, c in coeffs.items()}
+
+
+def show(x):
+    return " + ".join(f"{c}*{s3.elements[g]}" for g, c in sorted(x.items())) or "0"
+
+
+def adjoint(x, h):
+    """The right adjoint action x <- h = S(h_(1)) x h_(2)."""
+    return lincomb(hvec_coproduct(kS3, h), lambda ab: hvec_mul(
+        kS3, hvec_mul(kS3, kS3.antipode(ab[0]), x), {ab[1]: kS3.field.one}))
+
 
 print("== the Hopf algebra kS_3 ==")
-g = GroupAlgebraElement.basis(s3, s3.index_of("(1 2 3)"))
-print(f"g = {g},  S(g) = {g.antipode()},  counit(g) = {g.counit()}")
-x = GroupAlgebraElement(s3, {s3.index_of('(1 2)'): Fraction(3),
-                             s3.index_of('(1 3)'): Fraction(-3)})
-print(f"x = {x},  counit(x) = {x.counit()}")
+g = element({"(1 2 3)": 1})
+print(f"g = {show(g)},  S(g) = {show(lincomb(g, kS3.antipode))},  "
+      f"counit(g) = {hvec_counit(kS3, g)}")
+x = element({"(1 2)": 3, "(1 3)": -3})
+print(f"x = {show(x)},  counit(x) = {hvec_counit(kS3, x)}")
 print(f"adjoint: (1 2) <- (1 3) = "
-      f"{adjoint_action(GroupAlgebraElement.basis(s3, s3.index_of('(1 2)')), GroupAlgebraElement.basis(s3, s3.index_of('(1 3)')))}")
+      f"{show(adjoint(element({'(1 2)': 1}), element({'(1 3)': 1})))}")
 
 print()
 print("== ker(counit) as a Yetter-Drinfel'd module ==")

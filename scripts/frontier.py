@@ -16,13 +16,19 @@ It imports rackyd from this checkout's src/ and times, in one process:
 - sl2 ``build_env`` at degree 10 (the constructor alone, from the fixture);
 - sl2 ``env-checks`` at degree 7 (a whole ``rackyd.cli.run`` call).
 
-Each row records its three runs and their median in seconds, and the file
-records the Python version, the platform, the CPU count, the git commit
-(null outside a git checkout), a sha256 of ``src/rackyd/*.py`` and their
-total line count (as ``wc -l`` counts it).
+The process is pinned to one CPU, and every run is timed at reference speed
+as ``perfbench/run.py`` times its invocations: ``reference_loop()`` is timed
+right before and right after the run, and the run's time is scaled to a CPU
+on which that loop takes ``REF_SECONDS``.  That takes out the drift of a
+shared CPU's speed between runs.  Each row records its five runs and their
+median in seconds at reference speed, and the file records the reference
+time, the Python version, the platform, the CPU count, the git commit (null
+outside a git checkout), a sha256 of ``src/rackyd/*.py`` and their total
+line count (as ``wc -l`` counts it).
 """
 
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -42,7 +48,12 @@ sys.path.insert(0, str(ROOT / "src"))
 from rackyd import envelope, leibniz, racks  # noqa: E402
 from rackyd.cli import run  # noqa: E402
 
-RUNS = 3
+# perfbench/run.py's reference loop and scaling, so both benchmarks time at one speed
+_spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+perfbench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(perfbench)
+
+RUNS = 5
 SOURCES = sorted((ROOT / "src" / "rackyd").glob("*.py"))
 
 
@@ -55,11 +66,17 @@ def cli(*argv):
 
 
 def timed(call):
-    runs = []
+    """RUNS runs of ``call``, each scaled by the mean of the reference loops
+    timed right before and right after it; the loop after one run serves as
+    the loop before the next."""
+    runs, before = [], perfbench.reference_loop()
     for _ in range(RUNS):
         t0 = time.perf_counter()
         call()
-        runs.append(time.perf_counter() - t0)
+        took = time.perf_counter() - t0
+        after = perfbench.reference_loop()
+        runs.append(perfbench.at_reference_speed(took, (before + after) / 2))
+        before = after
     return {"runs_s": [round(t, 4) for t in runs], "median_s": round(statistics.median(runs), 4)}
 
 
@@ -138,6 +155,7 @@ def source_lines():
 
 
 def main():
+    perfbench.pin_to_one_cpu()
     with tempfile.TemporaryDirectory() as tmp:
         rows = rack_rows(pathlib.Path(tmp)) + envelope_rows()
     bench = {
@@ -148,12 +166,14 @@ def main():
         "src_sha256": source_sha256(),
         "src_lines": source_lines(),
         "runs_per_row": RUNS,
+        "reference_s": perfbench.REF_SECONDS,
         "rows": rows,
     }
     out = ROOT / "BENCH_frontier.json"
     out.write_text(json.dumps(bench, indent=2) + "\n")
     for row in rows:
-        print(f"{row['instance']:34} {row['command']:28} {row['median_s']:8.3f} s")
+        print(f"{row['instance']:34} {row['command']:28} {row['median_s']:8.3f} s "
+              f"at reference speed")
     print(f"wrote {out}")
 
 

@@ -4,7 +4,6 @@
 Run from the repository root:  python scripts/make_fixtures.py
 """
 
-import json
 import pathlib
 
 from rackyd import (
@@ -30,15 +29,14 @@ from rackyd import (
     sl2,
     trivial_coaction_module,
 )
+from rackyd.cli import _write_json
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def dump(name, payload):
     path = OUT / name
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, payload)
     print(f"wrote {path.relative_to(OUT.parent)}")
 
 

@@ -27,8 +27,7 @@ _EXPORTS = {
         "check_hopf_axioms", "check_q_conditions", "check_yd",
     ),
     "group_hopf": (
-        "GroupAlgebraDescriptor", "GroupAlgebraElement", "adjoint_action",
-        "function_dual_check", "grading_module", "hopf_ops", "ker_eps_yd",
+        "GroupAlgebraDescriptor", "function_dual_check", "grading_module", "ker_eps_yd",
         "linearize_augmented", "rack_q_map", "trivial_coaction_module",
     ),
     "leibniz": (

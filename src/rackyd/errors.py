@@ -30,9 +30,10 @@ def as_int(value, what: str) -> int:
     """``int(value)`` for an index read from input, or a ValidationError.
 
     A float is refused, not truncated: ``2.7`` is no index, and ``1.0`` is
-    not the integer literal a count or an index is written as.
+    not the integer literal a count or an index is written as.  A bool is
+    refused too, though Python counts ``True`` as the int 1.
     """
-    if isinstance(value, float):
+    if isinstance(value, (bool, float)):
         raise ValidationError(f"{what} {value!r} is not an integer")
     try:
         return int(value)

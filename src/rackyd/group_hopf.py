@@ -25,112 +25,10 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import ValidationError
-from .linalg import lincomb, vsum
+from .linalg import lincomb
 from .racks import AugmentedRack, FiniteGroup, check_augmented
 from .scalars import QQ
 from .yd import YDModule, check_hopf_axioms  # noqa: F401  (perfbench/tracer.py wraps it here)
-
-
-class GroupAlgebraElement:
-    """A finitely supported linear combination of group elements.
-
-    Coefficients are kept keyed by element index with zeros dropped;
-    iteration order is sorted, so printed output is reproducible.
-    """
-
-    __slots__ = ("group", "coeffs", "field")
-
-    def __init__(self, group: FiniteGroup, coeffs=None, field=QQ):
-        self.group = group
-        self.field = field
-        self.coeffs = vsum(dict(coeffs or {}))
-        for g in self.coeffs:
-            if not 0 <= g < group.size:
-                raise ValidationError(f"group index {g} out of range")
-
-    @classmethod
-    def basis(cls, group, g: int, field=QQ):
-        return cls(group, {g: field.one}, field)
-
-    def _like(self, coeffs):
-        return GroupAlgebraElement(self.group, coeffs, self.field)
-
-    def __add__(self, other):
-        return self._like(vsum(self.coeffs, other.coeffs))
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __neg__(self):
-        return self._like({g: -c for g, c in self.coeffs.items()})
-
-    def scale(self, c):
-        return self._like({g: c * v for g, v in self.coeffs.items()})
-
-    def __mul__(self, other):
-        """Convolution product."""
-        mul = self.group.mul_idx
-        return self._like(lincomb(
-            self.coeffs, lambda g: {mul(g, h): d for h, d in other.coeffs.items()}
-        ))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupAlgebraElement)
-            and self.group == other.group
-            and self.coeffs == other.coeffs
-        )
-
-    def counit(self):
-        total = self.field.zero
-        for c in self.coeffs.values():
-            total = total + c
-        return total
-
-    def antipode(self):
-        return self._like({self.group.inv_idx(g): c for g, c in self.coeffs.items()})
-
-    def items(self):
-        return sorted(self.coeffs.items())
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"{c}*{self.group.elements[g]}" for g, c in self.items())
-
-    def to_json_dict(self):
-        return {
-            "group": self.group.to_json_dict(),
-            "coeffs": {self.group.elements[g]: str(c) for g, c in self.items()},
-        }
-
-    @classmethod
-    def from_json_dict(cls, d, field=QQ):
-        try:
-            group = FiniteGroup.from_json_dict(d["group"])
-            coeffs = {group.index_of(k): field.parse(v) for k, v in d["coeffs"].items()}
-        except (KeyError, TypeError) as exc:
-            raise ValidationError("group-algebra JSON needs group/coeffs") from exc
-        return cls(group, coeffs, field)
-
-
-def hopf_ops(group: FiniteGroup, g: int, field=QQ):
-    """(Delta g, counit g, S g) on a basis element of kG."""
-    if not 0 <= g < group.size:
-        raise ValidationError(f"group index {g} out of range")
-    delta = [(g, g)]
-    eps = field.one
-    s = GroupAlgebraElement.basis(group, group.inv_idx(g), field)
-    return delta, eps, s
-
-
-def adjoint_action(x: GroupAlgebraElement, h: GroupAlgebraElement) -> GroupAlgebraElement:
-    """Right adjoint action ``x <- h = S(h_(1)) x h_(2)``, bilinear."""
-    if x.group != h.group:
-        raise ValidationError("elements live over different groups")
-    conj = x.group.conj
-    out = lincomb(x.coeffs, lambda g: lincomb(h.coeffs, lambda k: {conj(g, k): 1}))
-    return GroupAlgebraElement(x.group, out, x.field)
 
 
 class GroupAlgebraDescriptor:

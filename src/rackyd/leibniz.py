@@ -103,7 +103,7 @@ class LeibnizAlgebra:
                 i, j, out = entry["i"], entry["j"], entry["out"]
             except (KeyError, TypeError) as exc:
                 raise ValidationError("bracket entry needs i/j/out") from exc
-            if not (isinstance(i, int) and isinstance(j, int)):
+            if not all(isinstance(k, int) and not isinstance(k, bool) for k in (i, j)):
                 raise ValidationError("bracket entry needs integer i/j")
             if not (0 <= i < n and 0 <= j < n):
                 raise ValidationError(f"bracket entry ({i},{j}) out of range")

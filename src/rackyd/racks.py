@@ -39,20 +39,27 @@ def _table(value, what):
     return [_list(row, f"{what} row") for row in _list(value, what)]
 
 
+def _index_table(table, n, m, what, shape):
+    """``table`` as a tuple of int tuples, checked in this order: every entry
+    an integer, n rows of m entries (``shape`` says so in the message), every
+    entry in range(n)."""
+    table = tuple(tuple(as_int(v, f"{what} entry") for v in row) for row in table)
+    if len(table) != n or any(len(row) != m for row in table):
+        raise ValidationError(f"{what} table must be {shape}")
+    for row in table:
+        for v in row:
+            if not 0 <= v < n:
+                raise ValidationError(f"{what} entry {v} out of range")
+    return table
+
+
 class FiniteShelf:
     """A finite magma table; whether it is a shelf/rack/quandle is a property."""
 
     def __init__(self, elements, op):
         self.elements = tuple(str(e) for e in elements)
         n = len(self.elements)
-        op = tuple(tuple(as_int(v, "op entry") for v in row) for row in op)
-        if len(op) != n or any(len(row) != n for row in op):
-            raise ValidationError("op table must be n x n")
-        for row in op:
-            for v in row:
-                if not 0 <= v < n:
-                    raise ValidationError(f"op entry {v} out of range")
-        self.op = op
+        self.op = _index_table(op, n, n, "op", "n x n")
 
     @property
     def size(self) -> int:
@@ -154,14 +161,7 @@ class FiniteGroup:
         n = len(self.elements)
         if n == 0:
             raise ValidationError("a group needs at least the identity")
-        mul = tuple(tuple(as_int(v, "mul entry") for v in row) for row in mul)
-        if len(mul) != n or any(len(r) != n for r in mul):
-            raise ValidationError("mul table must be n x n")
-        for row in mul:
-            for v in row:
-                if not 0 <= v < n:
-                    raise ValidationError(f"mul entry {v} out of range")
-        self.mul = mul
+        self.mul = mul = _index_table(mul, n, n, "mul", "n x n")
         ident = None
         for e in range(n):
             if all(mul[e][x] == x == mul[x][e] for x in range(n)):
@@ -353,13 +353,7 @@ class AugmentedRack:
             self.action, self.p = action, tuple(p)
             return
         nx, ng = len(self.elements), group.size
-        action = tuple(tuple(as_int(v, "action entry") for v in row) for row in action)
-        if len(action) != nx or any(len(row) != ng for row in action):
-            raise ValidationError("action table must be |X| x |G|")
-        for row in action:
-            for v in row:
-                if not 0 <= v < nx:
-                    raise ValidationError(f"action entry {v} out of range")
+        action = _index_table(action, nx, ng, "action", "|X| x |G|")
         p = tuple(as_int(v, "p entry") for v in p)
         if len(p) != nx or any(not 0 <= v < ng for v in p):
             raise ValidationError("p must map X into G")

@@ -775,6 +775,41 @@ def test_malformed_rack_input_exits_two(tmp_path, capsys, case):
     assert message in out.err and "Traceback" not in out.err
 
 
+def _kereps_z2(coaction_term):
+    module = json.loads((FIXTURES / "yd_kereps_z2.json").read_text())
+    module["coaction"][0][0] = coaction_term
+    return module
+
+
+# case -> (command, input, the error it must give); Python reads a JSON
+# true as the int 1, so a bool where an index belongs used to be accepted
+BOOL_INDEX = {
+    "shelf-op": ("check-rack", {"elements": ["a", "b"], "op": [[0, True], [1, False]]},
+                 "op entry True is not an integer"),
+    "group-mul": ("make-conjugation", {"elements": ["e", "a"], "mul": [[0, True], [True, 0]]},
+                  "mul entry True is not an integer"),
+    "augmented-action": ("check-augmented", _aug_z2(action=[[0, 0], [True, 1]]),
+                         "action entry True is not an integer"),
+    "augmented-p": ("check-augmented", _aug_z2(p=[0, True]), "p entry True is not an integer"),
+    "coaction-module-index": ("check-yd", _kereps_z2([False, 1, "1"]),
+                              "coaction module index False is not an integer"),
+    "coaction-descriptor-index": ("check-yd", _kereps_z2([0, True, "1"]),
+                                  "coaction descriptor index True is not an integer"),
+    "leibniz-dim": ("check-leibniz", {"dim": True, "basis": ["x"], "brackets": []},
+                    "dim True is not an integer"),
+    "leibniz-bracket-index": ("check-leibniz", {"dim": 2, "basis": ["x", "y"], "brackets": [
+        {"i": True, "j": 0, "out": {"1": "1"}}]}, "bracket entry needs integer i/j"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOOL_INDEX))
+def test_a_json_bool_where_an_integer_belongs_exits_two(tmp_path, capsys, case):
+    command, payload, message = BOOL_INDEX[case]
+    assert run([command, _write(tmp_path, "input.json", payload)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and message in out.err
+
+
 def test_negative_witness_limit_exits_two(capsys, fixtures_dir):
     path = str(fixtures_dir / "not_a_shelf.json")
     assert run(["check-rack", path, "--witness-limit", "-1"]) == 2

@@ -107,8 +107,8 @@ PACKAGE_NAMES = """
     BraidedLeibnizData BraidingMatrix YDModule braided_leibniz_from_q braiding
     check_braided_leibniz check_hopf_axioms check_q_conditions check_yd check_ybe flip_matrix
     is_involutive ybe_defect
-    GroupAlgebraDescriptor GroupAlgebraElement adjoint_action function_dual_check
-    grading_module hopf_ops ker_eps_yd linearize_augmented rack_q_map trivial_coaction_module
+    GroupAlgebraDescriptor function_dual_check grading_module ker_eps_yd linearize_augmented
+    rack_q_map trivial_coaction_module
     LeibnizAlgebra abelian_lie central_square2 check_leibniz first_order_yd heisenberg_voros
     lie_map_object lie_quotient non_leibniz1 nonabelian_lie2 sl2 squares_ideal unital_shelf
     EnvTetramodule EnvelopingDescriptor LieMapObject TruncatedPBW antipode_checks
