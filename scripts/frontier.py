@@ -13,7 +13,8 @@ It imports rackyd from this checkout's src/ and times, in one process:
 - kX of the S6 conjugation quandle (dimension 720): ``check-ybe`` alone;
 - the braiding of kX of the S5 conjugation quandle twisted by the diagonal
   ``d[x] = x + 1`` (so it is no longer unit): ``check-ybe`` alone;
-- sl2 ``build_env`` at degree 10 (the constructor alone, from the fixture);
+- sl2 ``build_env`` at degrees 10, 12 and 14 (the constructor alone, from
+  the fixture);
 - sl2 ``env-checks`` at degree 7 (a whole ``rackyd.cli.run`` call).
 
 The process is pinned to one CPU, and every run is timed at reference speed
@@ -126,9 +127,9 @@ def envelope_rows():
     sl2 = str(ROOT / "fixtures" / "leibniz_sl2.json")
     lie_map = leibniz.lie_map_object(leibniz.LeibnizAlgebra.from_json_dict(
         json.loads(pathlib.Path(sl2).read_text())))
-    return [
-        {"instance": "sl2", "degree": 10, "command": "build_env",
-         **timed(lambda: envelope.build_env(lie_map, 10))},
+    rows = [{"instance": "sl2", "degree": degree, "command": "build_env",
+             **timed(lambda: envelope.build_env(lie_map, degree))} for degree in (10, 12, 14)]
+    return rows + [
         {"instance": "sl2", "degree": 7, "command": "env-checks",
          **timed(lambda: cli("env-checks", sl2, "--degree", "7"))},
     ]

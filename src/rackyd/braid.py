@@ -88,7 +88,9 @@ class BraidingMatrix:
             if not (isinstance(d, dict) and ("columns" in d or "matrix" in d)):
                 n, tau = _columns_from_json(d, field)
                 return cls(tau, range(n))
-            basis = tuple(d["factor_basis"])
+            basis = d["factor_basis"]
+            if not isinstance(basis, list):
+                raise ValidationError("braiding factor_basis must be a list of labels")
             order = d.get("basis_order", cls.convention)
             if order != cls.convention:
                 raise ValidationError(

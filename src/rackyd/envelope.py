@@ -1,12 +1,15 @@
 """Degree-truncated enveloping algebras and the enveloping tetramodule.
 
 ``TruncatedPBW`` realizes U(g) through degree d for a finite-dimensional Lie
-algebra g given by structure constants: the basis is the set of ordered
-monomials of total degree <= d, products straighten out-of-order letters via
-the bracket and project away components of degree > d.  The projection is a
-deliberate design choice (the full algebra is infinite-dimensional and every
-identity verified here is degree-filtered); the descriptor facade used by
-:mod:`rackyd.yd` exposes only exact products and raises on overflow instead.
+algebra g given by structure constants, on the ordered monomials of total
+degree <= d.  Every product is folded from one table of products e_i x_k of
+a monomial by a generator, each entry built on first use from entries of
+lower degree.  It is also the Hopf descriptor that :mod:`rackyd.yd` reads,
+so its ``product`` is exact and raises on degree overflow.  Only the
+products by one generator, ``times_gen`` and ``gen_times``, which the
+tetramodule tables and phi read, project away components of degree > d: the
+full algebra is infinite-dimensional, and every identity verified here is
+degree-filtered.
 
 From an equivariant pair (a right g-module M together with a map f: M -> g,
 which is a Lie algebra object in the Loday-Pirashvili category of linear
@@ -98,18 +101,20 @@ def _mono_label(exp, labels):
 
 
 # sl2 at degree 70 has 62196 monomials: `first-order-yd` there takes about
-# 0.5 s and peaks at 38 MB
+# 0.5 s in-process (0.6 s as a process) and peaks at 37 MB (single runs,
+# 2-CPU x86-64, Python 3.11)
 PBW_MAX_SIZE = 65536
 
 
 class TruncatedPBW:
-    """Ordered monomials of degree <= d in a Lie algebra basis.
+    """U(g) through degree d, on the ordered monomials of degree <= d in a Lie algebra basis.
 
     There are ``comb(dim g + d, d)`` of them; above ``PBW_MAX_SIZE`` the
     construction is refused with a ValidationError before any is enumerated.
-    ``product`` truncates; ``product_exact`` raises DegreeOverflowError when
-    the result would not be representable, and is what the Hopf-descriptor
-    facade exposes.
+    This is the Hopf descriptor of :mod:`rackyd.yd`: ``product`` is exact and
+    raises DegreeOverflowError when the degrees add up to more than d.  Only
+    ``times_gen`` and ``gen_times``, the products by one generator that the
+    tetramodule tables read, truncate above d.
     """
 
     def __init__(self, brackets, degree, labels=None, field=QQ):
@@ -153,6 +158,7 @@ class TruncatedPBW:
         self.gen_index = tuple(
             self.index[tuple(1 if k == i else 0 for k in range(n))] for i in range(n)
         ) if degree >= 1 else tuple()
+        self._times = {}  # (i, k) -> e_i x_k, filled on first use
 
     @property
     def size(self) -> int:
@@ -162,55 +168,64 @@ class TruncatedPBW:
     def generators(self):
         return list(self.gen_index)
 
+    algebra_generators = generators
+
     def word(self, i: int):
         out = []
         for k, e in enumerate(self.basis[i]):
             out.extend([k] * e)
         return tuple(out)
 
-    def _straighten(self, word) -> dict:
-        """A word in the Lie basis as a combination of ordered monomials, truncated above d.
-
-        The first out-of-order pair ``ab`` is rewritten as ``ba + [a, b]``;
-        the rewritten words are distinct, so they index one combination.
-        Rewriting never lengthens a word, so a word of length <= d stays
-        inside the window: exactness is decided by the callers, on lengths.
-        """
-        for pos in range(len(word) - 1):
-            a, b = word[pos], word[pos + 1]
-            if a > b:
-                head, tail = word[:pos], word[pos + 2:]
-                rewrite = {head + (k,) + tail: c for k, c in self.brackets[a][b].items()}
-                rewrite[head + (b, a) + tail] = self.field.one
-                return lincomb(rewrite, self._straighten)
-        if len(word) > self.degree:
-            return {}
-        exp = [0] * self.dim_lie
-        for g in word:
-            exp[g] += 1
-        return {self.index[tuple(exp)]: self.field.one}
-
-    def _mul_words(self, w1, w2, exact):
-        if exact and len(w1) + len(w2) > self.degree:
-            raise DegreeOverflowError(
-                f"exact product of degrees {len(w1)} and {len(w2)} exceeds d={self.degree}"
-            )
-        return self._straighten(tuple(w1) + tuple(w2))
-
-    def product(self, i: int, j: int) -> dict:
-        """Truncating product of two basis monomials."""
-        return self._mul_words(self.word(i), self.word(j), exact=False)
-
     def times_gen(self, i: int, k: int) -> dict:
-        """Truncating product (basis monomial i) * x_k, for a Lie index k."""
-        return self._mul_words(self.word(i), (k,), exact=False)
+        """(basis monomial i) * x_k, truncated above degree d: one entry of the table.
+
+        Each entry is built on first use from entries of lower degree.  With
+        x_l the last letter of e_i = e_w x_l, appending x_k keeps the word
+        ordered when l <= k; otherwise
+        ``e_i x_k = (e_w x_k) x_l + e_w [x_l, x_k]``, where e_w x_k has
+        degree <= d and its only term of top degree ends in x_l, so every
+        entry read has lower degree or is an append.  Truncating the sum is
+        exact: the projection above d is linear.  Entries are shared, so no
+        caller may mutate one.
+        """
+        out = self._times.get((i, k))
+        if out is None:
+            exp = list(self.basis[i])
+            last = max((g for g, e in enumerate(exp) if e), default=-1)
+            if last <= k:
+                exp[k] += 1
+                out = {self.index[tuple(exp)]: self.field.one} if sum(exp) <= self.degree else {}
+            else:
+                exp[last] -= 1
+                w = self.index[tuple(exp)]
+                out = vsum(lincomb(self.times_gen(w, k), lambda j: self.times_gen(j, last)),
+                           lincomb(self.brackets[last][k], lambda c: self.times_gen(w, c)))
+            self._times[i, k] = out
+        return out
+
+    def _fold(self, vec: dict, word) -> dict:
+        """vec * x_{word[0]} * x_{word[1]} * ..., one table entry at a time."""
+        for k in word:
+            vec = lincomb(vec, lambda h: self.times_gen(h, k))
+        return vec
 
     def gen_times(self, k: int, i: int) -> dict:
-        """Truncating product x_k * (basis monomial i), for a Lie index k."""
-        return self._mul_words((k,), self.word(i), exact=False)
+        """x_k * (basis monomial i), truncated above degree d.
 
-    def product_exact(self, i: int, j: int) -> dict:
-        return self._mul_words(self.word(i), self.word(j), exact=True)
+        Every partial product but the last has degree <= d, so only the last
+        entry read truncates.
+        """
+        return self._fold(self.times_gen(self.unit, k), self.word(i))
+
+    def product(self, i: int, j: int) -> dict:
+        """The exact product of two basis monomials: the table folded along the word of j."""
+        di, dj = sum(self.basis[i]), sum(self.basis[j])
+        if di + dj > self.degree:
+            raise DegreeOverflowError(
+                f"exact product of degrees {di} and {dj} exceeds d={self.degree}")
+        return self._fold({i: self.field.one}, self.word(j))
+
+    product_exact = product
 
     def coproduct(self, i: int):
         """Delta(monomial), multiplicative from Delta(x) = x (x) 1 + 1 (x) x.
@@ -234,67 +249,27 @@ class TruncatedPBW:
         return self.field.one if i == self.unit else self.field.zero
 
     def antipode(self, i: int) -> dict:
-        """S(x) = -x on generators, extended anti-multiplicatively (exact: the
-        reversed word has the degree of the monomial)."""
-        word = tuple(reversed(self.word(i)))
-        sign = 1 if len(word) % 2 == 0 else -1
-        return lincomb({word: sign}, self._straighten)
+        """S(x) = -x on generators, extended anti-multiplicatively: the reversed
+        word folded from the table (exact: it has the degree of the monomial)."""
+        word = self.word(i)
+        one = self.field.one
+        return self._fold({self.unit: -one if len(word) % 2 else one}, reversed(word))
 
     def generator_word(self, i: int):
         return tuple(self.gen_index[k] for k in self.word(i))
+
+    def check_action_axioms(self, module) -> tuple | None:
+        """(m.x).y - (m.y).x = m.[x,y] on all generator pairs (none at degree 0)."""
+        gens = self.gen_index
+        return lie_action_witness(module.dim, self.brackets if gens else (),
+                                  lambda vec, k: module.act_basis(vec, gens[k]), self.field.one)
 
     def __repr__(self):
         return f"TruncatedPBW(dim_lie={self.dim_lie}, degree={self.degree})"
 
 
-class EnvelopingDescriptor:
-    """Exact Hopf-descriptor facade over a TruncatedPBW (see rackyd.yd)."""
-
-    def __init__(self, pbw: TruncatedPBW):
-        self.pbw = pbw
-        self.field = pbw.field
-
-    @property
-    def size(self) -> int:
-        return self.pbw.size
-
-    @property
-    def labels(self):
-        return self.pbw.labels
-
-    @property
-    def unit(self) -> int:
-        return self.pbw.unit
-
-    @property
-    def generators(self):
-        return self.pbw.generators
-
-    algebra_generators = generators
-
-    def product(self, i, j):
-        return self.pbw.product_exact(i, j)
-
-    def coproduct(self, i):
-        return self.pbw.coproduct(i)
-
-    def counit(self, i):
-        return self.pbw.counit(i)
-
-    def antipode(self, i):
-        return self.pbw.antipode(i)
-
-    def generator_word(self, i):
-        return self.pbw.generator_word(i)
-
-    def check_action_axioms(self, module) -> tuple | None:
-        """(m.x).y - (m.y).x = m.[x,y] on all generator pairs (none at degree 0)."""
-        gens = self.pbw.gen_index
-        return lie_action_witness(module.dim, self.pbw.brackets if gens else (),
-                                  lambda vec, k: module.act_basis(vec, gens[k]), self.field.one)
-
-    def __repr__(self):
-        return f"EnvelopingDescriptor({self.pbw!r})"
+# the package exports and perfbench's tracer still use this name
+EnvelopingDescriptor = TruncatedPBW
 
 
 class LieMapObject:
@@ -354,6 +329,8 @@ class LieMapObject:
         return len(self.module_labels)
 
 
+# sl2 with M = sl2 reaches this at degree 18 (dimension 3990): `build_env`
+# there takes about 2.5 s in-process and peaks at 100 MB (single runs, as above)
 ENV_MAX_SIZE = 4096
 
 
@@ -442,11 +419,11 @@ def build_env(obj: LieMapObject, degree: int = 2) -> EnvTetramodule:
 
 
 def phi_map(env: EnvTetramodule, vec: dict) -> dict:
-    """phi(u (x) m) = u f(m), linearly extended (truncating product)."""
+    """phi(u (x) m) = u f(m), linearly extended (truncating above d, like ``times_gen``)."""
 
     def on_basis(e):
         h, m = env.split(e)
-        return lincomb(env.obj.f[m], lambda j: env.pbw.product(h, env.pbw.gen_index[j]))
+        return lincomb(env.obj.f[m], lambda k: env.pbw.times_gen(h, k))
 
     return lincomb(vec, on_basis)
 
@@ -566,7 +543,7 @@ def inv_part(env: EnvTetramodule) -> InvariantPart:
         coaction.append(sorted(
             (m, h1, c) for h1, vec_h in by_h.items() for m, c in unit_row(vec_h).items()
         ))
-    module = YDModule(EnvelopingDescriptor(pbw), env.obj.module_labels, action, coaction)
+    module = YDModule(pbw, env.obj.module_labels, action, coaction)
     return InvariantPart(module, tuple(vectors))
 
 

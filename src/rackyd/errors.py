@@ -27,15 +27,13 @@ class ConsistencyError(RuntimeError):
 
 
 def as_int(value, what: str) -> int:
-    """``int(value)`` for an index read from input, or a ValidationError.
+    """An index or a count read from JSON, which must be a JSON integer, or a ValidationError.
 
-    A float is refused, not truncated: ``2.7`` is no index, and ``1.0`` is
-    not the integer literal a count or an index is written as.  A bool is
-    refused too, though Python counts ``True`` as the int 1.
+    A string is refused, though ``int()`` reads ``" 1 "`` and ``"1_0"``; so
+    is a float (``2.7`` is no index, and ``1.0`` is not the literal an index
+    is written as), and so is a bool, though Python counts ``True`` as the
+    int 1.
     """
-    if isinstance(value, (bool, float)):
-        raise ValidationError(f"{what} {value!r} is not an integer")
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{what} {value!r} is not an integer") from exc
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValidationError(f"{what} {value!r} is not an integer")

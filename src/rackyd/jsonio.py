@@ -15,7 +15,7 @@ Yetter-Drinfel'd module::
     }
 
 Generators are the group elements in order for a group algebra, and the
-degree-1 monomials in Lie-basis order for an enveloping descriptor.
+degree-1 monomials in Lie-basis order for a truncated enveloping algebra.
 
 q-map::
 
@@ -35,17 +35,16 @@ from .yd import YDModule
 def hopf_to_dict(hopf) -> dict:
     if isinstance(hopf, GroupAlgebraDescriptor):
         return {"kind": "group_algebra", "group": hopf.group.to_json_dict()}
-    from .envelope import EnvelopingDescriptor
+    from .envelope import TruncatedPBW
 
-    if isinstance(hopf, EnvelopingDescriptor):
+    if isinstance(hopf, TruncatedPBW):
         from .leibniz import LeibnizAlgebra
 
-        pbw = hopf.pbw
-        lie = LeibnizAlgebra(pbw.lie_labels, pbw.brackets, pbw.field)
+        lie = LeibnizAlgebra(hopf.lie_labels, hopf.brackets, hopf.field)
         return {
             "kind": "first_order_enveloping",
             "lie": lie.to_json_dict(),
-            "degree": pbw.degree,
+            "degree": hopf.degree,
         }
     raise ValidationError(f"cannot serialize descriptor {hopf!r}")
 
@@ -58,13 +57,11 @@ def hopf_from_dict(d, field=QQ):
     if kind == "group_algebra":
         return GroupAlgebraDescriptor(FiniteGroup.from_json_dict(d["group"]), field)
     if kind == "first_order_enveloping":
-        from .envelope import EnvelopingDescriptor, TruncatedPBW
+        from .envelope import TruncatedPBW
         from .leibniz import LeibnizAlgebra
 
         lie = LeibnizAlgebra.from_json_dict(d["lie"], field)
-        return EnvelopingDescriptor(
-            TruncatedPBW(lie.brackets, as_int(d.get("degree", 2), "degree"), lie.basis, field)
-        )
+        return TruncatedPBW(lie.brackets, as_int(d.get("degree", 2), "degree"), lie.basis, field)
     raise ValidationError(f"unknown hopf kind {kind!r}")
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .braid import flip_columns
-from .envelope import EnvelopingDescriptor, LieMapObject, TruncatedPBW, check_lie
+from .envelope import LieMapObject, TruncatedPBW, check_lie
 from .errors import ConsistencyError, ValidationError, as_int
 from .linalg import lincomb, reduce_mod, rref, vec_from_json, vsum
 from .scalars import QQ
@@ -103,8 +103,7 @@ class LeibnizAlgebra:
                 i, j, out = entry["i"], entry["j"], entry["out"]
             except (KeyError, TypeError) as exc:
                 raise ValidationError("bracket entry needs i/j/out") from exc
-            if not all(isinstance(k, int) and not isinstance(k, bool) for k in (i, j)):
-                raise ValidationError("bracket entry needs integer i/j")
+            i, j = as_int(i, "bracket entry i"), as_int(j, "bracket entry j")
             if not (0 <= i < n and 0 <= j < n):
                 raise ValidationError(f"bracket entry ({i},{j}) out of range")
             if (i, j) in seen:
@@ -358,7 +357,6 @@ def first_order_yd(alg: LeibnizAlgebra, degree: int = 2) -> YDModule:
     one = field.one
     n = alg.dim
     pbw = TruncatedPBW(lq.quotient.brackets, degree, lq.quotient.basis, field)
-    hopf = EnvelopingDescriptor(pbw)
     basis = ("1",) + alg.basis
     action = [[{} for _ in range(lq.dim)]]
     for i in range(n):
@@ -367,7 +365,7 @@ def first_order_yd(alg: LeibnizAlgebra, degree: int = 2) -> YDModule:
     for i in range(n):
         coaction.append([(i + 1, pbw.unit, one)]
                         + [(0, pbw.gen_index[k], c) for k, c in lq.pi[i].items()])
-    module = YDModule(hopf, basis, action, coaction)
+    module = YDModule(pbw, basis, action, coaction)
     shelf = _unital_shelf_table(alg)  # lie_quotient has proved the Leibniz identity
     for j in range(n + 1):
         qj = {pbw.unit: one} if j == 0 else {

@@ -70,19 +70,20 @@ def vec_from_json(vec, field, what, size=None) -> dict:
     """Read a sparse vector written by :func:`vec_to_json`.
 
     Zero coefficients are dropped; with ``size``, every index must lie in
-    ``range(size)``.  Malformed input raises a ValidationError, and so does an
-    index given twice (as ``"1"`` and ``"01"``, say).
+    ``range(size)``.  Malformed input raises a ValidationError.  An index, a
+    JSON object key, is read only in canonical decimal (``"0"``, ``"17"``, not
+    ``"01"``, ``" 1"``, ``"+1"`` or ``"1_0"``), so each index has one spelling
+    and no object names one twice.
     """
     if not isinstance(vec, dict):
         raise ValidationError(f"{what} must be an object of index: coefficient")
-    out, seen = {}, set()
+    out = {}
     for k, c in vec.items():
-        i = as_int(k, f"{what} index")
-        if size is not None and not 0 <= i < size:
+        if not (isinstance(k, str) and k.isascii() and k.isdigit() and (k == "0" or k[0] != "0")):
+            raise ValidationError(f"{what} index {k!r} is not an integer in canonical decimal")
+        i = int(k)
+        if size is not None and i >= size:
             raise ValidationError(f"{what} index {i} out of range({size})")
-        if i in seen:
-            raise ValidationError(f"{what} index {i} given twice")
-        seen.add(i)
         x = field.parse(c)
         if x:
             out[i] = x

@@ -1,16 +1,42 @@
-"""Reference sweeps for the enveloping tetramodule's phi identities.
+"""Reference sweeps for the truncated envelope and the tetramodule's phi identities.
 
+``TruncatedPBW`` folds its products from a table of products by one
+generator; :func:`straighten` is the word rewriting it replaced, kept as the
+oracle for its products, antipode and truncation.
 ``rackyd.envelope.phi_checks`` and ``antipode_checks`` decide their verdicts
-from f's equivariance; these are the basis-by-basis sweeps they replaced,
-kept as the oracle for the differential tests.  Each returns the same
-record, with the same scopes and witnesses.  The actions of whole elements
-of the truncated envelope, the general adjoint action and the antipode
-component T are folded here from the tetramodule's generator tables.
+from f's equivariance; the sweeps below are the basis-by-basis checks they
+replaced, kept as the oracle for the differential tests.  Each returns the
+same record, with the same scopes and witnesses.  The actions of whole
+elements of the truncated envelope, the general adjoint action and the
+antipode component T are folded here from the tetramodule's generator tables.
 """
 
 from rackyd.envelope import AntipodeReport, PhiReport, phi_map
 from rackyd.linalg import lincomb, vsum
 from rackyd.yd import hvec_coproduct
+
+
+def straighten(pbw, word) -> dict:
+    """A word in the Lie basis as a combination of ordered monomials, truncated above d.
+
+    The first out-of-order pair ``ab`` is rewritten as ``ba + [a, b]``; the
+    rewritten words are distinct, so they index one combination.  Rewriting
+    never lengthens a word, and only ordered words longer than d are dropped,
+    so this is the product in U(g) projected onto degree <= d.
+    """
+    for pos in range(len(word) - 1):
+        a, b = word[pos], word[pos + 1]
+        if a > b:
+            head, tail = word[:pos], word[pos + 2:]
+            rewrite = {head + (k,) + tail: c for k, c in pbw.brackets[a][b].items()}
+            rewrite[head + (b, a) + tail] = pbw.field.one
+            return lincomb(rewrite, lambda w: straighten(pbw, w))
+    if len(word) > pbw.degree:
+        return {}
+    exp = [0] * pbw.dim_lie
+    for g in word:
+        exp[g] += 1
+    return {pbw.index[tuple(exp)]: pbw.field.one}
 
 
 def right_act(env, vec, hvec):

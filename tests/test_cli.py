@@ -798,7 +798,7 @@ BOOL_INDEX = {
     "leibniz-dim": ("check-leibniz", {"dim": True, "basis": ["x"], "brackets": []},
                     "dim True is not an integer"),
     "leibniz-bracket-index": ("check-leibniz", {"dim": 2, "basis": ["x", "y"], "brackets": [
-        {"i": True, "j": 0, "out": {"1": "1"}}]}, "bracket entry needs integer i/j"),
+        {"i": True, "j": 0, "out": {"1": "1"}}]}, "bracket entry i True is not an integer"),
 }
 
 
@@ -808,6 +808,51 @@ def test_a_json_bool_where_an_integer_belongs_exits_two(tmp_path, capsys, case):
     assert run([command, _write(tmp_path, "input.json", payload)]) == 2
     out = capsys.readouterr()
     assert out.out == "" and message in out.err
+
+
+def _hv_module(degree):
+    module = json.loads((FIXTURES / "yd_hv_first_order.json").read_text())
+    module["hopf"]["degree"] = degree
+    return module
+
+
+# case -> (command, input, the error it must give); int() reads each of these
+# strings, so they used to be read as the integers they spell
+STRING_INDEX = {
+    "shelf-op": ("check-rack", {"elements": ["a", "b"], "op": [["0", "1"], ["1", " 1 "]]},
+                 "op entry '0' is not an integer"),
+    "group-mul": ("make-conjugation", {"elements": ["e", "a"], "mul": [[0, 1], [1, "1_0"]]},
+                  "mul entry '1_0' is not an integer"),
+    "augmented-action": ("check-augmented", _aug_z2(action=[[0, 0], ["+1", 1]]),
+                         "action entry '+1' is not an integer"),
+    "augmented-p": ("check-augmented", _aug_z2(p=[0, "1"]), "p entry '1' is not an integer"),
+    "coaction-module-index": ("check-yd", _kereps_z2(["0", 1, "1"]),
+                              "coaction module index '0' is not an integer"),
+    "coaction-descriptor-index": ("check-yd", _kereps_z2([0, "1", "1"]),
+                                  "coaction descriptor index '1' is not an integer"),
+    "hopf-degree": ("check-yd", _hv_module("2"), "degree '2' is not an integer"),
+    "leibniz-dim": ("check-leibniz", {"dim": "1", "basis": ["x"], "brackets": []},
+                    "dim '1' is not an integer"),
+    "leibniz-bracket-index": ("check-leibniz", {"dim": 2, "basis": ["x", "y"], "brackets": [
+        {"i": 0, "j": "1", "out": {"1": "1"}}]}, "bracket entry j '1' is not an integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRING_INDEX))
+def test_a_json_string_where_an_integer_belongs_exits_two(tmp_path, capsys, case):
+    command, payload, message = STRING_INDEX[case]
+    assert run([command, _write(tmp_path, "input.json", payload)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and message in out.err
+
+
+@pytest.mark.parametrize("key", ["01", " 1", "+1", "1_0"])
+def test_a_sparse_index_not_in_canonical_decimal_exits_two(tmp_path, capsys, fixtures_dir, key):
+    # int() reads each key as 1 (or 10); an index has one spelling only
+    module = json.loads((fixtures_dir / "yd_kereps_z2.json").read_text())
+    module["action"][0][1] = {key: "1"}
+    _refused(capsys, ["check-yd", _write(tmp_path, "yd.json", module)],
+             f"action vector index {key!r} is not an integer in canonical decimal")
 
 
 def test_negative_witness_limit_exits_two(capsys, fixtures_dir):
@@ -864,8 +909,11 @@ MALFORMED_SPARSE = {
     "row-not-an-integer": (_set_column({"a": "1"}), "braiding column index 'a' is not an integer"),
     "row-out-of-range": (_set_column({"25": "1"}), "braiding column index 25 out of range(25)"),
     "bad-coefficient": (_set_column({"0": "1/0"}), "bad rational literal '1/0'"),
-    # "1" and "01" name one row; reading both kept only the last
-    "row-given-twice": (_set_column({"1": "2", "01": "3"}), "braiding column index 1 given twice"),
+    # "01" would name row 1 a second time; only the canonical spelling is read
+    "row-given-twice": (_set_column({"1": "2", "01": "3"}),
+                        "braiding column index '01' is not an integer in canonical decimal"),
+    "factor-basis-not-a-list": (lambda payload: payload.update(factor_basis="abcde"),
+                                "braiding factor_basis must be a list of labels"),
     "other-basis-order": (lambda payload: payload.update(basis_order="first-factor-major"),
                           "basis_order must be 'second-factor-major', got 'first-factor-major'"),
     "truncated-basis": (lambda payload: payload.update(factor_basis=payload["factor_basis"][:3]),
@@ -1081,14 +1129,15 @@ def _refused(capsys, argv, message):
 
 
 def test_a_sparse_term_given_twice_exits_two(tmp_path, capsys, fixtures_dir):
-    # as for a braiding column (MALFORMED_SPARSE): reading both kept only the last
+    # as for a braiding column (MALFORMED_SPARSE): a second spelling of an
+    # index is not canonical, so the term is refused, not read over the first
     module = json.loads((fixtures_dir / "yd_kereps_z2.json").read_text())
     module["action"][0][1] = {"0": "1", "00": "0"}
     _refused(capsys, ["check-yd", _write(tmp_path, "yd.json", module)],
-             "action vector index 0 given twice")
+             "action vector index '00' is not an integer in canonical decimal")
     line = {"dim": 1, "basis": ["x"], "brackets": [{"i": 0, "j": 0, "out": {"0": "1", "+0": "1"}}]}
     _refused(capsys, ["check-leibniz", _write(tmp_path, "line.json", line)],
-             "bracket output index 0 given twice")
+             "bracket output index '+0' is not an integer in canonical decimal")
 
 
 def test_a_json_key_given_twice_exits_two(tmp_path, capsys, fixtures_dir):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rackyd.envelope import (
-    EnvelopingDescriptor,
     LieMapObject,
     TruncatedPBW,
     antipode_checks,
@@ -24,6 +23,7 @@ from rackyd.leibniz import (
     central_square2,
     heisenberg_voros,
     lie_map_object,
+    lie_quotient,
     nonabelian_lie2,
     sl2,
 )
@@ -43,6 +43,7 @@ from envelope_sweeps import (
     antipode_checks_by_sweep,
     antipode_component,
     phi_checks_by_sweep,
+    straighten,
 )
 
 F = Fraction
@@ -117,11 +118,41 @@ def test_pbw_exact_product_overflow():
     ee = p.index[(2, 0, 0)]
     with pytest.raises(DegreeOverflowError):
         p.product_exact(ee, e)
-    assert p.product(ee, e) == {}  # truncating mode projects it away
+    assert p.times_gen(ee, 0) == {}  # the product by one generator projects it away
+
+
+PBW_ALGEBRAS = {
+    "sl2": sl2,
+    "hv_lie_quotient": lambda field: lie_quotient(heisenberg_voros(field)).quotient,
+    "nonabelian2": nonabelian_lie2,
+    "abelian3": lambda field: abelian_lie(3, field),
+}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["QQ", "GF10007"])
+@pytest.mark.parametrize("name", sorted(PBW_ALGEBRAS))
+def test_pbw_table_matches_straightening(name, field):
+    """Products, products by one generator and the antipode agree with the word rewriting."""
+    alg = PBW_ALGEBRAS[name](field)
+    for degree in range(7):
+        p = TruncatedPBW(alg.brackets, degree, alg.basis, field)
+        deg = [sum(e) for e in p.basis]
+        for i, j in product(range(p.size), repeat=2):
+            if deg[i] + deg[j] <= degree:
+                assert p.product(i, j) == straighten(p, p.word(i) + p.word(j))
+            else:
+                with pytest.raises(DegreeOverflowError):
+                    p.product(i, j)
+        for i, k in product(range(p.size), range(p.dim_lie)):
+            assert p.times_gen(i, k) == straighten(p, p.word(i) + (k,))
+            assert p.gen_times(k, i) == straighten(p, (k,) + p.word(i))
+        for i in range(p.size):
+            sign = -field.one if deg[i] % 2 else field.one
+            assert p.antipode(i) == lincomb({p.word(i)[::-1]: sign}, lambda w: straighten(p, w))
 
 
 def test_enveloping_descriptor_hopf_axioms():
-    desc = EnvelopingDescriptor(sl2_pbw(2))
+    desc = sl2_pbw(2)
     assert check_hopf_axioms(desc, skip_overflow=True) is None
 
 
@@ -277,7 +308,7 @@ def elimination_inv_part(env):
             by_h.setdefault(h1, {})[e1] = c
         coaction.append([(j, h1, c) for h1, vec_h in by_h.items()
                          for j, c in to_coords(vec_h).items()])
-    return tuple(vectors), YDModule(EnvelopingDescriptor(env.pbw), labels, action, coaction)
+    return tuple(vectors), YDModule(env.pbw, labels, action, coaction)
 
 
 def _lie_map_objects(field):
@@ -486,7 +517,7 @@ def test_lie_action_witness_is_the_least_failing_triple_on_both_paths(data):
     # the same action as a module over the enveloping descriptor, which has
     # no generators (so no action to check) at degree 0
     for degree in (0, 1, 2):
-        hopf = EnvelopingDescriptor(TruncatedPBW(alg.brackets, degree, alg.basis))
+        hopf = TruncatedPBW(alg.brackets, degree, alg.basis)
         rows = [[action[k][m] for k in range(len(hopf.generators))] for m in range(n)]
         coaction = [[(m, hopf.unit, F(1))] for m in range(n)]
         if expect is None or degree == 0:

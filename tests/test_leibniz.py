@@ -165,7 +165,7 @@ def test_first_order_restricted_to_g_is_original_bracket():
         lq = lie_quotient(alg)
         one = F(1)
         for j in range(alg.dim):
-            qj = {m.hopf.pbw.gen_index[k]: c for k, c in lq.pi[j].items()}
+            qj = {m.hopf.gen_index[k]: c for k, c in lq.pi[j].items()}
             for i in range(alg.dim):
                 got = m.act_hvec({i + 1: one}, qj)
                 expect = {k + 1: v for k, v in alg.brackets[i][j].items()}

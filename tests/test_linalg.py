@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from rackyd.errors import ShapeError, ValidationError
 from rackyd.linalg import Matrix, kron, mat_mul
-from rackyd.linalg import nullspace, reduce_mod, rref
+from rackyd.linalg import nullspace, reduce_mod, rref, vec_from_json
 from rackyd.scalars import QQ, PrimeField
 
 F = Fraction
@@ -158,3 +158,10 @@ def test_rref_and_nullspace_match_sympy(data):
     kernel = nullspace(sparse, n)
     ref_kernel = sympy.Matrix(vectors).nullspace()
     assert [_dense(v, n) for v in kernel] == [tuple(_from_sympy(x) for x in v) for v in ref_kernel]
+
+
+def test_sparse_indices_are_read_in_canonical_decimal():
+    assert vec_from_json({"0": "1", "17": "-2", "3": "0"}, QQ, "v") == {0: 1, 17: -2}
+    for key in ("01", " 1", "+1", "1_0", "-1", "\u0661", ""):
+        with pytest.raises(ValidationError, match="is not an integer in canonical decimal"):
+            vec_from_json({key: "1"}, QQ, "v")
