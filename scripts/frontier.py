@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Time the frontier instances in-process and write BENCH_frontier.json.
+"""Time the frontier instances and write BENCH_frontier.json.
 
 Run from anywhere:  python scripts/frontier.py
 
-It imports rackyd from this checkout's src/ and times, in one process:
+It imports rackyd from this checkout's src/ and times, in one process
+unless a row says otherwise:
 
 - kX of the dihedral quandle D21 (over its inner group) and of the S4 and S5
   conjugation quandles (over S4 and S5): ``braided-leibniz --rack-q`` on the
@@ -11,6 +12,11 @@ It imports rackyd from this checkout's src/ and times, in one process:
   call with stdout captured (the module and braiding files are written
   first, untimed);
 - kX of the S6 conjugation quandle (dimension 720): ``check-ybe`` alone;
+- kX of the dihedral quandle D9: ``check-ybe`` as a whole
+  ``python -B -m rackyd.cli`` process, which in-process rows cannot see.  Its
+  bytecode cache prefix (``PYTHONPYCACHEPREFIX``) is an empty directory, so
+  every module it imports, the standard library's too, is compiled from
+  source, and ``-B`` keeps it empty;
 - the braiding of kX of the S5 conjugation quandle twisted by the diagonal
   ``d[x] = x + 1`` (so it is no longer unit): ``check-ybe`` alone;
 - sl2 ``build_env`` at degrees 10, 12 and 14 (the constructor alone, from
@@ -66,6 +72,18 @@ def cli(*argv):
         raise SystemExit(f"rackyd {' '.join(map(str, argv))} exited {code}")
 
 
+def process(cache, *argv):
+    """One ``rackyd`` process that compiles what it imports; raises unless it exits 0."""
+    env = {**os.environ, "PYTHONPYCACHEPREFIX": str(cache),
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    argv = [str(a) for a in argv]
+    proc = subprocess.run([sys.executable, "-B", "-m", "rackyd.cli", *argv], env=env,
+                          capture_output=True, timeout=600)
+    if proc.returncode != 0:
+        raise SystemExit(f"rackyd {' '.join(argv)} exited {proc.returncode}")
+
+
 def timed(call):
     """RUNS runs of ``call``, each scaled by the mean of the reference loops
     timed right before and right after it; the loop after one run serves as
@@ -96,6 +114,8 @@ def rack_rows(tmp):
     both = ("braided-leibniz --rack-q", "check-ybe")
     symmetric = racks.FiniteGroup.symmetric
     instances = [
+        ("kX of D9", racks.inner_augmentation(racks.dihedral_quandle(9)),
+         ("check-ybe process",)),
         ("kX of D21", racks.inner_augmentation(racks.dihedral_quandle(21)), both),
         ("kX of the S4 conjugation quandle", racks.conjugation_augmented(symmetric(4)), both),
         ("kX of the S5 conjugation quandle", racks.conjugation_augmented(symmetric(5)),
@@ -103,6 +123,8 @@ def rack_rows(tmp):
         ("kX of the S6 conjugation quandle", racks.conjugation_augmented(symmetric(6)),
          ("check-ybe",)),
     ]
+    cache = tmp / "empty_pycache"
+    cache.mkdir()
     rows = []
     for name, aug, commands in instances:
         stem = tmp / name.replace(" ", "_")
@@ -113,13 +135,14 @@ def rack_rows(tmp):
         cli("braiding-matrix", module, "--json", braid)
         if "twisted check-ybe" in commands:
             twist(braid, twisted)
-        for command, argv in (
-                ("braided-leibniz --rack-q", ("braided-leibniz", module, "--rack-q")),
-                ("check-ybe", ("check-ybe", braid)),
-                ("twisted check-ybe", ("check-ybe", twisted))):
+        for command, call in (
+                ("braided-leibniz --rack-q", lambda: cli("braided-leibniz", module, "--rack-q")),
+                ("check-ybe", lambda: cli("check-ybe", braid)),
+                ("check-ybe process", lambda: process(cache, "check-ybe", braid)),
+                ("twisted check-ybe", lambda: cli("check-ybe", twisted))):
             if command in commands:
                 rows.append({"instance": name, "dim": aug.size, "command": command,
-                             **timed(lambda: cli(*argv))})
+                             **timed(call)})
     return rows
 
 

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .errors import ShapeError, ValidationError
 from .linalg import Matrix, flat2, lincomb, sparse_rows_from_json, vec_from_json, vec_to_json
-from .scalars import QQ
+from .scalars import QQ, GFElement
 from .selfdist import witnesses
 
 
@@ -185,6 +185,17 @@ def _rack_form(t: BraidingMatrix):
     return [img[x::n] for x in range(n)], coef
 
 
+def _numerators(coef):
+    """``coef`` times the lcm D of its denominators, as ints, when some are
+    ``Fraction``s; any other list comes back as it is.  Each side of the
+    cocycle identity is a product of two coefficients, so scaling every one
+    by D scales both sides by D^2: they compare as before, on ints."""
+    if all(type(c) is int for c in coef) or any(isinstance(c, GFElement) for c in coef):
+        return coef
+    d = math.lcm(*(c.denominator for c in coef))
+    return [c.numerator * (d // c.denominator) for c in coef]
+
+
 def _cocycle_failure(op, coef, bound):
     """The least (x, y, z) below ``bound`` with ``c(x, y) c(x <| y, z) !=
     c(x, z) c(x <| z, y <| z)``, c(x, y) = coef[x + n*y], or None."""
@@ -216,7 +227,7 @@ def check_ybe(t: BraidingMatrix) -> YBEReport:
         op, coef = form
         witness = witnesses(op)[0]
         if len(set(coef)) > 1:
-            witness = _cocycle_failure(op, coef, witness or (n,)) or witness
+            witness = _cocycle_failure(op, _numerators(coef), witness or (n,)) or witness
     else:
         _, sides = _ybe_sides(t)
 

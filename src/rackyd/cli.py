@@ -5,428 +5,26 @@ inputs give byte-identical output) and a timing line to stderr.  Exit codes:
 0 when every mathematical check in the command passed, 1 when a check failed
 (the report carries the witness), 2 for unusable input (bad file, bad table,
 bad flags).
+
+A well-formed command line is read from :data:`COMMANDS` alone, and only
+the module of the one handler it runs is imported; argparse is imported
+only to build the full parser, for help and for anything the table reader
+refuses.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
+from importlib import import_module
+from types import SimpleNamespace
 
+# _load_json and _write_json are re-exported: the benchmark tracer wraps them
+# here, and scripts/make_fixtures.py imports _write_json from here
+from .cli_io import _jsonable, _load_json, _write_json  # noqa: F401
 from .errors import ValidationError
 from .scalars import field_from_name
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, int, str)) or obj is None:
-        return obj
-    return str(obj)
-
-
-def _unique_keys(pairs):
-    """``json.load``'s object hook: a key given twice in one object is refused,
-    where ``json`` would keep the last value without any reader seeing it."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ValidationError(f"JSON object key {key!r} given twice")
-        obj[key] = value
-    return obj
-
-
-def _load_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=_unique_keys)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
-
-
-def _write_json(path, payload):
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc}") from exc
-
-
-def _emit(args, report, key, payload, artifact=None):
-    """With --json, write ``artifact`` (default: ``payload``) there and name it
-    in the report; otherwise put ``payload`` in the report under ``key``."""
-    if args.json:
-        _write_json(args.json, payload if artifact is None else artifact)
-        report["artifact"] = args.json
-    elif key is not None:
-        report[key] = payload
-
-
-def _limit_witnesses(witnesses, limit):
-    if witnesses is None:
-        return None
-    if isinstance(witnesses, dict):
-        items = sorted(witnesses.items())[:limit]
-        return {k: _jsonable(v) for k, v in items}
-    return _jsonable(witnesses)
-
-
-# --paper-layout prints the dense n^2 x n^2 grid; a larger side is refused
-PAPER_LAYOUT_MAX_SIDE = 1024
-
-
-def _emit_matrix(bm, args, report):
-    """Shared tail for braiding-matrix and hv-rmatrix; returns (code, report)."""
-    from .linalg import integral
-    if args.paper_layout:
-        side = bm.factor_dim ** 2
-        if side > PAPER_LAYOUT_MAX_SIDE:
-            raise ValidationError(
-                f"--paper-layout would print a {side}x{side} grid, "
-                f"which exceeds {PAPER_LAYOUT_MAX_SIDE}x{PAPER_LAYOUT_MAX_SIDE}")
-        rows = bm.matrix.as_int_rows()
-        width = max((len(str(v)) for row in rows for v in row), default=1)
-        for row in rows:
-            print(" ".join(str(v).rjust(width) for v in row))
-        return 0, None
-    payload = bm.to_json_dict()
-    if args.integers:
-        payload["columns"] = [
-            {str(r): integral(c) for r, c in sorted(col.items())} for col in bm.columns
-        ]
-    _emit(args, report, "braiding", payload)
-    return 0, report
-
-
-def _emit_bracket(args, report, data):
-    """Shared tail for the braided-bracket commands: the bracket entries go in
-    the report, or with the basis and tau into the --json artifact."""
-    from . import leibniz
-    entries = leibniz.bracket_entries(data.bracket)
-    artifact = None
-    if args.json:
-        artifact = {"basis": list(data.basis), "bracket": entries, "tau": data.tau.to_json_dict()}
-    _emit(args, report, "bracket", entries, artifact)
-
-
-def _rack_q(module):
-    """q(x) = p(x) - 1 recovered from a diagonal group grading."""
-    from . import group_hopf
-    if not isinstance(module.hopf, group_hopf.GroupAlgebraDescriptor):
-        raise ValidationError("--rack-q needs a module over a group algebra")
-    p = []
-    for x, terms in enumerate(module.coaction):
-        if len(terms) != 1 or terms[0][0] != x or terms[0][2] != module.field.one:
-            raise ValidationError(
-                "--rack-q needs a grading coaction x -> x (x) p(x)"
-            )
-        p.append(terms[0][1])
-    return group_hopf.rack_q_map(group_hopf.LinearizedRack(module, tuple(p)))
-
-
-def _get_q(args, module, field):
-    from . import jsonio
-    if args.rack_q:
-        return _rack_q(module)
-    if args.q:
-        return jsonio.q_from_dict(_load_json(args.q), field)
-    raise ValidationError("pass --q FILE or --rack-q")
-
-
-# ---------------------------------------------------------------------------
-# subcommand handlers; each returns (exit_code, report_dict or None).  Each
-# imports only the modules it runs, the one with the longest import chain
-# first: without bytecode, compiling in that order keeps the peak RSS lower.
-
-def _cmd_check_rack(args, field):
-    from . import racks
-    shelf = racks.FiniteShelf.from_json_dict(_load_json(args.file))
-    rep = racks.check_shelf(shelf)
-    report = {
-        "is_shelf": rep.is_shelf,
-        "is_rack": rep.is_rack,
-        "is_quandle": rep.is_quandle,
-        "witnesses": _limit_witnesses(rep.witnesses, args.witness_limit),
-    }
-    return (0 if rep.is_rack else 1), report
-
-
-def _cmd_make_dihedral(args, field):
-    from . import racks
-    shelf = racks.dihedral_quandle(args.n)
-    rep = racks.check_shelf(shelf)
-    report = {"size": shelf.size, "is_quandle": rep.is_quandle}
-    _emit(args, report, "rack", shelf.to_json_dict())
-    return 0, report
-
-
-def _cmd_make_conjugation(args, field):
-    from . import racks
-    group = racks.FiniteGroup.from_json_dict(_load_json(args.file))
-    shelf = racks.conjugation_rack(group)
-    rep = racks.check_shelf(shelf)
-    report = {"size": shelf.size, "is_quandle": rep.is_quandle}
-    _emit(args, report, "rack", shelf.to_json_dict())
-    return 0, report
-
-
-def _cmd_inner_augmentation(args, field):
-    from . import racks
-    shelf = racks.FiniteShelf.from_json_dict(_load_json(args.file))
-    aug = racks.inner_augmentation(shelf)
-    report = {
-        "rack_size": aug.size,
-        "inner_group_order": aug.group.size,
-        "augmented_ok": True,
-    }
-    _emit(args, report, "augmented_rack", aug.to_json_dict())
-    return 0, report
-
-
-def _cmd_check_augmented(args, field):
-    from . import racks
-    aug = racks.AugmentedRack.from_json_dict(_load_json(args.file))
-    rep = racks.check_augmented(aug)
-    report = {"ok": rep.ok, "witness": _jsonable(rep.witness)}
-    return (0 if rep.ok else 1), report
-
-
-def _cmd_rack_braiding(args, field):
-    from . import racks
-    aug1 = racks.AugmentedRack.from_json_dict(_load_json(args.file))
-    aug2 = racks.AugmentedRack.from_json_dict(_load_json(args.file2)) if args.file2 else aug1
-    tensor, braid = racks.rack_tensor_and_braiding(aug1, aug2)
-    report = {
-        "tensor_size": tensor.size,
-        "braiding": {f"{x},{y}": list(braid[(x, y)]) for x, y in sorted(braid)},
-    }
-    code = 0
-    if args.file2 is None:
-        ybe = racks.rack_braiding_ybe(aug1)
-        report["set_level_ybe"] = ybe.ok
-        report["witness"] = _jsonable(ybe.witness)
-        code = 0 if ybe.ok else 1
-    _emit(args, report, None, tensor.to_json_dict())
-    return code, report
-
-
-def _cmd_linearize(args, field):
-    from . import jsonio, group_hopf, racks, yd
-    aug = racks.AugmentedRack.from_json_dict(_load_json(args.file))
-    lin = group_hopf.linearize_augmented(aug, field)
-    rep = yd.check_yd(lin.module)
-    report = {
-        "dim": lin.module.dim,
-        "group_order": aug.group.size,
-        "yd_ok": rep.ok,
-    }
-    _emit(args, report, "module", jsonio.yd_to_dict(lin.module))
-    return (0 if rep.ok else 1), report
-
-
-def _cmd_check_yd(args, field):
-    from . import jsonio, yd
-    module = jsonio.yd_from_dict(_load_json(args.file), field)
-    rep = yd.check_yd(module)
-    report = {
-        "ok": rep.ok,
-        "yd_coproduct_form": rep.ok_coproduct_form,
-        "yd_antipode_form": rep.ok_antipode_form,
-        "witness": _jsonable(rep.witness),
-    }
-    return (0 if rep.ok else 1), report
-
-
-def _cmd_braiding_matrix(args, field):
-    from . import jsonio, braid
-    module = jsonio.yd_from_dict(_load_json(args.file), field)
-    bm = braid.braiding(module)
-    report = {"factor_dim": bm.factor_dim, "size": bm.factor_dim ** 2}
-    return _emit_matrix(bm, args, report)
-
-
-def _cmd_check_ybe(args, field):
-    from . import braid
-    from .linalg import vec_to_json
-    tau = braid.BraidingMatrix.from_json_dict(_load_json(args.file), field)
-    rep = braid.check_ybe(tau)
-    report = {"ok": rep.ok}
-    if not rep.ok:
-        report["witness"] = list(rep.witness)
-        if args.json:
-            _write_json(args.json, {"columns": [vec_to_json(col) for col in braid.ybe_defect(tau)]})
-            report["defect_artifact"] = args.json
-    return (0 if rep.ok else 1), report
-
-
-def _cmd_check_leibniz(args, field):
-    from . import leibniz
-    alg = leibniz.LeibnizAlgebra.from_json_dict(_load_json(args.file), field)
-    rep = leibniz.check_leibniz(alg)
-    report = {"ok": rep.ok, "witness": _jsonable(rep.witness)}
-    return (0 if rep.ok else 1), report
-
-
-def _cmd_lie_quotient(args, field):
-    from . import leibniz
-    from .linalg import Matrix
-    alg = leibniz.LeibnizAlgebra.from_json_dict(_load_json(args.file), field)
-    lq = leibniz.lie_quotient(alg)
-    report = {
-        "input_dim": alg.dim,
-        "ideal_dim": len(lq.ideal),
-        "quotient_dim": lq.dim,
-        "quotient_basis": list(lq.quotient.basis),
-    }
-    quotient = lq.quotient.to_json_dict()
-    _emit(args, report, "quotient", quotient, {
-        "quotient": quotient,
-        "pi": Matrix.from_columns(lq.pi, lq.dim).to_json_dict(),
-        "section": Matrix.from_columns(lq.section, alg.dim).to_json_dict(),
-        "ideal": [[str(c) for c in row] for row in lq.ideal],
-    })
-    return 0, report
-
-
-def _cmd_unital_shelf(args, field):
-    from . import leibniz
-    alg = leibniz.LeibnizAlgebra.from_json_dict(_load_json(args.file), field)
-    shelf = leibniz.unital_shelf(alg)
-    report = {"dim": shelf.dim}
-    payload = {"basis": list(shelf.basis), "table": leibniz.bracket_entries(shelf.table)}
-    _emit(args, report, "shelf", payload)
-    return 0, report
-
-
-def _cmd_first_order_yd(args, field):
-    from . import leibniz, jsonio, yd
-    alg = leibniz.LeibnizAlgebra.from_json_dict(_load_json(args.file), field)
-    module = leibniz.first_order_yd(alg, args.degree)
-    rep = yd.check_yd(module)
-    report = {"dim": module.dim, "yd_ok": rep.ok}
-    _emit(args, report, "module", jsonio.yd_to_dict(module))
-    return (0 if rep.ok else 1), report
-
-
-def _cmd_hv_rmatrix(args, field):
-    from . import leibniz, braid
-    module = leibniz.first_order_yd(leibniz.heisenberg_voros(field), args.degree)
-    bm = braid.braiding(module)
-    report = {"factor_basis": list(bm.factor_basis), "size": bm.factor_dim ** 2}
-    return _emit_matrix(bm, args, report)
-
-
-def _cmd_env_build(args, field):
-    from . import leibniz, envelope
-    from .linalg import vec_to_json
-    alg = leibniz.LeibnizAlgebra.from_json_dict(_load_json(args.file), field)
-    env = envelope.build_env(leibniz.lie_map_object(alg), args.degree)
-    report = {
-        "degree": args.degree,
-        "pbw_dim": env.pbw.size,
-        "carrier_dim": env.size,
-        "pbw_basis": list(env.pbw.labels),
-    }
-    _emit(args, report, None, {
-        "labels": list(env.labels),
-        "right_action": [[vec_to_json(vec) for vec in row] for row in env.right_act_tab],
-        "left_action": [[vec_to_json(vec) for vec in row] for row in env.left_act_tab],
-        "left_coaction": [
-            [[h, e, str(c)] for h, e, c in row] for row in env.left_coact_tab
-        ],
-        "right_coaction": [
-            [[e, h, str(c)] for e, h, c in row] for row in env.right_coact_tab
-        ],
-    })
-    return 0, report
-
-
-def _cmd_env_checks(args, field):
-    from . import leibniz, envelope
-    envelope.require_invariant_degree(args.degree)
-    alg = leibniz.LeibnizAlgebra.from_json_dict(_load_json(args.file), field)
-    env = envelope.build_env(leibniz.lie_map_object(alg), args.degree)
-    pr = envelope.phi_checks(env)
-    fr = envelope.f_tilde_checks(env)
-    ar = envelope.antipode_checks(env)
-    ok = pr.ok and fr.ok and ar.ok
-    witnesses = {**pr.witnesses, **fr.witnesses}
-    if not ar.ok:
-        witnesses["antipode_square"] = ar.witness
-    report = {
-        "ok": ok,
-        "phi_bimodule": {"ok": pr.bimodule_ok, "scope": pr.bimodule_scope},
-        "phi_coderivation": {"ok": pr.coderivation_ok, "scope": pr.coderivation_scope},
-        "restriction_im_in_ker_eps": {"ok": fr.im_in_ker_eps, "scope": "exact"},
-        "restriction_colinear": {"ok": fr.colinear, "scope": "exact"},
-        "restriction_yd_morphism": {"ok": fr.yd_morphism, "scope": "exact"},
-        "antipode_square": {"ok": ar.ok, "scope": ar.scope},
-        "witnesses": _limit_witnesses(witnesses, args.witness_limit),
-    }
-    return (0 if ok else 1), report
-
-
-def _cmd_theorem1_bracket(args, field):
-    from . import leibniz, envelope, braid, yd
-    envelope.require_invariant_degree(args.degree)
-    alg = leibniz.LeibnizAlgebra.from_json_dict(_load_json(args.file), field)
-    env = envelope.build_env(leibniz.lie_map_object(alg), args.degree)
-    data = envelope.enveloping_bracket(env)
-    rep = yd.check_braided_leibniz(data)
-    matches = all(
-        data.bracket[i][j] == alg.brackets[i][j]
-        for i in range(alg.dim) for j in range(alg.dim)
-    )
-    report = {
-        "braided_leibniz_ok": rep.ok,
-        "recovers_input_brackets": matches,
-        "tau_is_flip": list(data.tau.columns) == braid.flip_columns(data.dim, field.one),
-    }
-    _emit_bracket(args, report, data)
-    return (0 if rep.ok else 1), report
-
-
-def _cmd_q_conditions(args, field):
-    from . import jsonio, yd
-    module = jsonio.yd_from_dict(_load_json(args.file), field)
-    q = _get_q(args, module, field)
-    rep = yd.check_q_conditions(module, q)
-    report = {
-        "ok": rep.ok,
-        "equivariance": rep.equivariance,
-        "coderivation_condition": rep.coderivation_condition,
-        "witnesses": _limit_witnesses(rep.witnesses, args.witness_limit),
-    }
-    return (0 if rep.ok else 1), report
-
-
-def _cmd_braided_leibniz(args, field):
-    from . import leibniz, jsonio, yd  # noqa: F401  (leibniz is _emit_bracket's)
-    module = jsonio.yd_from_dict(_load_json(args.file), field)
-    q = _get_q(args, module, field)
-    data = yd.braided_leibniz_from_q(module, q)
-    rep = yd.check_braided_leibniz(data)
-    report = {"ok": rep.ok, "witness": _jsonable(rep.witness)}
-    _emit_bracket(args, report, data)
-    return (0 if rep.ok else 1), report
-
-
-def _cmd_dual_check(args, field):
-    from . import group_hopf, racks
-    aug = racks.AugmentedRack.from_json_dict(_load_json(args.file))
-    rep = group_hopf.function_dual_check(aug, field)
-    report = {
-        "ok": rep.ok,
-        "p_star_right_colinear": rep.p_star_right_colinear,
-        "witnesses": _limit_witnesses(rep.witnesses, args.witness_limit),
-    }
-    return (0 if rep.ok else 1), report
 
 
 def _witness_limit(text):
@@ -434,10 +32,13 @@ def _witness_limit(text):
     try:
         limit = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if limit < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, not {limit}")
-    return limit
+        limit = None
+    if limit is not None and limit >= 0:
+        return limit
+    from argparse import ArgumentTypeError  # only a refused value needs argparse
+    if limit is None:
+        raise ArgumentTypeError(f"invalid int value: {text!r}")
+    raise ArgumentTypeError(f"must be >= 0, not {limit}")
 
 
 def _common(p):
@@ -482,98 +83,167 @@ def _n(p):
     p.add_argument("n", type=int)
 
 
-# name: (handler, help, argument adders after _common, in order)
+# name: (the module holding its handler, help, argument adders after _common, in
+# order); the handler of "check-ybe" is cmd_check_ybe, and so on
 COMMANDS = {
-    "check-rack": (_cmd_check_rack, "shelf/rack/quandle axioms of a table", (_file,)),
-    "make-dihedral": (_cmd_make_dihedral, "build the dihedral quandle on Z/n", (_out, _n)),
-    "make-conjugation": (_cmd_make_conjugation, "conjugation quandle of a group",
-                         (_out, _file)),
-    "inner-augmentation": (_cmd_inner_augmentation,
+    "check-rack": ("cli_racks", "shelf/rack/quandle axioms of a table", (_file,)),
+    "make-dihedral": ("cli_racks", "build the dihedral quandle on Z/n", (_out, _n)),
+    "make-conjugation": ("cli_racks", "conjugation quandle of a group", (_out, _file)),
+    "inner-augmentation": ("cli_racks",
                            "augment a rack over its inner permutation group", (_out, _file)),
-    "check-augmented": (_cmd_check_augmented, "augmentation identity of a G-set", (_file,)),
-    "rack-braiding": (_cmd_rack_braiding,
+    "check-augmented": ("cli_racks", "augmentation identity of a G-set", (_file,)),
+    "rack-braiding": ("cli_racks",
                       "tensor braiding c(x,y) = (y, x.p(y)); set-level YBE when braiding "
                       "with itself", (_out, _file, _file2)),
-    "linearize": (_cmd_linearize, "kX as a graded module over kG", (_out, _file)),
-    "check-yd": (_cmd_check_yd, "Yetter-Drinfel'd compatibility of a module file", (_file,)),
-    "braiding-matrix": (_cmd_braiding_matrix, "matrix of tau on M (x) M", (_out, _mat, _file)),
-    "check-ybe": (_cmd_check_ybe, "Yang-Baxter equation for a matrix file", (_out, _file)),
-    "check-leibniz": (_cmd_check_leibniz, "Leibniz identity of structure constants", (_file,)),
-    "lie-quotient": (_cmd_lie_quotient, "quotient by the squares ideal", (_out, _file)),
-    "unital-shelf": (_cmd_unital_shelf, "the operation aa' + a'u + [u,v] on k+g",
-                     (_out, _file)),
-    "first-order-yd": (_cmd_first_order_yd,
+    "linearize": ("cli_modules", "kX as a graded module over kG", (_out, _file)),
+    "check-yd": ("cli_modules", "Yetter-Drinfel'd compatibility of a module file", (_file,)),
+    "braiding-matrix": ("cli_modules", "matrix of tau on M (x) M", (_out, _mat, _file)),
+    "check-ybe": ("cli_modules", "Yang-Baxter equation for a matrix file", (_out, _file)),
+    "check-leibniz": ("cli_leibniz", "Leibniz identity of structure constants", (_file,)),
+    "lie-quotient": ("cli_leibniz", "quotient by the squares ideal", (_out, _file)),
+    "unital-shelf": ("cli_leibniz", "the operation aa' + a'u + [u,v] on k+g", (_out, _file)),
+    "first-order-yd": ("cli_leibniz",
                        "module on k+g over the truncated enveloping algebra",
                        (_out, _deg, _file)),
-    "hv-rmatrix": (_cmd_hv_rmatrix, "16x16 braiding matrix of the Heisenberg-Voros module",
+    "hv-rmatrix": ("cli_modules", "16x16 braiding matrix of the Heisenberg-Voros module",
                    (_out, _deg, _mat)),
-    "env-build": (_cmd_env_build, "assemble the enveloping tetramodule", (_out, _deg, _file)),
-    "env-checks": (_cmd_env_checks,
+    "env-build": ("cli_leibniz", "assemble the enveloping tetramodule", (_out, _deg, _file)),
+    "env-checks": ("cli_leibniz",
                    "phi bilinearity/coderivation, restriction, and antipode checks",
                    (_deg, _file)),
-    "theorem1-bracket": (_cmd_theorem1_bracket,
+    "theorem1-bracket": ("cli_leibniz",
                          "braided Leibniz bracket on the invariants of the enveloping "
                          "tetramodule", (_out, _deg, _file)),
-    "q-conditions": (_cmd_q_conditions,
+    "q-conditions": ("cli_modules",
                      "equivariance and colinearity of a map q into ker(counit)",
                      (_qsrc, _file)),
-    "braided-leibniz": (_cmd_braided_leibniz, "build and verify the bracket x <| y = x q(y)",
+    "braided-leibniz": ("cli_modules", "build and verify the bracket x <| y = x q(y)",
                         (_out, _qsrc, _file)),
-    "dual-check": (_cmd_dual_check,
+    "dual-check": ("cli_modules",
                    "pullback p*: k[G] -> k[X] respects the (co)module structures", (_file,)),
 }
 
 
-class _Refused(Exception):
-    """A one-command parser's error, raised where argparse would print and exit."""
+class _Recorder:
+    """Stands in for a parser while a command's argument adders run, and
+    records what :func:`_read` needs: the positionals in order, each option's
+    dest, type, whether it takes a value and its exclusive group, and every
+    default."""
+
+    def __init__(self):
+        self.positionals = []  # (dest, type, required)
+        self.options = {}      # option string -> (dest, type, takes a value, group)
+        self.defaults = {}
+
+    def add_argument(self, name, *, type=None, default=None, nargs=None, action=None,
+                     help=None, metavar=None, group=None):
+        if name.startswith("-"):
+            dest = name[2:].replace("-", "_")
+            if action == "store_true":
+                default = False
+            self.options[name] = (dest, type, action is None, group)
+        else:
+            dest = name
+            self.positionals.append((dest, type, nargs != "?"))
+        self.defaults[dest] = default
+
+    def add_mutually_exclusive_group(self):
+        return _Group(self)
 
 
-class _OneCommandParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _Refused(message)
+class _Group:
+    """A mutually exclusive group: its options are recorded as one group."""
+
+    def __init__(self, recorder):
+        self._recorder = recorder
+
+    def add_argument(self, name, **kwargs):
+        self._recorder.add_argument(name, group=self, **kwargs)
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The ``rackyd`` parser; with ``command``, one that knows only that
-    subcommand and raises :class:`_Refused` instead of printing an error."""
-    parser = (argparse.ArgumentParser if command is None else _OneCommandParser)(
+def _read(argv):
+    """The Namespace the full parser builds from ``argv``, read from the
+    command's table, or None unless ``argv`` is a command name, its
+    positionals in one run, and known options each given at most once, as
+    ``--opt VALUE`` or as a bare flag.  No value or positional may start
+    with ``-``, and at most one option of an exclusive group may be given."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    command = argv[0]
+    table = _Recorder()
+    for add in (_common, *COMMANDS[command][2]):
+        add(table)
+    values = {"command": command, **table.defaults}
+    typed, strings, seen = [], [], set()
+    ended = False  # an option has followed the positionals
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            # argparse matches every positional against the first run of
+            # them, so one after an option would be an extra argument there
+            if ended:
+                return None
+            strings.append(token)
+            continue
+        if token not in table.options:
+            return None
+        dest, type_, takes_value, group = table.options[token]
+        if token in seen or (group is not None and group in seen):
+            return None
+        seen.update((token, group))
+        ended = bool(strings)
+        if not takes_value:
+            values[dest] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        typed.append((dest, type_, value))
+    positionals = table.positionals
+    if not sum(required for _, _, required in positionals) <= len(strings) <= len(positionals):
+        return None
+    typed += [(dest, type_, s) for (dest, type_, _), s in zip(positionals, strings)]
+    try:
+        for dest, type_, text in typed:
+            values[dest] = text if type_ is None else type_(text)
+    except Exception:  # the full parser reports the value it refuses, or raises as it would
+        return None
+    return SimpleNamespace(**values)
+
+
+def build_parser():
+    """The full ``rackyd`` parser, with every subcommand."""
+    import argparse
+    parser = argparse.ArgumentParser(
         prog="rackyd",
         description="exact verification of racks, Yetter-Drinfel'd modules, "
                     "and braided Leibniz brackets",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, help, adders) in COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=help)
-            for add in (_common, *adders):
-                add(p)
-            p.set_defaults(handler=handler)
+    for name, (_, help, adders) in COMMANDS.items():
+        p = sub.add_parser(name, help=help)
+        for add in (_common, *adders):
+            add(p)
     return parser
-
-
-def _parse(argv):
-    """Parse with the parser of the named command alone, which is cheaper to
-    build; help, and anything it refuses, goes to the full parser, so every
-    usage line, help text and error message is the full parser's."""
-    if argv and argv[0] in COMMANDS and not any(a.startswith(("-h", "--h")) for a in argv):
-        try:
-            return build_parser(argv[0]).parse_args(argv)
-        except _Refused:
-            pass
-    return build_parser().parse_args(argv)
 
 
 def run(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    try:
-        args = _parse(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    args = _read(argv)
+    if args is None:
+        # help, and anything the table reader refuses: every usage line,
+        # help text and error is the full parser's
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     t0 = time.perf_counter()
     try:
+        module = import_module(f"rackyd.{COMMANDS[args.command][0]}")
+        handler = getattr(module, "cmd_" + args.command.replace("-", "_"))
         field = field_from_name(args.field)
-        code, report = args.handler(args, field)
+        code, report = handler(args, field)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,0 +1,83 @@
+"""JSON in and out for the command handlers: input files, artifacts and the
+pieces of a report.
+
+This is not part of :mod:`rackyd.cli`: ``python -m rackyd.cli`` runs the CLI
+as ``__main__``, so a handler module that imported from ``rackyd.cli`` would
+compile and run it a second time.
+"""
+
+from __future__ import annotations
+
+import json
+
+from .errors import ValidationError
+
+
+def _jsonable(obj):
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, (bool, int, str)) or obj is None:
+        return obj
+    return str(obj)
+
+
+def _unique_keys(pairs):
+    """``json.load``'s object hook: a key given twice in one object is refused,
+    where ``json`` would keep the last value without any reader seeing it."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValidationError(f"JSON object key {key!r} given twice")
+        obj[key] = value
+    return obj
+
+
+def _load_json(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _write_json(path, payload):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
+def _emit(args, report, key, payload, artifact=None):
+    """With --json, write ``artifact`` (default: ``payload``) there and name it
+    in the report; otherwise put ``payload`` in the report under ``key``."""
+    if args.json:
+        _write_json(args.json, payload if artifact is None else artifact)
+        report["artifact"] = args.json
+    elif key is not None:
+        report[key] = payload
+
+
+def _limit_witnesses(witnesses, limit):
+    if witnesses is None:
+        return None
+    if isinstance(witnesses, dict):
+        items = sorted(witnesses.items())[:limit]
+        return {k: _jsonable(v) for k, v in items}
+    return _jsonable(witnesses)
+
+
+def _emit_bracket(args, report, data):
+    """Shared tail for the braided-bracket commands: the bracket entries go in
+    the report, or with the basis and tau into the --json artifact."""
+    from . import leibniz
+    entries = leibniz.bracket_entries(data.bracket)
+    artifact = None
+    if args.json:
+        artifact = {"basis": list(data.basis), "bracket": entries, "tau": data.tau.to_json_dict()}
+    _emit(args, report, "bracket", entries, artifact)

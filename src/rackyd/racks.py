@@ -39,18 +39,26 @@ def _table(value, what):
     return [_list(row, f"{what} row") for row in _list(value, what)]
 
 
+_INT = frozenset((int,))
+
+
 def _index_table(table, n, m, what, shape):
     """``table`` as a tuple of int tuples, checked in this order: every entry
     an integer, n rows of m entries (``shape`` says so in the message), every
     entry in range(n)."""
-    table = tuple(tuple(as_int(v, f"{what} entry") for v in row) for row in table)
-    if len(table) != n or any(len(row) != m for row in table):
-        raise ValidationError(f"{what} table must be {shape}")
+    rows = []
     for row in table:
-        for v in row:
-            if not 0 <= v < n:
-                raise ValidationError(f"{what} entry {v} out of range")
-    return table
+        row = tuple(row)
+        if not _INT.issuperset(map(type, row)):  # as_int names the first entry that is not
+            row = tuple(as_int(v, f"{what} entry") for v in row)
+        rows.append(row)
+    if len(rows) != n or any(len(row) != m for row in rows):
+        raise ValidationError(f"{what} table must be {shape}")
+    for row in rows:
+        if row and not (0 <= min(row) and max(row) < n):
+            v = next(v for v in row if not 0 <= v < n)
+            raise ValidationError(f"{what} entry {v} out of range")
+    return tuple(rows)
 
 
 class FiniteShelf:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import rackyd
-from rackyd import braid, cli, jsonio, racks, yd
+from rackyd import braid, cli, cli_modules, jsonio, racks, yd
 from rackyd.cli import build_parser, run
 from rackyd.errors import ValidationError
 from rackyd.linalg import Matrix, kron, mat_mul
@@ -456,18 +456,88 @@ def test_help_usage_and_errors_are_the_full_parsers(argv, capsys):
     assert (got.out, got.err) == (want.out, want.err)
 
 
-def test_a_command_builds_only_its_own_subparser(monkeypatch, capsys, fixtures_dir):
+FULL_PARSER = build_parser()
+SUBPARSERS = next(a for a in FULL_PARSER._actions if a.dest == "command").choices
+INTS = ["0", "2", "12"]
+TEXTS = ["a.json", "gfp:7", "rational", "x y", ""]
+DIRTY = ["-1", "-3", "--", "-", "-h", "--json", "d", "1.5", "--field=x"]
+PERTURBATIONS = ["equals", "abbreviation", "repeat", "dashdash", "negative", "missing value",
+                 "help", "unknown", "extra", "dirty", "shuffle"]
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, perturbed): a command line drawn from the full parser's
+    subcommand, its positionals in one run, then perhaps perturbed."""
+    name = draw(st.sampled_from(sorted(SUBPARSERS)))
+    parser = SUBPARSERS[name]
+    groups, positionals, chosen = [], [], set()
+    for action in parser._actions:
+        pool = INTS if action.type in (int, cli._witness_limit) else TEXTS
+        if not action.option_strings:
+            if action.nargs != "?" or draw(st.booleans()):
+                positionals.append(draw(st.sampled_from(pool)))
+        elif action.dest != "help" and draw(st.booleans()):
+            chosen.add(action)
+            value = [] if action.nargs == 0 else [draw(st.sampled_from(pool))]
+            groups.append([action.option_strings[0], *value])
+    perturbed = any(len(chosen & set(g._group_actions)) > 1
+                    for g in parser._mutually_exclusive_groups)
+    at = draw(st.integers(0, len(groups)))
+    groups[at:at] = [positionals]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(PERTURBATIONS))
+        options = [g for g in groups if g and g[0].startswith("--") and len(g[0]) > 3]
+        at = draw(st.integers(0, len(groups)))
+        if kind == "equals" and any(len(g) == 2 for g in options):
+            g = draw(st.sampled_from([g for g in options if len(g) == 2]))
+            g[:] = [f"{g[0]}={g[1]}"]
+        elif kind == "abbreviation" and options:
+            g = draw(st.sampled_from(options))
+            g[0] = g[0][:draw(st.integers(3, len(g[0]) - 1))]
+        elif kind == "repeat" and options:
+            groups.insert(at, list(draw(st.sampled_from(options))))
+        elif kind == "missing value" and any(len(g) == 2 for g in options):
+            draw(st.sampled_from([g for g in options if len(g) == 2])).pop()
+        elif kind == "shuffle":
+            tokens = [[t] for g in groups for t in g]
+            groups = draw(st.permutations(tokens))
+        else:
+            token = {"dashdash": "--", "negative": "-2", "unknown": "--bogus", "extra": "b.json",
+                     "help": draw(st.sampled_from(["-h", "--help", "--he"])),
+                     "dirty": draw(st.sampled_from(DIRTY))}.get(kind)
+            if token is None:
+                continue
+            groups.insert(at, [token])
+        perturbed = True
+    return [name, *(t for g in groups for t in g)], perturbed
+
+
+@settings(max_examples=600, deadline=None)
+@given(command_lines())
+@example((["rack-braiding", "a", "--json", "o", "b"], True))  # an error, not file2 = b
+@example((["braided-leibniz", "a", "--rack-q", "--q", "q.json"], True))
+def test_the_table_reader_reads_what_the_full_parser_reads(case):
+    argv, perturbed = case
+    got = cli._read(argv)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            want = vars(FULL_PARSER.parse_args(argv))
+    except SystemExit:
+        want = None
+    assert got is None or vars(got) == want
+    assert perturbed or got is not None
+
+
+def test_a_well_formed_command_builds_no_parser(monkeypatch, capsys, fixtures_dir):
     built = []
     real = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or
-                        real(command))
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(None) or real())
     path = str(fixtures_dir / "braiding_hv_sparse.json")
     assert run(["check-ybe", path, "--witness-limit", "2"]) == 0
-    assert built == ["check-ybe"]
-    assert run(["check-ybe", path, "--bogus"]) == 2  # refused, so parsed again in full
-    assert built == ["check-ybe", "check-ybe", None]
-    sub = next(a for a in real("check-ybe")._actions if a.dest == "command")
-    assert list(sub.choices) == ["check-ybe"]
+    assert built == []
+    assert run(["check-ybe", path, "--bogus"]) == 2  # refused, so parsed in full, once
+    assert built == [None]
     capsys.readouterr()
 
 
@@ -956,9 +1026,9 @@ def test_paper_layout_refuses_a_large_grid_before_building_it(tmp_path, capsys, 
     assert "exceeds 1024x1024" in capsys.readouterr().err
     assert built == []
     # the bound is on the side n^2 of the grid: 16 prints, 15 refuses
-    monkeypatch.setattr(cli, "PAPER_LAYOUT_MAX_SIDE", 16)
+    monkeypatch.setattr(cli_modules, "PAPER_LAYOUT_MAX_SIDE", 16)
     assert run(["hv-rmatrix", "--paper-layout"]) == 0
-    monkeypatch.setattr(cli, "PAPER_LAYOUT_MAX_SIDE", 15)
+    monkeypatch.setattr(cli_modules, "PAPER_LAYOUT_MAX_SIDE", 15)
     assert run(["hv-rmatrix", "--paper-layout"]) == 2
     assert built == [16]
 
@@ -1050,6 +1120,23 @@ def test_degree_budget_refuses_before_building(capsys, fixtures_dir, monkeypatch
     monkeypatch.setattr(rackyd.envelope, "ENV_MAX_SIZE", 30)
     assert run([command, path, "--degree", "2"]) == 0
     assert built == [2]
+
+
+def test_env_build_writes_its_tables_out_only_under_json(tmp_path, capsys, fixtures_dir,
+                                                        monkeypatch):
+    path = str(fixtures_dir / "leibniz_sl2.json")
+    calls = []
+    real = rackyd.linalg.vec_to_json
+    monkeypatch.setattr(rackyd.linalg, "vec_to_json", lambda vec: calls.append(1) or real(vec))
+    code, out = invoke(capsys, "env-build", path, "--degree", "3")
+    assert (code, calls) == (0, [])
+    artifact = tmp_path / "env.json"
+    code, rep = report(capsys, "env-build", path, "--degree", "3", "--json", str(artifact))
+    assert code == 0 and calls and json.loads(artifact.read_text())["right_action"]
+    # the same report but for the artifact's name
+    assert rep.pop("artifact") == str(artifact)
+    rep["command"] = rep["command"][:-2]
+    assert out == json.dumps(rep, indent=2, sort_keys=True) + "\n"
 
 
 # case -> (argv, the number of PBW monomials it enumerates at degree 2): sl2 has

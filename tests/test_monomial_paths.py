@@ -19,7 +19,7 @@ from itertools import product
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rackyd import braid, group_hopf, yd
 from rackyd.braid import BraidingMatrix, check_ybe
@@ -133,8 +133,23 @@ def test_a_rack_form_braiding_passes_on_the_kernel(case):
     assert sparse_witness(t) is None
 
 
+def large_lcm_case():
+    """The S3 conjugation quandle twisted by d[x] = the x-th prime above 10^6,
+    so the denominators have an lcm near 10^36, with the coefficient of column
+    10 doubled: the cocycle identity first fails at (3, 2, 1), the 122nd of
+    the 216 triples."""
+    op = conjugation_rack(FiniteGroup.symmetric(3)).op
+    d = [1000003, 1000033, 1000037, 1000039, 1000081, 1000099]
+    columns = [None] * 36
+    for i, j in product(range(6), repeat=2):
+        columns[flat2(i, j, 6)] = {flat2(j, op[i][j], 6): quotient(d[op[i][j]], d[i])}
+    columns[10] = {r: 2 * c for r, c in columns[10].items()}
+    return QQ, 6, columns
+
+
 @settings(max_examples=300, deadline=None)
 @given(rescaled(rack_form_braidings(perturbed_tables())))
+@example(large_lcm_case())
 def test_the_kernel_gives_the_sparse_verdict_and_witness(case):
     _, n, columns = case
     t = BraidingMatrix(columns, range(n))

@@ -2,9 +2,10 @@ from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rackyd import racks
-from rackyd.errors import ValidationError
+from rackyd.errors import ValidationError, as_int
 from rackyd.racks import (
     DIHEDRAL_MAX_ORDER,
     AugmentedRack,
@@ -301,3 +302,46 @@ def test_json_roundtrips(fixtures_dir):
     assert FiniteGroup.from_json_dict(g.to_json_dict()) == g
     aug = conjugation_augmented(g)
     assert AugmentedRack.from_json_dict(aug.to_json_dict()) == aug
+
+
+def index_table_reference(table, n, m, what, shape):
+    """``racks._index_table`` as it was, one entry at a time: the reference
+    for its row-at-a-time checks."""
+    table = tuple(tuple(as_int(v, f"{what} entry") for v in row) for row in table)
+    if len(table) != n or any(len(row) != m for row in table):
+        raise ValidationError(f"{what} table must be {shape}")
+    for row in table:
+        for v in row:
+            if not 0 <= v < n:
+                raise ValidationError(f"{what} entry {v} out of range")
+    return table
+
+
+def _outcome(check, table, n, m):
+    try:
+        return check(table, n, m, "op", "n x m")
+    except ValidationError as exc:
+        return str(exc)
+
+
+ENTRIES = st.one_of(st.integers(-2, 6), st.booleans(), st.text("01", max_size=1),
+                    st.sampled_from([0.0, 1.5, None]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), st.integers(0, 4), st.integers(0, 4))
+def test_index_tables_are_checked_as_by_the_entrywise_reference(data, n, m):
+    # mostly well-formed tables, with a few entries, rows or sizes redrawn
+    table = [[data.draw(st.integers(0, max(n - 1, 0))) for _ in range(m)] for _ in range(n)]
+    for _ in range(data.draw(st.integers(0, 3))):
+        edit = data.draw(st.sampled_from(["entry", "row", "drop"]))
+        i = data.draw(st.integers(0, len(table)))
+        if edit == "row":
+            table.insert(i, data.draw(st.lists(ENTRIES, max_size=5)))
+        elif i < len(table) and edit == "drop":
+            table.pop(i)
+        elif i < len(table) and table[i]:
+            table[i][data.draw(st.integers(0, len(table[i]) - 1))] = data.draw(ENTRIES)
+    assert _outcome(racks._index_table, table, n, m) == \
+        _outcome(index_table_reference, table, n, m)
+

@@ -82,6 +82,37 @@ def test_an_integral_input_loads_neither_fractions_nor_decimal(argv):
     assert {"fractions", "decimal"} & loaded == set()
 
 
+@pytest.mark.parametrize("argv", [
+    ("check-ybe", "braiding_hv_sparse.json"),
+    ("check-yd", "yd_s3_conj.json"),
+    ("braided-leibniz", "yd_s3_conj.json", "--rack-q", "--json", "ARTIFACT"),
+    ("env-checks", "leibniz_sl2.json", "--degree", "2"),
+], ids=lambda argv: argv[0])
+def test_a_well_formed_command_imports_no_argument_parser(argv, tmp_path):
+    command, fixture, *rest = argv
+    argv = [command, str(FIXTURES / fixture),
+            *(str(tmp_path / "out.json") if a == "ARTIFACT" else a for a in rest)]
+    loaded = _modules_after(f"from rackyd.cli import run; assert run({argv!r}) == 0")
+    assert {"argparse", "gettext", "locale"} & loaded == set()
+
+
+def test_the_cli_run_as_main_is_not_imported_again():
+    # as ``python -m rackyd.cli`` runs it: a handler module that imported
+    # rackyd.cli would compile and run the CLI a second time
+    argv = ["rackyd", "check-ybe", str(FIXTURES / "braiding_hv_sparse.json")]
+    loaded = _modules_after(f"import runpy; sys.argv = {argv!r}\n"
+                            "try:\n"
+                            "    runpy.run_module('rackyd.cli', run_name='__main__', alter_sys=True)\n"
+                            "except SystemExit as exc:\n"
+                            "    assert exc.code == 0, exc.code")
+    assert "rackyd.cli_modules" in loaded and "rackyd.cli" not in loaded
+
+
+def test_check_ybe_loads_no_handler_module_but_its_own():
+    loaded = _modules_after_command("check-ybe", str(FIXTURES / "braiding_hv_sparse.json"))
+    assert {name for name in loaded if name.startswith("cli_")} == {"cli_io", "cli_modules"}
+
+
 # perfbench/tracer.py reads these modules from sys.modules after one untraced
 # in-process pass; braided-leibniz is in the rack_ybe and group_descriptor
 # ladders, first-order-yd in envelope_inv, so each must load all eight
