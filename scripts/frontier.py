@@ -12,11 +12,12 @@ unless a row says otherwise:
   call with stdout captured (the module and braiding files are written
   first, untimed);
 - kX of the S6 conjugation quandle (dimension 720): ``check-ybe`` alone;
-- kX of the dihedral quandle D9: ``check-ybe`` as a whole
-  ``python -B -m rackyd.cli`` process, which in-process rows cannot see.  Its
-  bytecode cache prefix (``PYTHONPYCACHEPREFIX``) is an empty directory, so
-  every module it imports, the standard library's too, is compiled from
-  source, and ``-B`` keeps it empty;
+- kX of the dihedral quandle D9: ``check-ybe`` and ``braided-leibniz
+  --rack-q``, each as a whole ``python -B -m rackyd.cli`` process, which
+  in-process rows cannot see; ``braided-leibniz`` has the longest import
+  chain of the CLI.  The bytecode cache prefix (``PYTHONPYCACHEPREFIX``) is
+  an empty directory, so every module a process imports, the standard
+  library's too, is compiled from source, and ``-B`` keeps it empty;
 - the braiding of kX of the S5 conjugation quandle twisted by the diagonal
   ``d[x] = x + 1`` (so it is no longer unit): ``check-ybe`` alone;
 - sl2 ``build_env`` at degrees 10, 12 and 14 (the constructor alone, from
@@ -115,7 +116,7 @@ def rack_rows(tmp):
     symmetric = racks.FiniteGroup.symmetric
     instances = [
         ("kX of D9", racks.inner_augmentation(racks.dihedral_quandle(9)),
-         ("check-ybe process",)),
+         ("check-ybe process", "braided-leibniz --rack-q process")),
         ("kX of D21", racks.inner_augmentation(racks.dihedral_quandle(21)), both),
         ("kX of the S4 conjugation quandle", racks.conjugation_augmented(symmetric(4)), both),
         ("kX of the S5 conjugation quandle", racks.conjugation_augmented(symmetric(5)),
@@ -139,6 +140,8 @@ def rack_rows(tmp):
                 ("braided-leibniz --rack-q", lambda: cli("braided-leibniz", module, "--rack-q")),
                 ("check-ybe", lambda: cli("check-ybe", braid)),
                 ("check-ybe process", lambda: process(cache, "check-ybe", braid)),
+                ("braided-leibniz --rack-q process",
+                 lambda: process(cache, "braided-leibniz", module, "--rack-q")),
                 ("twisted check-ybe", lambda: cli("check-ybe", twisted))):
             if command in commands:
                 rows.append({"instance": name, "dim": aug.size, "command": command,

@@ -22,8 +22,6 @@ This module needs nothing of the Hopf-descriptor layer: :func:`braiding`
 reads a :class:`rackyd.yd.YDModule` only through its coaction and action.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

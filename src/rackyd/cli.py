@@ -12,9 +12,9 @@ only to build the full parser, for help and for anything the table reader
 refuses.
 """
 
-from __future__ import annotations
-
+import atexit
 import json
+import os
 import sys
 import time
 from importlib import import_module
@@ -258,7 +258,24 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """Run the command, then end the process as soon as its report is out.
+
+    The report is complete once the registered ``atexit`` handlers have run
+    and stdout and stderr are flushed, so the process ends there with
+    ``os._exit`` instead of finalizing the interpreter, which would only tear
+    down its modules.  A flush that fails leaves the exit to ``sys.exit``,
+    whose shutdown reports the failure; an exception that ``run`` raises
+    propagates, to a traceback and exit code 1.
+    """
+    code = run()
+    atexit._run_exitfuncs()  # clears them, so none runs twice on the fallback
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

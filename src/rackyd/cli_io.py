@@ -6,8 +6,6 @@ as ``__main__``, so a handler module that imported from ``rackyd.cli`` would
 compile and run it a second time.
 """
 
-from __future__ import annotations
-
 import json
 
 from .errors import ValidationError

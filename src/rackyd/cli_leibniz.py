@@ -6,8 +6,6 @@ imports only the modules it runs, the one with the longest import chain
 first: without bytecode, compiling in that order keeps the peak RSS lower.
 """
 
-from __future__ import annotations
-
 from .cli_io import _emit, _emit_bracket, _jsonable, _limit_witnesses, _load_json
 
 

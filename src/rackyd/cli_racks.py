@@ -4,8 +4,6 @@ and augmented racks, with no linear algebra.
 Each ``cmd_<command>`` returns (exit_code, report_dict or None).
 """
 
-from __future__ import annotations
-
 from . import racks
 from .cli_io import _emit, _jsonable, _limit_witnesses, _load_json
 

@@ -42,8 +42,6 @@ Their docstrings hold the proofs.  Only :func:`enveloping_bracket`, which
 needs phi~ as its q, builds the invariants.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

@@ -20,8 +20,6 @@ kX has the trivial left action and trivial left coaction throughout; only the
 right structures are stored.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .errors import ValidationError

@@ -22,8 +22,6 @@ q-map::
     {"q": [{"<h_idx>": "coeff", ...}, ...]}    # one sparse H-vector per basis vector
 """
 
-from __future__ import annotations
-
 from .errors import ValidationError, as_int
 from .group_hopf import GroupAlgebraDescriptor
 from .linalg import vec_from_json, vec_to_json

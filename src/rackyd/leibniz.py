@@ -24,8 +24,6 @@ operation ``x <| y = x . (scalar part of y + pi(y))`` coincides with the
 unital shelf coefficient for coefficient.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .braid import flip_columns

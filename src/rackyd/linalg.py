@@ -29,8 +29,6 @@ freely.  The echelon utilities take and return sparse vectors: a reduced
 echelon basis is a dict ``{pivot: sparse row}``.
 """
 
-from __future__ import annotations
-
 from .errors import ShapeError, ValidationError, as_int
 from .scalars import QQ, quotient
 

@@ -17,8 +17,6 @@ and can be partitioned across workers, with the lexicographically least
 witness as the deterministic merge.
 """
 
-from __future__ import annotations
-
 from itertools import permutations as _permutations
 from typing import NamedTuple
 

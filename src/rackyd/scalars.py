@@ -15,8 +15,6 @@ instance wherever a ``field`` argument is accepted; its elements overload the
 same operators, so all generic code runs unchanged.
 """
 
-from __future__ import annotations
-
 from .errors import ValidationError
 
 

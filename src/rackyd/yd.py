@@ -54,8 +54,6 @@ multilinear in the swept arguments (tau is applied before bracketing), so
 brute force over basis tuples is a complete verification, not a sample.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 # the braiding layer lives in .braid; these names are re-exported from here

@@ -98,14 +98,29 @@ def test_a_well_formed_command_imports_no_argument_parser(argv, tmp_path):
 
 def test_the_cli_run_as_main_is_not_imported_again():
     # as ``python -m rackyd.cli`` runs it: a handler module that imported
-    # rackyd.cli would compile and run the CLI a second time
+    # rackyd.cli would compile and run the CLI a second time.  main() ends
+    # the process once its atexit handlers have run, so the modules are
+    # printed by one
     argv = ["rackyd", "check-ybe", str(FIXTURES / "braiding_hv_sparse.json")]
-    loaded = _modules_after(f"import runpy; sys.argv = {argv!r}\n"
-                            "try:\n"
-                            "    runpy.run_module('rackyd.cli', run_name='__main__', alter_sys=True)\n"
-                            "except SystemExit as exc:\n"
-                            "    assert exc.code == 0, exc.code")
+    loaded = _modules_after("import atexit, runpy\n"
+                            "atexit.register(lambda: print(sorted(sys.modules)))\n"
+                            f"sys.argv = {argv!r}\n"
+                            "runpy.run_module('rackyd.cli', run_name='__main__', alter_sys=True)")
     assert "rackyd.cli_modules" in loaded and "rackyd.cli" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-ybe", "braiding_hv_sparse.json"),
+    ("braided-leibniz", "yd_s3_conj.json", "--rack-q"),
+    ("env-checks", "leibniz_sl2.json", "--degree", "2"),
+], ids=lambda argv: argv[0])
+def test_a_well_formed_command_loads_no_future_import(argv):
+    # no module of the package postpones its annotations, which cost every
+    # process the import of __future__
+    command, fixture, *rest = argv
+    argv = [command, str(FIXTURES / fixture), *rest]
+    assert "__future__" not in _modules_after(f"from rackyd.cli import run; "
+                                              f"assert run({argv!r}) == 0")
 
 
 def test_check_ybe_loads_no_handler_module_but_its_own():
