@@ -15,9 +15,13 @@ unless a row says otherwise:
 - kX of the dihedral quandle D9: ``check-ybe`` and ``braided-leibniz
   --rack-q``, each as a whole ``python -B -m rackyd.cli`` process, which
   in-process rows cannot see; ``braided-leibniz`` has the longest import
-  chain of the CLI.  The bytecode cache prefix (``PYTHONPYCACHEPREFIX``) is
-  an empty directory, so every module a process imports, the standard
-  library's too, is compiled from source, and ``-B`` keeps it empty;
+  chain of the CLI.  Each command has two rows.  In the first the bytecode
+  cache prefix (``PYTHONPYCACHEPREFIX``) is an empty directory, so every
+  module a process imports, the standard library's too, is compiled from
+  source, and ``-B`` keeps it empty.  Compiling takes most of such a process
+  and spreads its runs by about 10 %, so the twin row, "bytecode present",
+  reads a prefix that one untimed run of the command filled first: there a
+  change of a few milliseconds per process shows;
 - the braiding of kX of the S5 conjugation quandle twisted by the diagonal
   ``d[x] = x + 1`` (so it is no longer unit): ``check-ybe`` alone;
 - sl2 ``build_env`` at degrees 10, 12 and 14 (the constructor alone, from
@@ -73,14 +77,17 @@ def cli(*argv):
         raise SystemExit(f"rackyd {' '.join(map(str, argv))} exited {code}")
 
 
-def process(cache, *argv):
-    """One ``rackyd`` process that compiles what it imports; raises unless it exits 0."""
+def process(cache, *argv, write=False):
+    """One ``rackyd`` process that reads bytecode from the cache prefix ``cache``
+    and writes none there unless ``write``; raises unless it exits 0."""
     env = {**os.environ, "PYTHONPYCACHEPREFIX": str(cache),
            "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                        os.environ.get("PYTHONPATH")]))}
+    if write:
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
     argv = [str(a) for a in argv]
-    proc = subprocess.run([sys.executable, "-B", "-m", "rackyd.cli", *argv], env=env,
-                          capture_output=True, timeout=600)
+    proc = subprocess.run([sys.executable, *([] if write else ["-B"]), "-m", "rackyd.cli", *argv],
+                          env=env, capture_output=True, timeout=600)
     if proc.returncode != 0:
         raise SystemExit(f"rackyd {' '.join(argv)} exited {proc.returncode}")
 
@@ -116,7 +123,9 @@ def rack_rows(tmp):
     symmetric = racks.FiniteGroup.symmetric
     instances = [
         ("kX of D9", racks.inner_augmentation(racks.dihedral_quandle(9)),
-         ("check-ybe process", "braided-leibniz --rack-q process")),
+         ("check-ybe process", "braided-leibniz --rack-q process",
+          "check-ybe process, bytecode present",
+          "braided-leibniz --rack-q process, bytecode present")),
         ("kX of D21", racks.inner_augmentation(racks.dihedral_quandle(21)), both),
         ("kX of the S4 conjugation quandle", racks.conjugation_augmented(symmetric(4)), both),
         ("kX of the S5 conjugation quandle", racks.conjugation_augmented(symmetric(5)),
@@ -124,7 +133,7 @@ def rack_rows(tmp):
         ("kX of the S6 conjugation quandle", racks.conjugation_augmented(symmetric(6)),
          ("check-ybe",)),
     ]
-    cache = tmp / "empty_pycache"
+    cache, warm = tmp / "empty_pycache", tmp / "warm_pycache"
     cache.mkdir()
     rows = []
     for name, aug, commands in instances:
@@ -136,12 +145,18 @@ def rack_rows(tmp):
         cli("braiding-matrix", module, "--json", braid)
         if "twisted check-ybe" in commands:
             twist(braid, twisted)
+        if "check-ybe process, bytecode present" in commands:
+            process(warm, "check-ybe", braid, write=True)
+            process(warm, "braided-leibniz", module, "--rack-q", write=True)
         for command, call in (
                 ("braided-leibniz --rack-q", lambda: cli("braided-leibniz", module, "--rack-q")),
                 ("check-ybe", lambda: cli("check-ybe", braid)),
                 ("check-ybe process", lambda: process(cache, "check-ybe", braid)),
                 ("braided-leibniz --rack-q process",
                  lambda: process(cache, "braided-leibniz", module, "--rack-q")),
+                ("check-ybe process, bytecode present", lambda: process(warm, "check-ybe", braid)),
+                ("braided-leibniz --rack-q process, bytecode present",
+                 lambda: process(warm, "braided-leibniz", module, "--rack-q")),
                 ("twisted check-ybe", lambda: cli("check-ybe", twisted))):
             if command in commands:
                 rows.append({"instance": name, "dim": aug.size, "command": command,
@@ -199,7 +214,7 @@ def main():
     out = ROOT / "BENCH_frontier.json"
     out.write_text(json.dumps(bench, indent=2) + "\n")
     for row in rows:
-        print(f"{row['instance']:34} {row['command']:28} {row['median_s']:8.3f} s "
+        print(f"{row['instance']:34} {row['command']:50} {row['median_s']:8.3f} s "
               f"at reference speed")
     print(f"wrote {out}")
 

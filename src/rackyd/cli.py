@@ -6,10 +6,10 @@ inputs give byte-identical output) and a timing line to stderr.  Exit codes:
 (the report carries the witness), 2 for unusable input (bad file, bad table,
 bad flags).
 
-A well-formed command line is read from :data:`COMMANDS` alone, and only
-the module of the one handler it runs is imported; argparse is imported
-only to build the full parser, for help and for anything the table reader
-refuses.
+A well-formed command line is read from :data:`ARGS` and :data:`COMMANDS`,
+the one declaration of every argument, and only the module of the one handler
+it runs is imported; argparse is imported only to build the full parser from
+the same tables, for help and for anything the table reader refuses.
 """
 
 import atexit
@@ -41,139 +41,89 @@ def _witness_limit(text):
     raise ArgumentTypeError(f"must be >= 0, not {limit}")
 
 
-def _common(p):
-    p.add_argument("--field", default="rational", metavar="rational|gfp:<p>",
-                   help="scalar field (default: rational)")
-    p.add_argument("--witness-limit", type=_witness_limit, default=8, metavar="K",
-                   help="cap on witnesses included in the report")
+# every argument once, as the keywords build_parser passes to add_argument;
+# an option's dest is its name without the dashes, "-" read as "_"
+ARGS = {
+    "--field": dict(default="rational", metavar="rational|gfp:<p>",
+                    help="scalar field (default: rational)"),
+    "--witness-limit": dict(type=_witness_limit, default=8, metavar="K",
+                            help="cap on witnesses included in the report"),
+    "--json": dict(metavar="PATH", help="write the main artifact to PATH"),
+    "--degree": dict(type=int, default=2, metavar="D",
+                     help="truncation degree for enveloping algebras (default 2)"),
+    "--paper-layout": dict(action="store_true",
+                           help="print the matrix as rows of space-separated integers"),
+    "--integers": dict(action="store_true",
+                       help="emit integer entries, failing if any entry is not integral"),
+    "--q": dict(metavar="QFILE", help="q-map JSON file"),
+    "--rack-q": dict(action="store_true",
+                     help="use q(x) = p(x) - 1 read off a grading coaction"),
+    "file": dict(help="input JSON file"),
+    "file2": dict(nargs="?", default=None, help="optional second input"),
+    "n": dict(type=int),
+}
+COMMON = ("--field", "--witness-limit")  # every command's first arguments
+EXCLUSIVE = ("--q", "--rack-q")  # at most one of them may be given
 
-
-def _out(p):
-    p.add_argument("--json", metavar="PATH", help="write the main artifact to PATH")
-
-
-def _deg(p):
-    p.add_argument("--degree", type=int, default=2, metavar="D",
-                   help="truncation degree for enveloping algebras (default 2)")
-
-
-def _mat(p):
-    p.add_argument("--paper-layout", action="store_true",
-                   help="print the matrix as rows of space-separated integers")
-    p.add_argument("--integers", action="store_true",
-                   help="emit integer entries, failing if any entry is not integral")
-
-
-def _qsrc(p):
-    qmap = p.add_mutually_exclusive_group()
-    qmap.add_argument("--q", metavar="QFILE", help="q-map JSON file")
-    qmap.add_argument("--rack-q", action="store_true",
-                      help="use q(x) = p(x) - 1 read off a grading coaction")
-
-
-def _file(p):
-    p.add_argument("file", help="input JSON file")
-
-
-def _file2(p):
-    p.add_argument("file2", nargs="?", default=None, help="optional second input")
-
-
-def _n(p):
-    p.add_argument("n", type=int)
-
-
-# name: (the module holding its handler, help, argument adders after _common, in
+# name: (the module holding its handler, help, argument names after COMMON, in
 # order); the handler of "check-ybe" is cmd_check_ybe, and so on
 COMMANDS = {
-    "check-rack": ("cli_racks", "shelf/rack/quandle axioms of a table", (_file,)),
-    "make-dihedral": ("cli_racks", "build the dihedral quandle on Z/n", (_out, _n)),
-    "make-conjugation": ("cli_racks", "conjugation quandle of a group", (_out, _file)),
-    "inner-augmentation": ("cli_racks",
-                           "augment a rack over its inner permutation group", (_out, _file)),
-    "check-augmented": ("cli_racks", "augmentation identity of a G-set", (_file,)),
+    "check-rack": ("cli_racks", "shelf/rack/quandle axioms of a table", ("file",)),
+    "make-dihedral": ("cli_racks", "build the dihedral quandle on Z/n", ("--json", "n")),
+    "make-conjugation": ("cli_racks", "conjugation quandle of a group", ("--json", "file")),
+    "inner-augmentation": ("cli_racks", "augment a rack over its inner permutation group",
+                           ("--json", "file")),
+    "check-augmented": ("cli_racks", "augmentation identity of a G-set", ("file",)),
     "rack-braiding": ("cli_racks",
                       "tensor braiding c(x,y) = (y, x.p(y)); set-level YBE when braiding "
-                      "with itself", (_out, _file, _file2)),
-    "linearize": ("cli_modules", "kX as a graded module over kG", (_out, _file)),
-    "check-yd": ("cli_modules", "Yetter-Drinfel'd compatibility of a module file", (_file,)),
-    "braiding-matrix": ("cli_modules", "matrix of tau on M (x) M", (_out, _mat, _file)),
-    "check-ybe": ("cli_modules", "Yang-Baxter equation for a matrix file", (_out, _file)),
-    "check-leibniz": ("cli_leibniz", "Leibniz identity of structure constants", (_file,)),
-    "lie-quotient": ("cli_leibniz", "quotient by the squares ideal", (_out, _file)),
-    "unital-shelf": ("cli_leibniz", "the operation aa' + a'u + [u,v] on k+g", (_out, _file)),
-    "first-order-yd": ("cli_leibniz",
-                       "module on k+g over the truncated enveloping algebra",
-                       (_out, _deg, _file)),
+                      "with itself", ("--json", "file", "file2")),
+    "linearize": ("cli_modules", "kX as a graded module over kG", ("--json", "file")),
+    "check-yd": ("cli_modules", "Yetter-Drinfel'd compatibility of a module file", ("file",)),
+    "braiding-matrix": ("cli_modules", "matrix of tau on M (x) M",
+                        ("--json", "--paper-layout", "--integers", "file")),
+    "check-ybe": ("cli_modules", "Yang-Baxter equation for a matrix file", ("--json", "file")),
+    "check-leibniz": ("cli_leibniz", "Leibniz identity of structure constants", ("file",)),
+    "lie-quotient": ("cli_leibniz", "quotient by the squares ideal", ("--json", "file")),
+    "unital-shelf": ("cli_leibniz", "the operation aa' + a'u + [u,v] on k+g",
+                     ("--json", "file")),
+    "first-order-yd": ("cli_leibniz", "module on k+g over the truncated enveloping algebra",
+                       ("--json", "--degree", "file")),
     "hv-rmatrix": ("cli_modules", "16x16 braiding matrix of the Heisenberg-Voros module",
-                   (_out, _deg, _mat)),
-    "env-build": ("cli_leibniz", "assemble the enveloping tetramodule", (_out, _deg, _file)),
+                   ("--json", "--degree", "--paper-layout", "--integers")),
+    "env-build": ("cli_leibniz", "assemble the enveloping tetramodule",
+                  ("--json", "--degree", "file")),
     "env-checks": ("cli_leibniz",
                    "phi bilinearity/coderivation, restriction, and antipode checks",
-                   (_deg, _file)),
+                   ("--degree", "file")),
     "theorem1-bracket": ("cli_leibniz",
                          "braided Leibniz bracket on the invariants of the enveloping "
-                         "tetramodule", (_out, _deg, _file)),
+                         "tetramodule", ("--json", "--degree", "file")),
     "q-conditions": ("cli_modules",
                      "equivariance and colinearity of a map q into ker(counit)",
-                     (_qsrc, _file)),
+                     ("--q", "--rack-q", "file")),
     "braided-leibniz": ("cli_modules", "build and verify the bracket x <| y = x q(y)",
-                        (_out, _qsrc, _file)),
+                        ("--json", "--q", "--rack-q", "file")),
     "dual-check": ("cli_modules",
-                   "pullback p*: k[G] -> k[X] respects the (co)module structures", (_file,)),
+                   "pullback p*: k[G] -> k[X] respects the (co)module structures", ("file",)),
 }
 
 
-class _Recorder:
-    """Stands in for a parser while a command's argument adders run, and
-    records what :func:`_read` needs: the positionals in order, each option's
-    dest, type, whether it takes a value and its exclusive group, and every
-    default."""
-
-    def __init__(self):
-        self.positionals = []  # (dest, type, required)
-        self.options = {}      # option string -> (dest, type, takes a value, group)
-        self.defaults = {}
-
-    def add_argument(self, name, *, type=None, default=None, nargs=None, action=None,
-                     help=None, metavar=None, group=None):
-        if name.startswith("-"):
-            dest = name[2:].replace("-", "_")
-            if action == "store_true":
-                default = False
-            self.options[name] = (dest, type, action is None, group)
-        else:
-            dest = name
-            self.positionals.append((dest, type, nargs != "?"))
-        self.defaults[dest] = default
-
-    def add_mutually_exclusive_group(self):
-        return _Group(self)
-
-
-class _Group:
-    """A mutually exclusive group: its options are recorded as one group."""
-
-    def __init__(self, recorder):
-        self._recorder = recorder
-
-    def add_argument(self, name, **kwargs):
-        self._recorder.add_argument(name, group=self, **kwargs)
-
-
 def _read(argv):
-    """The Namespace the full parser builds from ``argv``, read from the
-    command's table, or None unless ``argv`` is a command name, its
-    positionals in one run, and known options each given at most once, as
-    ``--opt VALUE`` or as a bare flag.  No value or positional may start
-    with ``-``, and at most one option of an exclusive group may be given."""
+    """The Namespace the full parser builds from ``argv``, read from
+    :data:`ARGS` and :data:`COMMANDS`, or None unless ``argv`` is a command
+    name, its positionals in one run, and known options each given at most
+    once, as ``--opt VALUE`` or as a bare flag.  No value or positional may
+    start with ``-``, and at most one option of :data:`EXCLUSIVE` may be
+    given."""
     if not argv or argv[0] not in COMMANDS:
         return None
-    command = argv[0]
-    table = _Recorder()
-    for add in (_common, *COMMANDS[command][2]):
-        add(table)
-    values = {"command": command, **table.defaults}
+    names = (*COMMON, *COMMANDS[argv[0]][2])
+    dest = {name: name.lstrip("-").replace("-", "_") for name in names}
+    flags = {name for name in names if ARGS[name].get("action") == "store_true"}
+    values = {"command": argv[0]}
+    for name in names:
+        values[dest[name]] = False if name in flags else ARGS[name].get("default")
+    positionals = [name for name in names if not name.startswith("-")]
     typed, strings, seen = [], [], set()
     ended = False  # an option has followed the positionals
     tokens = iter(argv[1:])
@@ -185,27 +135,26 @@ def _read(argv):
                 return None
             strings.append(token)
             continue
-        if token not in table.options:
+        key = EXCLUSIVE if token in EXCLUSIVE else token
+        if token not in dest or key in seen:
             return None
-        dest, type_, takes_value, group = table.options[token]
-        if token in seen or (group is not None and group in seen):
-            return None
-        seen.update((token, group))
+        seen.add(key)
         ended = bool(strings)
-        if not takes_value:
-            values[dest] = True
+        if token in flags:
+            values[dest[token]] = True
             continue
         value = next(tokens, "-")
         if value.startswith("-"):
             return None
-        typed.append((dest, type_, value))
-    positionals = table.positionals
-    if not sum(required for _, _, required in positionals) <= len(strings) <= len(positionals):
+        typed.append((token, value))
+    required = sum(ARGS[name].get("nargs") != "?" for name in positionals)
+    if not required <= len(strings) <= len(positionals):
         return None
-    typed += [(dest, type_, s) for (dest, type_, _), s in zip(positionals, strings)]
+    typed += zip(positionals, strings)
     try:
-        for dest, type_, text in typed:
-            values[dest] = text if type_ is None else type_(text)
+        for name, text in typed:
+            type_ = ARGS[name].get("type")
+            values[dest[name]] = text if type_ is None else type_(text)
     except Exception:  # the full parser reports the value it refuses, or raises as it would
         return None
     return SimpleNamespace(**values)
@@ -220,10 +169,13 @@ def build_parser():
                     "and braided Leibniz brackets",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help, adders) in COMMANDS.items():
+    for name, (_, help, names) in COMMANDS.items():
         p = sub.add_parser(name, help=help)
-        for add in (_common, *adders):
-            add(p)
+        group = None
+        for arg in (*COMMON, *names):
+            if arg in EXCLUSIVE and group is None:
+                group = p.add_mutually_exclusive_group()
+            (group if arg in EXCLUSIVE else p).add_argument(arg, **ARGS[arg])
     return parser
 
 

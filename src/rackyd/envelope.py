@@ -42,6 +42,7 @@ Their docstrings hold the proofs.  Only :func:`enveloping_bracket`, which
 needs phi~ as its q, builds the invariants.
 """
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -50,6 +51,21 @@ from .errors import ConsistencyError, DegreeOverflowError, ValidationError
 from .linalg import lincomb, vsum
 from .scalars import QQ
 from .yd import BraidedLeibnizData, YDModule, braided_leibniz_from_q, braided_leibniz_witness
+
+
+def bracket_table(brackets, n=None):
+    """``brackets`` as an n x n table of nonzero sparse vectors over range(n),
+    n its number of rows unless given; any other table raises a ValidationError."""
+    table = tuple(tuple(vsum(v) for v in row) for row in brackets)
+    n = len(table) if n is None else n
+    if len(table) != n or any(len(row) != n for row in table):
+        raise ValidationError("bracket table must be n x n")
+    for row in table:
+        for v in row:
+            for k in v:
+                if not 0 <= k < n:
+                    raise ValidationError(f"bracket target {k} out of range")
+    return table
 
 
 def check_lie(brackets):
@@ -126,14 +142,7 @@ class TruncatedPBW:
         self.field = field
         self.degree = degree
         self.dim_lie = n
-        self.brackets = tuple(tuple(vsum(v) for v in row) for row in brackets)
-        for row in self.brackets:
-            if len(row) != n:
-                raise ValidationError("bracket table must be n x n")
-            for v in row:
-                for k in v:
-                    if not 0 <= k < n:
-                        raise ValidationError(f"bracket target {k} out of range")
+        self.brackets = bracket_table(brackets)
         witness = check_lie(self.brackets)
         if witness is not None:
             raise ValidationError(f"structure constants are not a Lie algebra: {witness}")
@@ -226,22 +235,26 @@ class TruncatedPBW:
     product_exact = product
 
     def coproduct(self, i: int):
-        """Delta(monomial), multiplicative from Delta(x) = x (x) 1 + 1 (x) x.
+        """Delta(x^e) = sum over a <= e of prod_k C(e_k, a_k) x^a (x) x^(e-a).
 
-        Every term of Delta splits the degree of the input, so the output is
-        always exactly representable.
+        Delta is multiplicative and Delta(x_k) = x_k (x) 1 + 1 (x) x_k, whose
+        two terms commute, so each power x_k^(e_k) expands binomially and the
+        ordered monomial splits factor by factor into ordered monomials.  Every
+        term splits the degree of the input, so the output is always exactly
+        representable.  Coefficients that vanish in the field are dropped, and
+        the terms are sorted by their pair of words, the order the tetramodule's
+        coaction rows are written in.
         """
-        terms = {((), ()): self.field.one}
-        for g in self.word(i):
-            terms = lincomb(terms, lambda ww: {(ww[0] + (g,), ww[1]): 1, (ww[0], ww[1] + (g,)): 1})
-
-        def idx(word):
-            exp = [0] * self.dim_lie
-            for g in word:
-                exp[g] += 1
-            return self.index[tuple(exp)]
-
-        return [(c, idx(w1), idx(w2)) for (w1, w2), c in sorted(terms.items()) if c]
+        exp = self.basis[i]
+        terms = []
+        for a in itertools.product(*(range(e + 1) for e in exp)):
+            c = self.field.one * math.prod(map(math.comb, exp, a))
+            if c:
+                word = tuple(k for k, e in enumerate(a) for _ in range(e))
+                rest = tuple(e - m for e, m in zip(exp, a))
+                terms.append((word, c, self.index[a], self.index[rest]))
+        terms.sort(key=lambda t: t[0])
+        return [t[1:] for t in terms]
 
     def counit(self, i: int):
         return self.field.one if i == self.unit else self.field.zero
@@ -281,7 +294,7 @@ class LieMapObject:
 
     def __init__(self, brackets, lie_labels, module_labels, action, f, field=QQ):
         self.field = field
-        self.brackets = tuple(tuple(vsum(v) for v in row) for row in brackets)
+        self.brackets = bracket_table(brackets)
         n = len(self.brackets)
         witness = check_lie(self.brackets)
         if witness is not None:

@@ -27,9 +27,9 @@ unital shelf coefficient for coefficient.
 from typing import NamedTuple
 
 from .braid import flip_columns
-from .envelope import LieMapObject, TruncatedPBW, check_lie
+from .envelope import LieMapObject, TruncatedPBW, bracket_table, check_lie
 from .errors import ConsistencyError, ValidationError, as_int
-from .linalg import lincomb, reduce_mod, rref, vec_from_json, vsum
+from .linalg import lincomb, reduce_mod, rref, vec_from_json, vec_to_json, vsum
 from .scalars import QQ
 from .yd import YDModule, braided_leibniz_witness
 
@@ -45,15 +45,7 @@ class LeibnizAlgebra:
     def __init__(self, basis, brackets, field=QQ):
         self.field = field
         self.basis = tuple(str(b) for b in basis)
-        n = len(self.basis)
-        self.brackets = tuple(tuple(vsum(v) for v in row) for row in brackets)
-        if len(self.brackets) != n or any(len(row) != n for row in self.brackets):
-            raise ValidationError("bracket table must be n x n")
-        for row in self.brackets:
-            for v in row:
-                for k in v:
-                    if not 0 <= k < n:
-                        raise ValidationError(f"bracket target {k} out of range")
+        self.brackets = bracket_table(brackets, len(self.basis))
 
     @property
     def dim(self) -> int:
@@ -114,7 +106,7 @@ class LeibnizAlgebra:
 def bracket_entries(table):
     """The nonzero entries of a bracket table, as Leibniz-JSON ``brackets``."""
     return [
-        {"i": i, "j": j, "out": {str(k): str(c) for k, c in sorted(v.items())}}
+        {"i": i, "j": j, "out": vec_to_json(v)}
         for i, row in enumerate(table) for j, v in enumerate(row) if v
     ]
 

@@ -327,6 +327,9 @@ def check_q_conditions(module: YDModule, q) -> QConditionsReport:
     if len(q) != module.dim:
         raise ValidationError("q needs one value per basis vector")
     for i, v in enumerate(q):
+        for h in v:
+            if not 0 <= h < hopf.size:
+                raise ValidationError(f"q descriptor index {h} out of range at basis {i}")
         if hvec_counit(hopf, v):
             raise ValidationError(f"im q must lie in ker(counit); fails at basis {i}")
     witnesses = {}

@@ -2,7 +2,8 @@
 
 ``TruncatedPBW`` folds its products from a table of products by one
 generator; :func:`straighten` is the word rewriting it replaced, kept as the
-oracle for its products, antipode and truncation.
+oracle for its products, antipode and truncation, and
+:func:`coproduct_by_words` is the word expansion its coproduct replaced.
 ``rackyd.envelope.phi_checks`` and ``antipode_checks`` decide their verdicts
 from f's equivariance; the sweeps below are the basis-by-basis checks they
 replaced, kept as the oracle for the differential tests.  Each returns the
@@ -37,6 +38,22 @@ def straighten(pbw, word) -> dict:
     for g in word:
         exp[g] += 1
     return {pbw.index[tuple(exp)]: pbw.field.one}
+
+
+def coproduct_by_words(pbw, i):
+    """Delta of monomial i, expanded letter by letter from Delta(x) = x (x) 1 + 1 (x) x
+    over pairs of words, each word then read back as its monomial."""
+    terms = {((), ()): pbw.field.one}
+    for g in pbw.word(i):
+        terms = lincomb(terms, lambda ww: {(ww[0] + (g,), ww[1]): 1, (ww[0], ww[1] + (g,)): 1})
+
+    def idx(word):
+        exp = [0] * pbw.dim_lie
+        for g in word:
+            exp[g] += 1
+        return pbw.index[tuple(exp)]
+
+    return [(c, idx(w1), idx(w2)) for (w1, w2), c in sorted(terms.items()) if c]
 
 
 def right_act(env, vec, hvec):

@@ -943,6 +943,15 @@ def test_q_file_and_rack_q_together_exit_two(capsys, fixtures_dir, command):
     assert out.out == "" and "not allowed with argument --rack-q" in out.err
 
 
+@pytest.mark.parametrize("command", ["q-conditions", "braided-leibniz"])
+def test_a_q_index_outside_the_descriptor_exits_two(tmp_path, capsys, fixtures_dir, command):
+    qfile = tmp_path / "q.json"
+    qfile.write_text(json.dumps({"q": [{"99": "1", "0": "-1"}, {}, {}, {}, {}, {}]}))
+    assert run([command, str(fixtures_dir / "yd_s3_conj.json"), "--q", str(qfile)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "error: q descriptor index 99 out of range at basis 0" in out.err
+
+
 def test_check_ybe_failure_names_witness(tmp_path, capsys, fixtures_dir):
     good = tmp_path / "good.json"
     bad = tmp_path / "bad.json"

@@ -42,6 +42,7 @@ from envelope_sweeps import (
     adjoint_by_coproduct,
     antipode_checks_by_sweep,
     antipode_component,
+    coproduct_by_words,
     phi_checks_by_sweep,
     straighten,
 )
@@ -103,6 +104,20 @@ def test_pbw_coproduct_counts_multiplicities():
     assert terms == {(xx, p.unit): F(1), (x, x): F(2), (p.unit, xx): F(1)}
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(10007)],
+                         ids=repr)
+@pytest.mark.parametrize("degree", [4, 8])
+def test_pbw_coproduct_is_the_word_expansion_term_for_term(field, degree):
+    """Same terms, coefficient types and order; over GF(3), C(3, 1) = 3 vanishes."""
+    p = TruncatedPBW(sl2(field).brackets, degree, field=field)
+    for i in range(p.size):
+        got, want = p.coproduct(i), coproduct_by_words(p, i)
+        assert got == want
+        assert [type(c) for c, _, _ in got] == [type(c) for c, _, _ in want]
+    e3 = p.index[(3, 0, 0)]
+    assert len(p.coproduct(e3)) == (2 if repr(field) == "GF(3)" else 4)
+
+
 def test_pbw_antipode():
     p = sl2_pbw(2)
     e, f, h = p.gen_index
@@ -159,6 +174,10 @@ def test_enveloping_descriptor_hopf_axioms():
 def test_lie_map_object_validation():
     with pytest.raises(ValidationError):
         LieMapObject(heisenberg_voros().brackets, "xyz", "m", [[{}]], [{}])
+    with pytest.raises(ValidationError, match="bracket table must be n x n"):
+        LieMapObject([[{}], [{}]], ["a", "b"], ["m"], [[{}], [{}]], [{}])
+    with pytest.raises(ValidationError, match="bracket target 2 out of range"):
+        LieMapObject([[{}, {2: 1}], [{}, {}]], ["a", "b"], ["m"], [[{}], [{}]], [{}])
     ab = abelian_lie(1)
     # m.x = m is a right action of the abelian line; f = 0 is equivariant
     LieMapObject(ab.brackets, ab.basis, ["m"], [[{0: F(1)}]], [{}])
