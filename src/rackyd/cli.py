@@ -1,7 +1,9 @@
 """Command-line surface.
 
 Every subcommand prints one JSON report to stdout (sorted keys, so identical
-inputs give byte-identical output) and a timing line to stderr.  Exit codes:
+inputs give byte-identical output) and a timing line to stderr.  A handler
+builds its report from JSON values alone, as it builds its ``--json``
+artifact, so the report is encoded once, by ``json.dumps``.  Exit codes:
 0 when every mathematical check in the command passed, 1 when a check failed
 (the report carries the witness), 2 for unusable input (bad file, bad table,
 bad flags).
@@ -22,7 +24,7 @@ from types import SimpleNamespace
 
 # _load_json and _write_json are re-exported: the benchmark tracer wraps them
 # here, and scripts/make_fixtures.py imports _write_json from here
-from .cli_io import _jsonable, _load_json, _write_json  # noqa: F401
+from .cli_io import _load_json, _write_json  # noqa: F401
 from .errors import ValidationError
 from .scalars import field_from_name
 
@@ -205,7 +207,7 @@ def run(argv=None) -> int:
         print(f"elapsed_ms={elapsed:.1f}", file=sys.stderr)
     if report is not None:
         report = {"command": ["rackyd", *argv], **report}
-        print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True))
     return code
 
 

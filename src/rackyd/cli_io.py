@@ -11,16 +11,6 @@ import json
 from .errors import ValidationError
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, int, str)) or obj is None:
-        return obj
-    return str(obj)
-
-
 def _unique_keys(pairs):
     """``json.load``'s object hook: a key given twice in one object is refused,
     where ``json`` would keep the last value without any reader seeing it."""
@@ -62,12 +52,10 @@ def _emit(args, report, key, payload, artifact=None):
 
 
 def _limit_witnesses(witnesses, limit):
-    if witnesses is None:
-        return None
+    """The first ``limit`` witnesses of a dict, by name; anything else as is."""
     if isinstance(witnesses, dict):
-        items = sorted(witnesses.items())[:limit]
-        return {k: _jsonable(v) for k, v in items}
-    return _jsonable(witnesses)
+        return dict(sorted(witnesses.items())[:limit])
+    return witnesses
 
 
 def _emit_bracket(args, report, data):

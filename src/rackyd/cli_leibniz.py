@@ -6,14 +6,14 @@ imports only the modules it runs, the one with the longest import chain
 first: without bytecode, compiling in that order keeps the peak RSS lower.
 """
 
-from .cli_io import _emit, _emit_bracket, _jsonable, _limit_witnesses, _load_json
+from .cli_io import _emit, _emit_bracket, _limit_witnesses, _load_json
 
 
 def cmd_check_leibniz(args, field):
     from . import leibniz
     alg = leibniz.LeibnizAlgebra.from_json_dict(_load_json(args.file), field)
     rep = leibniz.check_leibniz(alg)
-    report = {"ok": rep.ok, "witness": _jsonable(rep.witness)}
+    report = {"ok": rep.ok, "witness": rep.witness}
     return (0 if rep.ok else 1), report
 
 

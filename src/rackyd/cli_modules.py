@@ -6,7 +6,7 @@ imports only the modules it runs, the one with the longest import chain
 first: without bytecode, compiling in that order keeps the peak RSS lower.
 """
 
-from .cli_io import _emit, _emit_bracket, _jsonable, _limit_witnesses, _load_json, _write_json
+from .cli_io import _emit, _emit_bracket, _limit_witnesses, _load_json, _write_json
 from .errors import ValidationError
 
 # --paper-layout prints the dense n^2 x n^2 grid; a larger side is refused
@@ -30,7 +30,7 @@ def _emit_matrix(bm, args, report):
     payload = bm.to_json_dict()
     if args.integers:
         payload["columns"] = [
-            {str(r): integral(c) for r, c in sorted(col.items())} for col in bm.columns
+            {str(r): integral(c) for r, c in col.items()} for col in bm.columns
         ]
     _emit(args, report, "braiding", payload)
     return 0, report
@@ -82,7 +82,7 @@ def cmd_check_yd(args, field):
         "ok": rep.ok,
         "yd_coproduct_form": rep.ok_coproduct_form,
         "yd_antipode_form": rep.ok_antipode_form,
-        "witness": _jsonable(rep.witness),
+        "witness": rep.witness,
     }
     return (0 if rep.ok else 1), report
 
@@ -137,7 +137,7 @@ def cmd_braided_leibniz(args, field):
     q = _get_q(args, module, field)
     data = yd.braided_leibniz_from_q(module, q)
     rep = yd.check_braided_leibniz(data)
-    report = {"ok": rep.ok, "witness": _jsonable(rep.witness)}
+    report = {"ok": rep.ok, "witness": rep.witness}
     _emit_bracket(args, report, data)
     return (0 if rep.ok else 1), report
 

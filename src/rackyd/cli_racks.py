@@ -5,7 +5,7 @@ Each ``cmd_<command>`` returns (exit_code, report_dict or None).
 """
 
 from . import racks
-from .cli_io import _emit, _jsonable, _limit_witnesses, _load_json
+from .cli_io import _emit, _limit_witnesses, _load_json
 
 
 def cmd_check_rack(args, field):
@@ -52,7 +52,7 @@ def cmd_inner_augmentation(args, field):
 def cmd_check_augmented(args, field):
     aug = racks.AugmentedRack.from_json_dict(_load_json(args.file))
     rep = racks.check_augmented(aug)
-    report = {"ok": rep.ok, "witness": _jsonable(rep.witness)}
+    report = {"ok": rep.ok, "witness": rep.witness}
     return (0 if rep.ok else 1), report
 
 
@@ -68,7 +68,7 @@ def cmd_rack_braiding(args, field):
     if args.file2 is None:
         ybe = racks.rack_braiding_ybe(aug1)
         report["set_level_ybe"] = ybe.ok
-        report["witness"] = _jsonable(ybe.witness)
+        report["witness"] = ybe.witness
         code = 0 if ybe.ok else 1
     _emit(args, report, None, tensor.to_json_dict())
     return code, report

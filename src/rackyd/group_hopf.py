@@ -106,6 +106,16 @@ class GroupAlgebraDescriptor:
         return f"GroupAlgebraDescriptor(order={self.size}, field={self.field!r})"
 
 
+def _permutation_module(group: FiniteGroup, labels, image, grading, field) -> YDModule:
+    """The permutation module on ``labels`` over kG: the k-th group element
+    sends basis vector x to ``image[x][k]``, and the coaction is
+    ``x -> x (x) grading[x]``."""
+    one = field.one
+    action = [[{y: one} for y in row] for row in image]
+    coaction = [[(x, grading[x], one)] for x in range(len(image))]
+    return YDModule(GroupAlgebraDescriptor(group, field), labels, action, coaction)
+
+
 def ker_eps_yd(group: FiniteGroup, field=QQ) -> YDModule:
     """The Yetter-Drinfel'd module ker(counit) of kG.
 
@@ -113,20 +123,11 @@ def ker_eps_yd(group: FiniteGroup, field=QQ) -> YDModule:
     of ``g - 1`` computed from ``a -> a_(1) (x) a_(2) - 1 (x) a`` collapses to
     ``(g - 1) (x) g``.
     """
-    hopf = GroupAlgebraDescriptor(group, field)
-    e = group.identity
-    others = [g for g in range(group.size) if g != e]
+    others = [g for g in range(group.size) if g != group.identity]
     pos = {g: i for i, g in enumerate(others)}
-    basis = [f"{group.elements[g]}-1" for g in others]
-    one = field.one
-    action = []
-    for g in others:
-        row = []
-        for h in range(group.size):
-            row.append({pos[group.conj(g, h)]: one})
-        action.append(row)
-    coaction = [[(pos[g], g, one)] for g in others]
-    return YDModule(hopf, basis, action, coaction)
+    labels = [f"{group.elements[g]}-1" for g in others]
+    image = [[pos[group.conj(g, h)] for h in range(group.size)] for g in others]
+    return _permutation_module(group, labels, image, others, field)
 
 
 class LinearizedRack(NamedTuple):
@@ -158,17 +159,11 @@ def grading_module(aug: AugmentedRack, grading, field=QQ) -> YDModule:
     deliberately broken module-comodules: scramble the grading and the
     Yetter-Drinfel'd condition (and with it the braid relation) fails.
     """
-    hopf = GroupAlgebraDescriptor(aug.group, field)
-    one = field.one
     grading = list(grading)
     if len(grading) != aug.size:
         raise ValidationError("grading needs one group element per rack element")
-    action = [
-        [{aug.act(x, g): one} for g in range(aug.group.size)]
-        for x in range(aug.size)
-    ]
-    coaction = [[(x, grading[x], one)] for x in range(aug.size)]
-    return YDModule(hopf, aug.elements, action, coaction)
+    image = [[aug.act(x, g) for g in range(aug.group.size)] for x in range(aug.size)]
+    return _permutation_module(aug.group, aug.elements, image, grading, field)
 
 
 def trivial_coaction_module(group: FiniteGroup, action_perms, labels=None, field=QQ) -> YDModule:
@@ -178,16 +173,12 @@ def trivial_coaction_module(group: FiniteGroup, action_perms, labels=None, field
     way; the braiding degenerates to the flip.
     """
     n = len(action_perms[0]) if action_perms else 0
+    if any(len(perm) != n for perm in action_perms):
+        raise ValidationError("action permutations must all have the same length")
     if labels is None:
         labels = [str(i) for i in range(n)]
-    hopf = GroupAlgebraDescriptor(group, field)
-    one = field.one
-    action = [
-        [{action_perms[g][x]: one} for g in range(group.size)]
-        for x in range(n)
-    ]
-    coaction = [[(x, group.identity, one)] for x in range(n)]
-    return YDModule(hopf, labels, action, coaction)
+    image = [[perm[x] for perm in action_perms] for x in range(n)]
+    return _permutation_module(group, labels, image, [group.identity] * n, field)
 
 
 def rack_q_map(lin: LinearizedRack):

@@ -60,8 +60,9 @@ def flat2(i: int, j: int, m: int) -> int:
 
 
 def vec_to_json(vec) -> dict:
-    """A sparse vector as a JSON object, indices ascending, scalars as strings."""
-    return {str(i): str(c) for i, c in sorted(vec.items())}
+    """A sparse vector as a JSON object, scalars as strings.  The keys keep
+    the vector's order: the CLI writes with ``sort_keys``, which orders them."""
+    return {str(i): str(c) for i, c in vec.items()}
 
 
 def vec_from_json(vec, field, what, size=None) -> dict:

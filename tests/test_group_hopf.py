@@ -160,6 +160,17 @@ def test_trivial_coaction_module_is_yd():
     assert check_yd(m).ok
 
 
+def test_trivial_coaction_module_refuses_too_few_or_ragged_permutations():
+    # the action of S3 needs a permutation for each of its 6 elements, and
+    # every permutation moves the same basis
+    s3 = FiniteGroup.symmetric(3)
+    perms = [[s3.conj(x, g) for x in range(6)] for g in range(6)]
+    with pytest.raises(ValidationError, match="action row must have one entry per generator"):
+        trivial_coaction_module(s3, perms[:3])
+    with pytest.raises(ValidationError, match="must all have the same length"):
+        trivial_coaction_module(s3, perms[:3] + [perms[3][:4]] + perms[4:])
+
+
 def test_rack_q_map():
     s3 = FiniteGroup.symmetric(3)
     lin = linearize_augmented(conjugation_augmented(s3))

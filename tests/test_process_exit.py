@@ -122,7 +122,7 @@ def test_a_closed_stdout_raises_in_the_report_print_when_unbuffered():
         os.close(write)
     assert proc.returncode == 1
     assert proc.stderr.splitlines()[-3:] == [
-        "    print(json.dumps(_jsonable(report), indent=2, sort_keys=True))",
+        "    print(json.dumps(report, indent=2, sort_keys=True))",
         "BrokenPipeError: [Errno 32] Broken pipe",
         "handler ran"]
     assert proc.stderr.count("handler ran") == 1 and "Exception ignored" not in proc.stderr
