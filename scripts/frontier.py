@@ -11,6 +11,10 @@ unless a row says otherwise:
   module and ``check-ybe`` on its braiding, each a whole ``rackyd.cli.run``
   call with stdout captured (the module and braiding files are written
   first, untimed);
+- kX of the S5 conjugation quandle, writing artifacts: ``linearize --json``
+  from the augmented rack, ``braiding-matrix --json`` and
+  ``braided-leibniz --rack-q --json`` from the module, each a whole
+  ``rackyd.cli.run`` call that writes its artifact to a scratch file;
 - kX of the S6 conjugation quandle (dimension 720): ``check-ybe`` alone;
 - kX of the dihedral quandle D9: ``check-ybe`` and ``braided-leibniz
   --rack-q``, each as a whole ``python -B -m rackyd.cli`` process, which
@@ -118,6 +122,9 @@ def twist(braid, out):
     out.write_text(json.dumps(data))
 
 
+WRITES = ("linearize --json", "braiding-matrix --json", "braided-leibniz --rack-q --json")
+
+
 def rack_rows(tmp):
     both = ("braided-leibniz --rack-q", "check-ybe")
     symmetric = racks.FiniteGroup.symmetric
@@ -129,7 +136,7 @@ def rack_rows(tmp):
         ("kX of D21", racks.inner_augmentation(racks.dihedral_quandle(21)), both),
         ("kX of the S4 conjugation quandle", racks.conjugation_augmented(symmetric(4)), both),
         ("kX of the S5 conjugation quandle", racks.conjugation_augmented(symmetric(5)),
-         both + ("twisted check-ybe",)),
+         both + ("twisted check-ybe",) + WRITES),
         ("kX of the S6 conjugation quandle", racks.conjugation_augmented(symmetric(6)),
          ("check-ybe",)),
     ]
@@ -138,8 +145,8 @@ def rack_rows(tmp):
     rows = []
     for name, aug, commands in instances:
         stem = tmp / name.replace(" ", "_")
-        aug_path, module, braid, twisted = (
-            stem.with_suffix(s) for s in (".aug.json", ".yd.json", ".tau.json", ".twisted.json"))
+        aug_path, module, braid, twisted, written = (stem.with_suffix(s) for s in (
+            ".aug.json", ".yd.json", ".tau.json", ".twisted.json", ".written.json"))
         aug_path.write_text(json.dumps(aug.to_json_dict()))
         cli("linearize", aug_path, "--json", module)
         cli("braiding-matrix", module, "--json", braid)
@@ -157,7 +164,12 @@ def rack_rows(tmp):
                 ("check-ybe process, bytecode present", lambda: process(warm, "check-ybe", braid)),
                 ("braided-leibniz --rack-q process, bytecode present",
                  lambda: process(warm, "braided-leibniz", module, "--rack-q")),
-                ("twisted check-ybe", lambda: cli("check-ybe", twisted))):
+                ("twisted check-ybe", lambda: cli("check-ybe", twisted)),
+                ("linearize --json", lambda: cli("linearize", aug_path, "--json", written)),
+                ("braiding-matrix --json",
+                 lambda: cli("braiding-matrix", module, "--json", written)),
+                ("braided-leibniz --rack-q --json",
+                 lambda: cli("braided-leibniz", module, "--rack-q", "--json", written))):
             if command in commands:
                 rows.append({"instance": name, "dim": aug.size, "command": command,
                              **timed(call)})

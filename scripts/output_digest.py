@@ -12,7 +12,10 @@ in-process, over QQ and ``gfp:7``, on:
   ``--rack-q``, ``--integers`` and ``--paper-layout``; ``rack-braiding``
   also with a second file, ``fixtures/aug_s3_conj.json``;
 - ``hv-rmatrix`` as is and with each of its options;
-- ``make-dihedral`` for n = 0..7, with and without ``--json``.
+- ``make-dihedral`` for n = 0..7, with and without ``--json``;
+- kX of the S4 conjugation quandle, whose files are written into the
+  temporary directory first: ``linearize --json`` on its augmented rack and
+  ``braided-leibniz --rack-q --json`` on its module.
 
 It prints the number of command lines for each exit code (a handler that
 raises counts under the exception's name) and one sha256 over, for each
@@ -36,7 +39,7 @@ from contextlib import redirect_stderr, redirect_stdout
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from rackyd import cli  # noqa: E402
+from rackyd import cli, racks  # noqa: E402
 
 FIXTURES = ROOT / "fixtures"
 FIELDS = ("rational", "gfp:7")
@@ -44,7 +47,20 @@ FIELDS = ("rational", "gfp:7")
 VARIANT_VALUES = {"--degree": ["3"], "--q": [str(FIXTURES / "q_s3_conj.json")]}
 
 
-def command_lines(artifact):
+def s4_conjugation_files(tmp):
+    """The augmented rack of the S4 conjugation quandle and its module kX,
+    written into ``tmp``; their paths."""
+    aug, module = pathlib.Path(tmp) / "s4conj.aug.json", pathlib.Path(tmp) / "s4conj.yd.json"
+    aug.write_text(json.dumps(racks.conjugation_augmented(racks.FiniteGroup.symmetric(4))
+                              .to_json_dict()))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = cli.run(["linearize", str(aug), "--json", str(module)])
+    if code != 0:
+        raise SystemExit(f"linearize of the S4 conjugation quandle exited {code}")
+    return str(aug), str(module)
+
+
+def command_lines(artifact, s4_aug, s4_module):
     """Every argv of the sweep, in a fixed order."""
     fixtures = sorted(str(path) for path in FIXTURES.glob("*.json"))
     for field in FIELDS:
@@ -64,6 +80,9 @@ def command_lines(artifact):
                 for option in options:
                     value = [artifact] if option == "--json" else VARIANT_VALUES.get(option, [])
                     yield [name, *common, *positional, option, *value]
+    for field in FIELDS:
+        yield ["linearize", "--field", field, s4_aug, "--json", artifact]
+        yield ["braided-leibniz", "--field", field, s4_module, "--rack-q", "--json", artifact]
 
 
 def main():
@@ -71,7 +90,7 @@ def main():
         artifact = pathlib.Path(tmp) / "artifact.json"
         digest = hashlib.sha256()
         codes = collections.Counter()
-        for argv in command_lines(str(artifact)):
+        for argv in command_lines(str(artifact), *s4_conjugation_files(tmp)):
             artifact.unlink(missing_ok=True)
             out, err = io.StringIO(), io.StringIO()
             with redirect_stdout(out), redirect_stderr(err):

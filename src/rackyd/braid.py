@@ -26,7 +26,7 @@ import math
 from typing import NamedTuple
 
 from .errors import ShapeError, ValidationError
-from .linalg import Matrix, flat2, lincomb, sparse_rows_from_json, vec_from_json, vec_to_json
+from .linalg import Matrix, flat2, lincomb, sparse_rows_from_json, vec_reader, vec_to_json
 from .scalars import QQ, GFElement
 from .selfdist import witnesses
 
@@ -95,7 +95,7 @@ class BraidingMatrix:
                     f"braiding basis_order must be {cls.convention!r}, got {order!r}")
             if "columns" in d:
                 size = len(d["columns"])  # the matrix is square
-                tau = [vec_from_json(col, field, "braiding column", size) for col in d["columns"]]
+                tau = list(map(vec_reader(field, "braiding column", size), d["columns"]))
             else:
                 _, tau = _columns_from_json(d["matrix"], field)
         except (KeyError, TypeError) as exc:

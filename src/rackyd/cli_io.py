@@ -1,6 +1,11 @@
 """JSON in and out for the command handlers: input files, artifacts and the
 pieces of a report.
 
+An artifact is written as the exact bytes of ``json.dumps(payload,
+indent=2, sort_keys=True)`` and a newline, a row at a time, by
+:mod:`rackyd.jsonwrite`, which is imported by the first write: a command
+that writes no artifact compiles none of it.
+
 This is not part of :mod:`rackyd.cli`: ``python -m rackyd.cli`` runs the CLI
 as ``__main__``, so a handler module that imported from ``rackyd.cli`` would
 compile and run it a second time.
@@ -14,11 +19,13 @@ from .errors import ValidationError
 def _unique_keys(pairs):
     """``json.load``'s object hook: a key given twice in one object is refused,
     where ``json`` would keep the last value without any reader seeing it."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ValidationError(f"JSON object key {key!r} given twice")
-        obj[key] = value
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValidationError(f"JSON object key {key!r} given twice")
+            seen.add(key)
     return obj
 
 
@@ -33,9 +40,10 @@ def _load_json(path):
 
 
 def _write_json(path, payload):
+    from .jsonwrite import dump
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            dump(payload, fh)
             fh.write("\n")
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from exc

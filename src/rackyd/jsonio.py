@@ -24,7 +24,7 @@ q-map::
 
 from .errors import ValidationError, as_int
 from .group_hopf import GroupAlgebraDescriptor
-from .linalg import vec_from_json, vec_to_json
+from .linalg import vec_reader, vec_to_json
 from .racks import FiniteGroup
 from .scalars import QQ
 from .yd import YDModule
@@ -88,9 +88,8 @@ def yd_from_dict(d, field=QQ) -> YDModule:
         basis = d["basis"]
         if not isinstance(basis, list):
             raise ValidationError("module basis must be a list of labels")
-        action = [
-            [vec_from_json(vec, field, "action vector") for vec in row] for row in d["action"]
-        ]
+        read = vec_reader(field, "action vector")
+        action = [list(map(read, row)) for row in d["action"]]
         coaction = [[_coaction_term(t, field) for t in terms] for terms in d["coaction"]]
     except (KeyError, TypeError) as exc:
         raise ValidationError("module JSON needs hopf/basis/action/coaction") from exc
@@ -103,6 +102,6 @@ def q_to_dict(q) -> dict:
 
 def q_from_dict(d, field=QQ):
     try:
-        return [vec_from_json(v, field, "q vector") for v in d["q"]]
+        return list(map(vec_reader(field, "q vector"), d["q"]))
     except (KeyError, TypeError) as exc:
         raise ValidationError("q JSON needs a q list") from exc

@@ -29,7 +29,7 @@ from typing import NamedTuple
 from .braid import flip_columns
 from .envelope import LieMapObject, TruncatedPBW, bracket_table, check_lie
 from .errors import ConsistencyError, ValidationError, as_int
-from .linalg import lincomb, reduce_mod, rref, vec_from_json, vec_to_json, vsum
+from .linalg import lincomb, reduce_mod, rref, vec_reader, vec_to_json, vsum
 from .scalars import QQ
 from .yd import YDModule, braided_leibniz_witness
 
@@ -87,7 +87,7 @@ class LeibnizAlgebra:
         if len(basis) != n:
             raise ValidationError("basis length does not match dim")
         table = [[{} for _ in range(n)] for _ in range(n)]
-        seen = set()
+        seen, read = set(), vec_reader(field, "bracket output", n)
         for entry in raw:
             try:
                 i, j, out = entry["i"], entry["j"], entry["out"]
@@ -99,7 +99,7 @@ class LeibnizAlgebra:
             if (i, j) in seen:
                 raise ValidationError(f"bracket entry ({i},{j}) given twice")
             seen.add((i, j))
-            table[i][j] = vec_from_json(out, field, "bracket output", n)
+            table[i][j] = read(out)
         return cls(basis, table, field)
 
 

@@ -74,19 +74,47 @@ def vec_from_json(vec, field, what, size=None) -> dict:
     ``"01"``, ``" 1"``, ``"+1"`` or ``"1_0"``), so each index has one spelling
     and no object names one twice.
     """
-    if not isinstance(vec, dict):
-        raise ValidationError(f"{what} must be an object of index: coefficient")
-    out = {}
-    for k, c in vec.items():
-        if not (isinstance(k, str) and k.isascii() and k.isdigit() and (k == "0" or k[0] != "0")):
-            raise ValidationError(f"{what} index {k!r} is not an integer in canonical decimal")
-        i = int(k)
-        if size is not None and i >= size:
-            raise ValidationError(f"{what} index {i} out of range({size})")
-        x = field.parse(c)
-        if x:
-            out[i] = x
-    return out
+    return vec_reader(field, what, size)(vec)
+
+
+def vec_reader(field, what, size=None):
+    """``vec_from_json(vec, field, what, size)`` as a function of ``vec``, for
+    reading many vectors: each distinct coefficient string is parsed once,
+    and a one-entry vector whose string is parsed already skips the loop."""
+    literals = {}
+
+    def parse(c):
+        if type(c) is not str:
+            return field.parse(c)
+        x = literals.get(c)
+        if x is None:
+            x = literals[c] = field.parse(c)
+        return x
+
+    def read(vec):
+        if type(vec) is dict and len(vec) == 1:
+            (k, c), = vec.items()
+            x = literals.get(c) if type(c) is str else None
+            if (x is not None and type(k) is str and k.isascii() and k.isdigit()
+                    and (k == "0" or k[0] != "0")):
+                i = int(k)
+                if size is None or i < size:
+                    return {i: x} if x else {}
+        if not isinstance(vec, dict):
+            raise ValidationError(f"{what} must be an object of index: coefficient")
+        out = {}
+        for k, c in vec.items():
+            if not (isinstance(k, str) and k.isascii() and k.isdigit() and (k == "0" or k[0] != "0")):
+                raise ValidationError(f"{what} index {k!r} is not an integer in canonical decimal")
+            i = int(k)
+            if size is not None and i >= size:
+                raise ValidationError(f"{what} index {i} out of range({size})")
+            x = parse(c)
+            if x:
+                out[i] = x
+        return out
+
+    return read
 
 
 def sparse_rows_from_json(d, field=QQ):

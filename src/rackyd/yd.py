@@ -173,7 +173,7 @@ class YDModule:
         for row in action:
             if len(row) != len(gens):
                 raise ValidationError("action row must have one entry per generator")
-            act.append(tuple(vsum(v) for v in row))
+            act.append(tuple({m: c for m, c in v.items() if c} for v in row))
             for v in act[-1]:
                 for m in v:
                     if not 0 <= m < n:

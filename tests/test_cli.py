@@ -1251,6 +1251,15 @@ def test_a_json_key_given_twice_exits_two(tmp_path, capsys, fixtures_dir):
     _refused(capsys, ["check-ybe", str(path)], "JSON object key '0' given twice")
 
 
+def test_the_first_key_given_twice_is_named(tmp_path, capsys):
+    # "a" is repeated before "b" is; each object is read on its own
+    path = tmp_path / "keys.json"
+    path.write_text('{"elements": ["e"], "mul": [[0]], "a": 1, "b": 2, "a": 3, "b": 4}')
+    _refused(capsys, ["make-conjugation", str(path)], "JSON object key 'a' given twice")
+    path.write_text('{"elements": ["e"], "mul": [[0]], "x": {"a": 1}, "y": {"a": 2}}')
+    assert run(["make-conjugation", str(path)]) == 0
+
+
 def test_a_bracket_entry_given_twice_exits_two(tmp_path, capsys):
     # [x,x] = x then [x,x] = 0 read as the abelian line, which passes
     entries = [{"i": 0, "j": 0, "out": {"0": "1"}}, {"i": 0, "j": 0, "out": {}}]

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from rackyd.errors import ShapeError, ValidationError
 from rackyd.linalg import Matrix, kron, mat_mul
-from rackyd.linalg import nullspace, reduce_mod, rref, vec_from_json
+from rackyd.linalg import nullspace, reduce_mod, rref, vec_from_json, vec_reader
 from rackyd.scalars import QQ, PrimeField
 
 F = Fraction
@@ -165,3 +165,45 @@ def test_sparse_indices_are_read_in_canonical_decimal():
     for key in ("01", " 1", "+1", "1_0", "-1", "\u0661", ""):
         with pytest.raises(ValidationError, match="is not an integer in canonical decimal"):
             vec_from_json({key: "1"}, QQ, "v")
+
+
+class _CountingField:
+    """A field whose ``parse`` counts the literals it is handed."""
+
+    def __init__(self, field):
+        self.field, self.parsed = field, []
+
+    def parse(self, text):
+        self.parsed.append(text)
+        return self.field.parse(text)
+
+
+VECTORS = [
+    {"3": "1"}, {"0": "0"}, {"7": "-1/2"}, {"3": "1", "4": "2"}, {}, {"2": 5}, {"1": "x"},
+    {"01": "1"}, {"9": "1"}, {"12": "1"}, "COLUMN", ["1"], {"5": "1/0"}, {"4": "1/7"},
+    {"6": [1]}, {"8": None}, {"2": "3", "x": "1"}, {"0": "2"}, {"1": "-1/2"},
+]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=repr)
+def test_the_vector_reader_reads_as_vec_from_json(field):
+    # the same vector or the same ValidationError, in every size
+    for size in (None, 10):
+        read = vec_reader(field, "v", size)
+        for vec in VECTORS * 2:  # the second pass reads parsed literals
+            try:
+                want = vec_from_json(vec, field, "v", size)
+            except ValidationError as exc:
+                with pytest.raises(ValidationError) as got:
+                    read(vec)
+                assert str(got.value) == str(exc)
+            else:
+                assert read(vec) == want
+
+
+def test_the_vector_reader_parses_each_literal_once():
+    field = _CountingField(QQ)
+    read = vec_reader(field, "braiding column", 1000)
+    columns = [read({str(k): "1"}) for k in range(1000)] + [read({"5": "-1", "6": "1"})]
+    assert columns[:1000] == [{k: 1} for k in range(1000)] and columns[-1] == {5: -1, 6: 1}
+    assert field.parsed == ["1", "-1"]
