@@ -42,8 +42,8 @@ _EXPORTS = {
     ),
 }
 _SUBMODULES = ("braid", "cli", "cli_io", "cli_leibniz", "cli_modules", "cli_racks", "envelope",
-               "errors", "group_hopf", "jsonio", "leibniz", "linalg", "racks", "scalars",
-               "selfdist", "yd")
+               "errors", "group_hopf", "grouptable", "jsonio", "jsonwrite", "leibniz", "linalg",
+               "racks", "scalars", "selfdist", "yd")
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
 

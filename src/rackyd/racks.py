@@ -18,9 +18,9 @@ witness as the deterministic merge.
 """
 
 from itertools import permutations as _permutations
-from operator import getitem, itemgetter
 from typing import NamedTuple
 
+from . import grouptable
 from .errors import ConsistencyError, ValidationError, as_int
 from .selfdist import greedy_generators, witnesses
 
@@ -169,35 +169,19 @@ class FiniteGroup:
         if n == 0:
             raise ValidationError("a group needs at least the identity")
         self.mul = mul = _index_table(mul, n, n, "mul", "n x n")
-        # each axiom is compared a whole row at a time; only a row that fails
-        # is scanned entry by entry, for the least failing entry
-        points = tuple(range(n))
-        ident = next((e for e in points
-                      if mul[e] == points and tuple(row[e] for row in mul) == points), None)
+        ident = grouptable.identity(mul)
         if ident is None:
             raise ValidationError("no identity element")
         self.identity = ident
-        inv = []
-        for x, row in enumerate(mul):
-            y = row.index(ident) if ident in row else None
-            if y is None or mul[y][x] != ident:
-                y = next((y for y in points if row[y] == ident and mul[y][x] == ident), None)
-            if y is None:
-                raise ValidationError(f"element {self.elements[x]} has no inverse")
-            inv.append(y)
+        inv = [grouptable.inverse(mul, ident, x) for x in range(n)]
+        if None in inv:
+            raise ValidationError(f"element {self.elements[inv.index(None)]} has no inverse")
         self.inv = tuple(inv)
         self.generators = greedy_generators(mul, (ident,))
-        # s_times(row of a) is the row of a (s c), c = 0..n-1
-        products = [(s, itemgetter(*mul[s])) for s in self.generators]
-        for a, row in enumerate(mul):
-            for s, s_times in products:
-                if mul[row[s]] != s_times(row):
-                    c = next((c for c in points if mul[row[s]][c] != row[mul[s][c]]), None)
-                    if c is not None:
-                        raise ValidationError(
-                            f"mul table not associative at "
-                            f"({self.elements[a]}, {self.elements[s]}, {self.elements[c]})"
-                        )
+        witness = grouptable.associativity_witness(mul, self.generators)
+        if witness is not None:
+            a, s, c = (self.elements[k] for k in witness)
+            raise ValidationError(f"mul table not associative at ({a}, {s}, {c})")
 
     def action_witness(self, points, act):
         """The first failure of ``act`` as a right action of this group, or None.
@@ -208,22 +192,7 @@ class FiniteGroup:
         That suffices: the h with ``(x a) h = x (a h)`` for all x, a form a
         submonoid.
         """
-        e, mul, group = self.identity, self.mul, range(self.size)
-        for i, x in enumerate(points):
-            if act(x, e) != x:
-                return (i, e)
-        # times_s(orbit of x) is the row of x (a s), a = 0..|G|-1
-        products = [(s, itemgetter(*(row[s] for row in mul))) for s in self.generators]
-        for i, x in enumerate(points):
-            orbit = [act(x, a) for a in group]
-            for s, times_s in products:
-                if [act(xa, s) for xa in orbit] != list(times_s(orbit)):
-                    # the least (a, s) at x: a generator before s may fail at a smaller a
-                    witness = next(((i, a, s) for a in group for s in self.generators
-                                    if act(orbit[a], s) != act(x, mul[a][s])), None)
-                    if witness is not None:
-                        return witness
-        return None
+        return grouptable.action_witness(self.mul, self.identity, self.generators, points, act)
 
     @property
     def size(self) -> int:
@@ -425,19 +394,9 @@ class AugmentedReport(NamedTuple):
 
 
 def check_augmented(a: AugmentedRack) -> AugmentedReport:
-    """Check the augmentation identity p(x.g) = g^-1 p(x) g on all pairs.
-
-    In a group it reads g p(x.g) = p(x) g, and for each x both sides are
-    compared as a whole row over g; a row that differs is scanned for its
-    least failing g."""
-    g, p = a.group, a.p
-    for x, row in enumerate(a.action):
-        # p(x.g) over g; itemgetter of a single index returns the item, not a tuple
-        images = itemgetter(*row)(p) if len(row) > 1 else [p[y] for y in row]
-        if tuple(map(getitem, g.mul, images)) != g.mul[p[x]]:
-            h = next(h for h in range(g.size) if p[a.act(x, h)] != g.conj(p[x], h))
-            return AugmentedReport(False, (x, h))
-    return AugmentedReport(True, None)
+    """Check the augmentation identity p(x.g) = g^-1 p(x) g on all pairs."""
+    witness = grouptable.augmentation_witness(a.group.mul, a.action, a.p)
+    return AugmentedReport(witness is None, witness)
 
 
 def _require_augmented(a: AugmentedRack) -> None:

@@ -1,10 +1,10 @@
 """Row-at-a-time group and action checks against their entrywise references.
 
 ``FiniteGroup.__init__``, ``FiniteGroup.action_witness`` and
-``check_augmented`` compare whole rows and scan a row entry by entry only
-when it differs.  The references below are the entrywise loops they
-replaced; on seeded perturbations of the S4 and D7 tables both must raise
-the same message or return the same witness.
+``check_augmented`` compare whole rows through :mod:`rackyd.grouptable` and
+read a row entry by entry only when it differs.  The references below are
+the entrywise loops they replaced; on seeded perturbations of the S4 and D7
+tables both must raise the same message or return the same witness.
 """
 
 import random
