@@ -28,8 +28,9 @@ unless a row says otherwise:
   change of a few milliseconds per process shows;
 - the braiding of kX of the S5 conjugation quandle twisted by the diagonal
   ``d[x] = x + 1`` (so it is no longer unit): ``check-ybe`` alone;
-- sl2 ``build_env`` at degrees 10, 12 and 14 (the constructor alone, from
-  the fixture);
+- sl2 ``env-build --json`` at degrees 10, 12 and 14 (a whole
+  ``rackyd.cli.run`` call that writes the tetramodule's four structure maps
+  to a scratch file; the tetramodule computes them only for the artifact);
 - sl2 ``env-checks`` at degree 7 (a whole ``rackyd.cli.run`` call).
 
 The process is pinned to one CPU, and every run is timed at reference speed
@@ -61,7 +62,7 @@ from fractions import Fraction
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from rackyd import envelope, leibniz, racks  # noqa: E402
+from rackyd import racks  # noqa: E402
 from rackyd.cli import run  # noqa: E402
 
 # perfbench/run.py's reference loop and scaling, so both benchmarks time at one speed
@@ -176,12 +177,11 @@ def rack_rows(tmp):
     return rows
 
 
-def envelope_rows():
-    sl2 = str(ROOT / "fixtures" / "leibniz_sl2.json")
-    lie_map = leibniz.lie_map_object(leibniz.LeibnizAlgebra.from_json_dict(
-        json.loads(pathlib.Path(sl2).read_text())))
-    rows = [{"instance": "sl2", "degree": degree, "command": "build_env",
-             **timed(lambda: envelope.build_env(lie_map, degree))} for degree in (10, 12, 14)]
+def envelope_rows(tmp):
+    sl2, written = str(ROOT / "fixtures" / "leibniz_sl2.json"), tmp / "env.json"
+    rows = [{"instance": "sl2", "degree": degree, "command": "env-build --json",
+             **timed(lambda: cli("env-build", sl2, "--degree", degree, "--json", written))}
+            for degree in (10, 12, 14)]
     return rows + [
         {"instance": "sl2", "degree": 7, "command": "env-checks",
          **timed(lambda: cli("env-checks", sl2, "--degree", "7"))},
@@ -211,7 +211,7 @@ def source_lines():
 def main():
     perfbench.pin_to_one_cpu()
     with tempfile.TemporaryDirectory() as tmp:
-        rows = rack_rows(pathlib.Path(tmp)) + envelope_rows()
+        rows = rack_rows(pathlib.Path(tmp)) + envelope_rows(pathlib.Path(tmp))
     bench = {
         "python": platform.python_version(),
         "platform": platform.platform(),

@@ -69,17 +69,17 @@ def cmd_env_build(args, field):
         "carrier_dim": env.size,
         "pbw_basis": list(env.pbw.labels),
     }
-    if args.json:  # the tables go only into the artifact, so build them only for it
+    if args.json:  # the structure maps go only into the artifact, so run them only for it
+        basis, lie = range(env.size), range(env.pbw.dim_lie)
         _emit(args, report, None, {
             "labels": list(env.labels),
-            "right_action": [[vec_to_json(vec) for vec in row] for row in env.right_act_tab],
-            "left_action": [[vec_to_json(vec) for vec in row] for row in env.left_act_tab],
-            "left_coaction": [
-                [[h, e, str(c)] for h, e, c in row] for row in env.left_coact_tab
-            ],
-            "right_coaction": [
-                [[e, h, str(c)] for e, h, c in row] for row in env.right_coact_tab
-            ],
+            "right_action": [[vec_to_json(env.right_act_basis(e, k)) for k in lie]
+                             for e in basis],
+            "left_action": [[vec_to_json(env.left_act_basis(k, e)) for k in lie] for e in basis],
+            "left_coaction": [[[h, e2, str(c)] for h, e2, c in env.left_coaction(e)]
+                              for e in basis],
+            "right_coaction": [[[e2, h, str(c)] for e2, h, c in env.right_coaction(e)]
+                               for e in basis],
         })
     return 0, report
 

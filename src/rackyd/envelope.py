@@ -7,9 +7,9 @@ a monomial by a generator, each entry built on first use from entries of
 lower degree.  It is also the Hopf descriptor that :mod:`rackyd.yd` reads,
 so its ``product`` is exact and raises on degree overflow.  Only the
 products by one generator, ``times_gen`` and ``gen_times``, which the
-tetramodule tables and phi read, project away components of degree > d: the
-full algebra is infinite-dimensional, and every identity verified here is
-degree-filtered.
+tetramodule's actions and phi read, project away components of degree > d:
+the full algebra is infinite-dimensional, and every identity verified here
+is degree-filtered.
 
 From an equivariant pair (a right g-module M together with a map f: M -> g,
 which is a Lie algebra object in the Loday-Pirashvili category of linear
@@ -21,16 +21,19 @@ maps) we assemble the bimodule-and-bicomodule U(g) (x) M:
     right coaction (u_(1) (x) m) (x) u_(2)
 
 with the map phi(u (x) m) = u f(m).  The subspace of left-coaction
-invariants is 1 (x) M, and :func:`inv_part` proves it from the tables rather
-than solving for it: the right counit law u_(1) counit(u_(2)) = u turns an
-invariant n, whose coaction is 1 (x) n, into n = 1 (x) (counit (x) id)(n),
-and each 1 (x) m is invariant.  The invariants inherit a Yetter-Drinfel'd
-structure (right adjoint action, restricted right coaction -- here
-trivial), phi restricts to them with image in ker(counit), and the bracket
-``x <| y = x phi~(y)`` makes them a braided Leibniz algebra.  Feeding in
-the quotient pair pi: g -> g_Lie of a Leibniz algebra returns the original
-bracket on g.  The tetramodule keeps only its four tables; the adjoint
-action is needed on generators only, where it is n.x_k - x_k.n.
+invariants is 1 (x) M, and :func:`inv_part` proves it from the left coaction
+rather than solving for it: the right counit law u_(1) counit(u_(2)) = u
+turns an invariant n, whose coaction is 1 (x) n, into
+n = 1 (x) (counit (x) id)(n), and each 1 (x) m is invariant.  The
+invariants inherit a Yetter-Drinfel'd structure (right adjoint action,
+restricted right coaction -- here trivial), phi restricts to them with image
+in ker(counit), and the bracket ``x <| y = x phi~(y)`` makes them a braided
+Leibniz algebra.  Feeding in the quotient pair pi: g -> g_Lie of a Leibniz
+algebra returns the original bracket on g.  The tetramodule stores no
+table: each of the four maps above is a method on one basis element
+u (x) m, read off the products and the coproduct of u, which
+``TruncatedPBW`` memoizes, so a command pays only for what it reads.  The
+adjoint action is needed on generators only, where it is n.x_k - x_k.n.
 
 Checks that involve products near the degree window are restricted to basis
 elements whose intermediate degrees provably stay inside it; each report says
@@ -128,7 +131,7 @@ class TruncatedPBW:
     This is the Hopf descriptor of :mod:`rackyd.yd`: ``product`` is exact and
     raises DegreeOverflowError when the degrees add up to more than d.  Only
     ``times_gen`` and ``gen_times``, the products by one generator that the
-    tetramodule tables read, truncate above d.
+    tetramodule's actions read, truncate above d.
     """
 
     def __init__(self, brackets, degree, labels=None, field=QQ):
@@ -165,7 +168,8 @@ class TruncatedPBW:
         self.gen_index = tuple(
             self.index[tuple(1 if k == i else 0 for k in range(n))] for i in range(n)
         ) if degree >= 1 else tuple()
-        self._times = {}  # (i, k) -> e_i x_k, filled on first use
+        # e_i x_k, x_k e_i and Delta(e_i), each filled on first use
+        self._times, self._gen_times, self._coproducts = {}, {}, {}
 
     @property
     def size(self) -> int:
@@ -220,9 +224,12 @@ class TruncatedPBW:
         """x_k * (basis monomial i), truncated above degree d.
 
         Every partial product but the last has degree <= d, so only the last
-        entry read truncates.
+        entry read truncates.  Memoized like ``times_gen``: entries are shared.
         """
-        return self._fold(self.times_gen(self.unit, k), self.word(i))
+        out = self._gen_times.get((k, i))
+        if out is None:
+            out = self._gen_times[k, i] = self._fold(self.times_gen(self.unit, k), self.word(i))
+        return out
 
     def product(self, i: int, j: int) -> dict:
         """The exact product of two basis monomials: the table folded along the word of j."""
@@ -243,8 +250,11 @@ class TruncatedPBW:
         term splits the degree of the input, so the output is always exactly
         representable.  Coefficients that vanish in the field are dropped, and
         the terms are sorted by their pair of words, the order the tetramodule's
-        coaction rows are written in.
+        coaction rows are written in.  Memoized like ``times_gen``: the list
+        is shared, so no caller may mutate it.
         """
+        if i in self._coproducts:
+            return self._coproducts[i]
         exp = self.basis[i]
         terms = []
         for a in itertools.product(*(range(e + 1) for e in exp)):
@@ -254,7 +264,8 @@ class TruncatedPBW:
                 rest = tuple(e - m for e, m in zip(exp, a))
                 terms.append((word, c, self.index[a], self.index[rest]))
         terms.sort(key=lambda t: t[0])
-        return [t[1:] for t in terms]
+        out = self._coproducts[i] = [t[1:] for t in terms]
+        return out
 
     def counit(self, i: int):
         return self.field.one if i == self.unit else self.field.zero
@@ -340,8 +351,10 @@ class LieMapObject:
         return len(self.module_labels)
 
 
-# sl2 with M = sl2 reaches this at degree 18 (dimension 3990): `build_env`
-# there takes about 2.5 s in-process and peaks at 100 MB (single runs, as above)
+# sl2 with M = sl2 reaches this at degree 18 (dimension 3990).  It bounds the
+# commands that run the structure maps on every basis element: there
+# `env-build --json` takes about 6 s in-process and peaks at 194 MB, and
+# `theorem1-bracket` 2.2 s at 29 MB (single runs, as above)
 ENV_MAX_SIZE = 4096
 
 
@@ -351,6 +364,8 @@ class EnvTetramodule:
     Its dimension is the number of PBW monomials of degree <= d in dim g
     letters, ``comb(dim g + d, d)``, times dim M; above ``ENV_MAX_SIZE`` the
     construction is refused with a ValidationError before anything is built.
+    Construction builds only the PBW basis and the labels; the four
+    structure maps are computed on one basis element when asked for.
     """
 
     def __init__(self, obj: LieMapObject, degree: int = 2):
@@ -361,38 +376,10 @@ class EnvTetramodule:
         self.obj = obj
         self.field = obj.field
         self.pbw = TruncatedPBW(obj.brackets, degree, obj.lie_labels, obj.field)
-        nm = obj.dim_module
-        self.module_dim = nm
+        self.module_dim = obj.dim_module
         self.labels = tuple(
             f"{hl}⊗{ml}" for hl in self.pbw.labels for ml in obj.module_labels
         )
-        right_act, left_act = [], []
-        left_coact, right_coact = [], []
-        lie = range(self.pbw.dim_lie)
-        for h in range(self.pbw.size):
-            # the products and the coproduct of h are shared by every m
-            times_gen = [self.pbw.times_gen(h, k) for k in lie]
-            gen_times = [self.pbw.gen_times(k, h) for k in lie]
-            delta = self.pbw.coproduct(h)
-            for m in range(nm):
-                right_act.append(tuple(
-                    vsum({self.eidx(h2, m): c for h2, c in times_gen[k].items()},
-                         {self.eidx(h, m2): c for m2, c in obj.action[k][m].items()})
-                    for k in lie
-                ))
-                left_act.append(tuple(
-                    {self.eidx(h2, m): c for h2, c in gen_times[k].items()} for k in lie
-                ))
-                lco, rco = [], []
-                for c, a, b in delta:
-                    lco.append((a, self.eidx(b, m), c))
-                    rco.append((self.eidx(a, m), b, c))
-                left_coact.append(tuple(lco))
-                right_coact.append(tuple(rco))
-        self.right_act_tab = tuple(right_act)
-        self.left_act_tab = tuple(left_act)
-        self.left_coact_tab = tuple(left_coact)
-        self.right_coact_tab = tuple(right_coact)
 
     @property
     def size(self) -> int:
@@ -404,13 +391,35 @@ class EnvTetramodule:
     def split(self, e: int):
         return divmod(e, self.module_dim)
 
-    # -- the generator actions (truncating, like the tables they read) ------
+    # -- the four structure maps on one basis element e = u (x) m; the actions
+    # truncate above d, like the PBW products they read --------------------
+
+    def right_act_basis(self, e: int, k: int) -> dict:
+        """(u (x) m) . x_k = u x_k (x) m + u (x) m.x_k."""
+        h, m = self.split(e)
+        return vsum({self.eidx(h2, m): c for h2, c in self.pbw.times_gen(h, k).items()},
+                    {self.eidx(h, m2): c for m2, c in self.obj.action[k][m].items()})
+
+    def left_act_basis(self, k: int, e: int) -> dict:
+        """x_k . (u (x) m) = x_k u (x) m."""
+        h, m = self.split(e)
+        return {self.eidx(h2, m): c for h2, c in self.pbw.gen_times(k, h).items()}
+
+    def left_coaction(self, e: int) -> list:
+        """u_(1) (x) (u_(2) (x) m), as terms (u_(1), u_(2) (x) m, c) in the order of Delta(u)."""
+        h, m = self.split(e)
+        return [(a, self.eidx(b, m), c) for c, a, b in self.pbw.coproduct(h)]
+
+    def right_coaction(self, e: int) -> list:
+        """(u_(1) (x) m) (x) u_(2), as terms (u_(1) (x) m, u_(2), c) in the order of Delta(u)."""
+        h, m = self.split(e)
+        return [(self.eidx(a, m), b, c) for c, a, b in self.pbw.coproduct(h)]
 
     def right_act_gen(self, vec: dict, k: int) -> dict:
-        return lincomb(vec, lambda e: self.right_act_tab[e][k])
+        return lincomb(vec, lambda e: self.right_act_basis(e, k))
 
     def left_act_gen(self, k: int, vec: dict) -> dict:
-        return lincomb(vec, lambda e: self.left_act_tab[e][k])
+        return lincomb(vec, lambda e: self.left_act_basis(k, e))
 
     def adjoint(self, vec: dict, k: int) -> dict:
         """Right adjoint action S(h_(1)) . n . h_(2) of the generator h = x_k.
@@ -519,41 +528,32 @@ def inv_part(env: EnvTetramodule) -> InvariantPart:
     one = env.field.one
     pbw = env.pbw
     unit = pbw.unit
-    delta = [vsum(*({(h1, e1): c} for h1, e1, c in terms)) for terms in env.left_coact_tab]
+
+    def delta(e):
+        return vsum(*({(h1, e1): c} for h1, e1, c in env.left_coaction(e)))
 
     def counit_middle(he):  # h1 (x) (u (x) m) -> counit(u) h1 (x) m
         u, m = env.split(he[1])
         return {env.eidx(he[0], m): pbw.counit(u)}
 
-    for e, d in enumerate(delta):
-        if lincomb(d, counit_middle) != {e: one}:
+    for e in range(env.size):
+        if lincomb(delta(e), counit_middle) != {e: one}:
             raise ConsistencyError(f"left coaction fails the counit law at {env.labels[e]}")
-    vectors = [{env.eidx(unit, m): one} for m in range(env.module_dim)]
-    for vec in vectors:
-        ((e, _),) = vec.items()
-        if delta[e] != {(unit, e): one}:
+    units = [env.eidx(unit, m) for m in range(env.module_dim)]
+    for e in units:
+        if delta(e) != {(unit, e): one}:
             raise ConsistencyError(f"{env.labels[e]} is not left-coaction invariant")
 
-    def unit_row(vec: dict) -> dict:
-        coords = {}
-        for e, c in sorted(vec.items()):
-            h, m = env.split(e)
-            if h != unit:
-                raise ConsistencyError("structure map left the invariant subspace")
-            coords[m] = c
-        return coords
+    def coordinate(e: int) -> int:  # m, for e = 1 (x) m
+        h, m = env.split(e)
+        if h != unit:
+            raise ConsistencyError("structure map left the invariant subspace")
+        return m
 
-    action = [[unit_row(env.adjoint(vec, k)) for k in range(len(pbw.gen_index))]
-              for vec in vectors]
-    coaction = []
-    for vec in vectors:
-        delta_r = lincomb(vec, lambda e: {(e1, h1): c for e1, h1, c in env.right_coact_tab[e]})
-        by_h = {}
-        for (e1, h1), c in delta_r.items():
-            by_h.setdefault(h1, {})[e1] = c
-        coaction.append(sorted(
-            (m, h1, c) for h1, vec_h in by_h.items() for m, c in unit_row(vec_h).items()
-        ))
+    vectors = [{e: one} for e in units]
+    action = [[{coordinate(e): c for e, c in sorted(env.adjoint(vec, k).items())}
+               for k in range(len(pbw.gen_index))] for vec in vectors]
+    coaction = [[(coordinate(e1), h1, c) for e1, h1, c in env.right_coaction(e)] for e in units]
     module = YDModule(pbw, env.obj.module_labels, action, coaction)
     return InvariantPart(module, tuple(vectors))
 

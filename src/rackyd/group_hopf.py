@@ -23,6 +23,7 @@ right structures are stored.
 from typing import NamedTuple
 
 from .errors import ValidationError
+from .grouptable import augmentation_failures
 from .linalg import lincomb
 from .racks import AugmentedRack, FiniteGroup, check_augmented
 from .scalars import QQ
@@ -209,17 +210,17 @@ def function_dual_check(aug: AugmentedRack, field=QQ) -> DualReport:
     ``(p* (x) id)`` of the coaction of ``delta_a`` has support
     {(x, h) : h^-1 p(x) h = a}.  The two differ at (x, h) for exactly the
     a in {u, v}, where ``u = p(x.h) != v = h^-1 p(x) h``: colinearity is the
-    augmentation identity.  One pass over (x, h) finds the least a whose
-    supports differ and the least (x, h) in their difference, the witness
-    ``(a, (x, h))``.
+    augmentation identity.  The least a whose supports differ and the least
+    (x, h) in their difference, the witness ``(a, (x, h))``, are read off the
+    failing pairs of :func:`rackyd.grouptable.augmentation_failures`, the
+    sweep behind :func:`rackyd.racks.check_augmented`.
 
     p* is not checked as an algebra map: a pullback of functions is always a
     unital algebra map for the pointwise products.
     """
     g = aug.group
-    failures = ((min(u, v), (x, h))
-                for x in range(aug.size) for h in range(g.size)
-                for u, v in [(aug.p[aug.act(x, h)], g.conj(aug.p[x], h))] if u != v)
+    failures = ((min(aug.p[aug.act(x, h)], g.conj(aug.p[x], h)), (x, h))
+                for x, h in augmentation_failures(g.mul, aug.action, aug.p))
     witness = min(failures, default=None)
     witnesses = {} if witness is None else {"p_star_right_colinear": witness}
     return DualReport(witness is None, witness is None, witnesses)

@@ -63,15 +63,20 @@ def action_witness(mul, e, generators, points, act):
     return None
 
 
-def augmentation_witness(mul, action, p):
-    """The least ``(x, g)`` with ``p(x.g) != g^-1 p(x) g``, or None.
+def augmentation_failures(mul, action, p):
+    """Every ``(x, g)`` with ``p(x.g) != g^-1 p(x) g``, in order.
 
     In a group the identity reads ``g p(x.g) = p(x) g``, and both sides are
-    compared as a whole row over g."""
+    compared as a whole row over g; only a row that differs is read entry by
+    entry."""
     for x, row in enumerate(action):
         # p(x.g) over g; itemgetter of a single index returns the item, not a tuple
         images = itemgetter(*row)(p) if len(row) > 1 else [p[y] for y in row]
-        left = tuple(map(getitem, mul, images))
-        if left != mul[p[x]]:
-            return (x, _first_difference(left, mul[p[x]]))
-    return None
+        left, right = tuple(map(getitem, mul, images)), mul[p[x]]
+        if left != right:
+            yield from ((x, g) for g, (u, v) in enumerate(zip(left, right)) if u != v)
+
+
+def augmentation_witness(mul, action, p):
+    """The least ``(x, g)`` with ``p(x.g) != g^-1 p(x) g``, or None."""
+    return next(augmentation_failures(mul, action, p), None)

@@ -132,6 +132,15 @@ def _require_leibniz(alg: LeibnizAlgebra):
 # ---------------------------------------------------------------------------
 # a small fixture corpus
 
+def _from_constants(basis, constants, field) -> LeibnizAlgebra:
+    """The algebra with [b_i, b_j] = sum of c b_k over ``constants[i, j] = {k: c}``,
+    each integer c read as ``c * field.one``; a missing (i, j) brackets to 0."""
+    n = len(basis)
+    table = [[{k: field.one * c for k, c in constants.get((i, j), {}).items()}
+              for j in range(n)] for i in range(n)]
+    return LeibnizAlgebra(basis, table, field)
+
+
 def heisenberg_voros(field=QQ) -> LeibnizAlgebra:
     """The 3-dimensional Heisenberg-Voros algebra.
 
@@ -139,53 +148,34 @@ def heisenberg_voros(field=QQ) -> LeibnizAlgebra:
     extension of the abelian 2-dimensional algebra whose cocycle has both a
     symmetric and an antisymmetric part, so it is Leibniz but not Lie.
     """
-    one = field.one
-    table = [[{} for _ in range(3)] for _ in range(3)]
-    table[0][0] = {2: one}
-    table[1][1] = {2: one}
-    table[0][1] = {2: one}
-    table[1][0] = {2: -one}
-    return LeibnizAlgebra(("x", "y", "z"), table, field)
+    return _from_constants(("x", "y", "z"), {
+        (0, 0): {2: 1}, (1, 1): {2: 1}, (0, 1): {2: 1}, (1, 0): {2: -1}}, field)
 
 
 def abelian_lie(n: int, field=QQ) -> LeibnizAlgebra:
-    return LeibnizAlgebra(
-        tuple(f"e{i}" for i in range(n)),
-        [[{} for _ in range(n)] for _ in range(n)],
-        field,
-    )
+    return _from_constants(tuple(f"e{i}" for i in range(n)), {}, field)
 
 
 def nonabelian_lie2(field=QQ) -> LeibnizAlgebra:
     """The 2-dimensional nonabelian Lie algebra: [e1, e2] = e1."""
-    one = field.one
-    table = [[{}, {0: one}], [{0: -one}, {}]]
-    return LeibnizAlgebra(("e1", "e2"), table, field)
+    return _from_constants(("e1", "e2"), {(0, 1): {0: 1}, (1, 0): {0: -1}}, field)
 
 
 def sl2(field=QQ) -> LeibnizAlgebra:
     """sl(2) on (e, f, h): [e,f] = h, [h,e] = 2e, [h,f] = -2f."""
-    one = field.one
-    two = one + one
-    table = [[{} for _ in range(3)] for _ in range(3)]
-    table[0][1] = {2: one}
-    table[1][0] = {2: -one}
-    table[2][0] = {0: two}
-    table[0][2] = {0: -two}
-    table[2][1] = {1: -two}
-    table[1][2] = {1: two}
-    return LeibnizAlgebra(("e", "f", "h"), table, field)
+    return _from_constants(("e", "f", "h"), {
+        (0, 1): {2: 1}, (1, 0): {2: -1}, (2, 0): {0: 2}, (0, 2): {0: -2},
+        (2, 1): {1: -2}, (1, 2): {1: 2}}, field)
 
 
 def central_square2(field=QQ) -> LeibnizAlgebra:
     """2-dimensional Leibniz algebra with [x,x] = y, y central on both sides."""
-    table = [[{1: field.one}, {}], [{}, {}]]
-    return LeibnizAlgebra(("x", "y"), table, field)
+    return _from_constants(("x", "y"), {(0, 0): {1: 1}}, field)
 
 
 def non_leibniz1(field=QQ) -> LeibnizAlgebra:
     """The 1-dimensional table [x,x] = x; fails the identity (x vs 2x)."""
-    return LeibnizAlgebra(("x",), [[{0: field.one}]], field)
+    return _from_constants(("x",), {(0, 0): {0: 1}}, field)
 
 
 # ---------------------------------------------------------------------------

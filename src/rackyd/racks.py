@@ -253,11 +253,7 @@ class FiniteGroup:
         """S_n on points 1..n, elements sorted by one-line notation."""
         if n < 1:
             raise ValidationError("symmetric group degree must be >= 1")
-        perms = sorted(_permutations(range(n)))
-        labels = [_cycle_label(p, points=list(range(1, n + 1))) for p in perms]
-        index = {p: i for i, p in enumerate(perms)}
-        mul = [[index[_perm_mul(a, b)] for b in perms] for a in perms]
-        return cls(labels, mul)
+        return cls._on_permutations(_permutations(range(n)), list(range(1, n + 1)))[0]
 
     @classmethod
     def from_permutations(cls, gens, degree: int) -> tuple["FiniteGroup", dict]:
@@ -283,9 +279,15 @@ class FiniteGroup:
                         seen.add(c)
                         new.append(c)
             frontier = new
-        perms = sorted(seen)
+        return cls._on_permutations(seen)
+
+    @classmethod
+    def _on_permutations(cls, perms, points=None) -> tuple["FiniteGroup", dict]:
+        """The group of a closed set of permutations in one-line order, labelled
+        on ``points``, and the index of each permutation."""
+        perms = sorted(perms)
         index = {p: i for i, p in enumerate(perms)}
-        labels = [_cycle_label(p) for p in perms]
+        labels = [_cycle_label(p, points) for p in perms]
         mul = [[index[_perm_mul(a, b)] for b in perms] for a in perms]
         return cls(labels, mul), index
 

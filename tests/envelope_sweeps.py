@@ -9,7 +9,7 @@ from f's equivariance; the sweeps below are the basis-by-basis checks they
 replaced, kept as the oracle for the differential tests.  Each returns the
 same record, with the same scopes and witnesses.  The actions of whole
 elements of the truncated envelope, the general adjoint action and the
-antipode component T are folded here from the tetramodule's generator tables.
+antipode component T are folded here from the tetramodule's structure maps.
 """
 
 from rackyd.envelope import AntipodeReport, PhiReport, phi_map
@@ -88,17 +88,17 @@ def adjoint_by_coproduct(env, vec, h):
 
 
 def antipode_component(env, vec):
-    """T(n) = -S(n_(-1)) n_(0) S(n_(1)), from the coaction tables."""
+    """T(n) = -S(n_(-1)) n_(0) S(n_(1)), from the two coactions."""
     one = env.field.one
 
     def left_term(he):
         h1, e1 = he
         s1 = env.pbw.antipode(h1)
-        return lincomb({(e2, h2): c for e2, h2, c in env.right_coact_tab[e1]}, lambda eh: (
+        return lincomb({(e2, h2): c for e2, h2, c in env.right_coaction(e1)}, lambda eh: (
             left_mul(env, s1, right_act(env, {eh[0]: one}, env.pbw.antipode(eh[1])))))
 
     return lincomb({e: -c for e, c in vec.items()}, lambda e: lincomb(
-        {(h1, e1): c for h1, e1, c in env.left_coact_tab[e]}, left_term))
+        {(h1, e1): c for h1, e1, c in env.left_coaction(e)}, left_term))
 
 
 def phi_checks_by_sweep(env) -> PhiReport:
@@ -118,9 +118,9 @@ def phi_checks_by_sweep(env) -> PhiReport:
         if sum(env.pbw.basis[h]) > d - 1:
             continue
         lhs = hvec_coproduct(env.pbw, phi_map(env, {e: one}))
-        left = lincomb({(h1, e1): c for h1, e1, c in env.left_coact_tab[e]},
+        left = lincomb({(h1, e1): c for h1, e1, c in env.left_coaction(e)},
                        lambda he: {(he[0], k): c for k, c in phi_map(env, {he[1]: one}).items()})
-        right = lincomb({(e1, h1): c for e1, h1, c in env.right_coact_tab[e]},
+        right = lincomb({(e1, h1): c for e1, h1, c in env.right_coaction(e)},
                         lambda eh: {(k, eh[1]): c for k, c in phi_map(env, {eh[0]: one}).items()})
         if lhs != vsum(left, right):
             coderivation_ok = False

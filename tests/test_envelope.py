@@ -232,7 +232,7 @@ def test_build_env_right_coaction_display():
     xbar = env.pbw.gen_index[0]
     e = env.eidx(xbar, 0)  # xbar (x) x
     expect = {(env.eidx(env.pbw.unit, 0), xbar, one), (e, env.pbw.unit, one)}
-    assert set(env.right_coact_tab[e]) == expect
+    assert set(env.right_coaction(e)) == expect
 
 
 def test_phi_unit_case():
@@ -261,7 +261,7 @@ def test_inv_part_is_one_tensor_m():
     # a vector with a degree-1 first factor is not invariant
     xbar = env.pbw.gen_index[0]
     probe = env.eidx(xbar, 0)
-    terms = env.left_coact_tab[probe]
+    terms = env.left_coaction(probe)
     assert any(h != env.pbw.unit for h, _, _ in terms)
 
 
@@ -294,7 +294,7 @@ def elimination_inv_part(env):
     ncols = env.size
     rows = {}
     for e in range(ncols):
-        for h1, e1, c in env.left_coact_tab[e]:
+        for h1, e1, c in env.left_coaction(e):
             row = rows.setdefault(h1 * ncols + e1, {})
             row[e] = row.get(e, zero) + c
         row = rows.setdefault(unit * ncols + e, {})
@@ -321,7 +321,7 @@ def elimination_inv_part(env):
               for vec in vectors]
     coaction = []
     for vec in vectors:
-        delta = lincomb(vec, lambda e: {(e1, h1): c for e1, h1, c in env.right_coact_tab[e]})
+        delta = lincomb(vec, lambda e: {(e1, h1): c for e1, h1, c in env.right_coaction(e)})
         by_h = {}
         for (e1, h1), c in delta.items():
             by_h.setdefault(h1, {})[e1] = c
@@ -355,6 +355,67 @@ def test_inv_part_matches_elimination(field):
             assert got.module.coaction == module.coaction
 
 
+def structure_tables(env):
+    """The four structure maps as tables over every u (x) m, built by the
+    loop that once ran in the tetramodule's constructor: the reference for
+    its maps on one basis element."""
+    obj, pbw = env.obj, env.pbw
+    right_act, left_act, left_coact, right_coact = [], [], [], []
+    lie = range(pbw.dim_lie)
+    for h in range(pbw.size):
+        times_gen = [pbw.times_gen(h, k) for k in lie]
+        gen_times = [pbw.gen_times(k, h) for k in lie]
+        delta = pbw.coproduct(h)
+        for m in range(env.module_dim):
+            right_act.append(tuple(
+                vsum({env.eidx(h2, m): c for h2, c in times_gen[k].items()},
+                     {env.eidx(h, m2): c for m2, c in obj.action[k][m].items()})
+                for k in lie
+            ))
+            left_act.append(tuple(
+                {env.eidx(h2, m): c for h2, c in gen_times[k].items()} for k in lie
+            ))
+            lco, rco = [], []
+            for c, a, b in delta:
+                lco.append((a, env.eidx(b, m), c))
+                rco.append((env.eidx(a, m), b, c))
+            left_coact.append(tuple(lco))
+            right_coact.append(tuple(rco))
+    return tuple(right_act), tuple(left_act), tuple(left_coact), tuple(right_coact)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("make", [heisenberg_voros, sl2, central_square2],
+                         ids=["HV", "sl2", "central_square2"])
+def test_structure_maps_are_the_table_loop(make, field):
+    for degree in range(5):
+        env = build_env(lie_map_object(make(field)), degree)
+        right_act, left_act, left_coact, right_coact = structure_tables(env)
+        lie = range(env.pbw.dim_lie)
+        assert len(right_act) == env.size
+        for e in range(env.size):
+            assert tuple(env.right_act_basis(e, k) for k in lie) == right_act[e]
+            assert tuple(env.left_act_basis(k, e) for k in lie) == left_act[e]
+            assert tuple(env.left_coaction(e)) == left_coact[e]
+            assert tuple(env.right_coaction(e)) == right_coact[e]
+
+
+@pytest.mark.parametrize("argv", [["env-checks", "--degree", "3"], ["env-build", "--degree", "3"]])
+def test_commands_without_an_artifact_call_no_structure_map(monkeypatch, capsys, fixtures_dir,
+                                                            argv):
+    from rackyd.cli import run
+    from rackyd.envelope import EnvTetramodule
+
+    def refuse(*args):
+        raise AssertionError("a structure map was called")
+
+    for name in ("right_act_basis", "left_act_basis", "left_coaction", "right_coaction"):
+        monkeypatch.setattr(EnvTetramodule, name, refuse)
+    for fixture in ("leibniz_heisenberg_voros.json", "leibniz_sl2.json"):
+        assert run([argv[0], str(fixtures_dir / fixture), *argv[1:]]) == 0
+    capsys.readouterr()
+
+
 def _counit_term_first(env, terms):
     # the term h1 (x) (1 (x) m) is the one the counit law reads
     return sorted(terms, key=lambda t: env.split(t[1])[0] != env.pbw.unit)
@@ -382,10 +443,8 @@ def _add_degree_one_term(env, terms):
 ], ids=["coefficient-doubled", "term-dropped", "term-added"])
 def test_inv_part_rejects_an_edited_left_coaction(edit, row, message):
     env = build_env(lie_map_object(heisenberg_voros()), 2)
-    e = env.labels.index(row)
-    tab = list(env.left_coact_tab)
-    tab[e] = tuple(edit(env, tab[e]))
-    env.left_coact_tab = tuple(tab)
+    e, coaction = env.labels.index(row), env.left_coaction
+    env.left_coaction = lambda e2: edit(env, coaction(e2)) if e2 == e else coaction(e2)
     with pytest.raises(ConsistencyError, match=message):
         inv_part(env)
 
@@ -393,11 +452,10 @@ def test_inv_part_rejects_an_edited_left_coaction(edit, row, message):
 def test_inv_part_rejects_an_action_off_the_invariants():
     env = build_env(lie_map_object(heisenberg_voros()), 2)
     _, y = env.pbw.gen_index
-    e = env.eidx(env.pbw.unit, 0)
-    tab = list(env.right_act_tab)
+    e, act = env.eidx(env.pbw.unit, 0), env.right_act_basis
     # (1 (x) x) . y gains the term y (x) x, so the adjoint action leaves 1 (x) M
-    tab[e] = (tab[e][0], vsum(tab[e][1], {env.eidx(y, 0): F(1)}))
-    env.right_act_tab = tuple(tab)
+    env.right_act_basis = lambda e2, k: (
+        vsum(act(e2, k), {env.eidx(y, 0): F(1)}) if (e2, k) == (e, 1) else act(e2, k))
     with pytest.raises(ConsistencyError, match="left the invariant subspace"):
         inv_part(env)
 
@@ -445,12 +503,12 @@ def test_f_tilde_checks_match_the_loops_on_edited_f(data):
     f = list(env.obj.f)
     for m, vec in data.draw(st.lists(st.tuples(st.integers(0, len(f) - 1), vectors), max_size=2)):
         f[m] = vsum(vec)
-    env.obj.f = tuple(f)  # phi reads f; the tetramodule's tables do not
+    env.obj.f = tuple(f)  # phi reads f; the tetramodule's structure maps do not
     assert tuple(f_tilde_checks(env)) == lemma_by_loops(env)
 
 
 def edit_f(env, edits):
-    """Replace f(m) by ``vec`` for each (m, vec); phi reads f, the tetramodule's tables do not."""
+    """Replace f(m) by ``vec`` for each (m, vec); phi reads f, the structure maps do not."""
     f = list(env.obj.f)
     for m, vec in edits:
         f[m] = vsum(vec)
@@ -489,7 +547,7 @@ def test_phi_and_antipode_checks_match_the_sweeps_on_failing_edits():
 
 @pytest.mark.parametrize("degree", (2, 3, 4))
 def test_unedited_tetramodules_pass_the_reference_sweeps(degree):
-    # the construction facts the decisions rest on: tables built from the
+    # the construction facts the decisions rest on: structure maps read off the
     # PBW product and an equivariant f make every swept identity hold
     for make in FIXTURE_ALGEBRAS:
         env = build_env(lie_map_object(make()), degree)

@@ -20,9 +20,53 @@ from rackyd.leibniz import (
     unital_shelf,
 )
 from rackyd.linalg import lincomb
+from rackyd.scalars import QQ, PrimeField
 from rackyd.yd import braiding, check_yd, flip_matrix
 
 F = Fraction
+
+
+def hand_built_fixtures(field):
+    """The fixture algebras with their tables filled by hand, the reference
+    for the constructors, which read one mapping of structure constants."""
+    one = field.one
+    two = one + one
+    hv = [[{} for _ in range(3)] for _ in range(3)]
+    hv[0][0] = {2: one}
+    hv[1][1] = {2: one}
+    hv[0][1] = {2: one}
+    hv[1][0] = {2: -one}
+    s = [[{} for _ in range(3)] for _ in range(3)]
+    s[0][1] = {2: one}
+    s[1][0] = {2: -one}
+    s[2][0] = {0: two}
+    s[0][2] = {0: -two}
+    s[2][1] = {1: -two}
+    s[1][2] = {1: two}
+    return {
+        "heisenberg_voros": LeibnizAlgebra(("x", "y", "z"), hv, field),
+        "abelian_lie": LeibnizAlgebra(tuple(f"e{i}" for i in range(3)),
+                                      [[{} for _ in range(3)] for _ in range(3)], field),
+        "nonabelian_lie2": LeibnizAlgebra(("e1", "e2"), [[{}, {0: one}], [{0: -one}, {}]], field),
+        "sl2": LeibnizAlgebra(("e", "f", "h"), s, field),
+        "central_square2": LeibnizAlgebra(("x", "y"), [[{1: one}, {}], [{}, {}]], field),
+        "non_leibniz1": LeibnizAlgebra(("x",), [[{0: one}]], field),
+    }
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+def test_fixture_constructors_build_the_hand_built_tables(field):
+    built = {"heisenberg_voros": heisenberg_voros(field), "abelian_lie": abelian_lie(3, field),
+             "nonabelian_lie2": nonabelian_lie2(field), "sl2": sl2(field),
+             "central_square2": central_square2(field), "non_leibniz1": non_leibniz1(field)}
+    for name, want in hand_built_fixtures(field).items():
+        got = built[name]
+        assert got == want, name
+        assert got.field is field
+        assert got.brackets == want.brackets
+        assert got.to_json_dict() == want.to_json_dict(), name
+        assert [[{k: type(c) for k, c in v.items()} for v in row] for row in got.brackets] == \
+            [[{k: type(c) for k, c in v.items()} for v in row] for row in want.brackets]
 
 
 def test_lie_algebras_are_leibniz():

@@ -1,8 +1,8 @@
 """Row-at-a-time group and action checks against their entrywise references.
 
-``FiniteGroup.__init__``, ``FiniteGroup.action_witness`` and
-``check_augmented`` compare whole rows through :mod:`rackyd.grouptable` and
-read a row entry by entry only when it differs.  The references below are
+``FiniteGroup.__init__``, ``FiniteGroup.action_witness``,
+``check_augmented`` and ``function_dual_check`` compare whole rows through
+:mod:`rackyd.grouptable` and read a row entry by entry only when it differs.  The references below are
 the entrywise loops they replaced; on seeded perturbations of the S4 and D7
 tables both must raise the same message or return the same witness.
 """
@@ -12,6 +12,7 @@ import random
 import pytest
 
 from rackyd.errors import ValidationError
+from rackyd.group_hopf import function_dual_check
 from rackyd.linalg import lincomb
 from rackyd.racks import (
     AugmentedRack,
@@ -77,6 +78,15 @@ def check_augmented_reference(aug):
             if aug.p[aug.act(x, h)] != g.conj(aug.p[x], h):
                 return (False, (x, h))
     return (True, None)
+
+
+def function_dual_witness_reference(aug):
+    """The least ``(min(u, v), (x, h))`` over the pairs with ``u = p(x.h) != v = h^-1 p(x) h``."""
+    g = aug.group
+    failures = ((min(u, v), (x, h))
+                for x in range(aug.size) for h in range(g.size)
+                for u, v in [(aug.p[aug.act(x, h)], g.conj(aug.p[x], h))] if u != v)
+    return min(failures, default=None)
 
 
 def _first_failing_generator(group, points, act):
@@ -219,6 +229,27 @@ def test_check_augmented_is_the_entrywise_reference(name):
             want = check_augmented_reference(case)
             assert tuple(check_augmented(case)) == want
             failing += not want[0]
+    assert failing > TRIALS
+
+
+@pytest.mark.parametrize("name", sorted(AUGMENTED))
+def test_function_dual_check_is_the_entrywise_reference(name):
+    aug, rng = AUGMENTED[name], random.Random(f"dual {name}")
+    group, n = aug.group, aug.size
+    failing = 0
+    for _ in range(TRIALS):
+        p = list(aug.p)
+        p[rng.randrange(n)] = rng.randrange(group.size)
+        cases = [AugmentedRack(aug.elements, group, aug.action, p)]
+        for _, table in _action_perturbations(aug, rng):
+            cases.append(AugmentedRack(aug.elements, group,
+                                       tuple(map(tuple, table)), aug.p, proved=True))
+        for case in cases:
+            want = function_dual_witness_reference(case)
+            rep = function_dual_check(case)
+            assert rep.ok == (want is None)
+            assert rep.witnesses == ({} if want is None else {"p_star_right_colinear": want})
+            failing += want is not None
     assert failing > TRIALS
 
 
