@@ -31,7 +31,11 @@ unless a row says otherwise:
 - sl2 ``env-build --json`` at degrees 10, 12 and 14 (a whole
   ``rackyd.cli.run`` call that writes the tetramodule's four structure maps
   to a scratch file; the tetramodule computes them only for the artifact);
-- sl2 ``env-checks`` at degree 7 (a whole ``rackyd.cli.run`` call).
+- sl2 ``env-checks`` at degree 7 and ``theorem1-bracket`` at degree 18,
+  the ``ENV_MAX_SIZE`` bound (each a whole ``rackyd.cli.run`` call);
+- ``make-conjugation`` on the S6 group (its file written first, untimed)
+  and ``make-dihedral 1000``, each a whole ``rackyd.cli.run`` call that
+  prints the quandle's table in its report.
 
 The process is pinned to one CPU, and every run is timed at reference speed
 as ``perfbench/run.py`` times its invocations: ``reference_loop()`` is timed
@@ -185,6 +189,19 @@ def envelope_rows(tmp):
     return rows + [
         {"instance": "sl2", "degree": 7, "command": "env-checks",
          **timed(lambda: cli("env-checks", sl2, "--degree", "7"))},
+        {"instance": "sl2", "degree": 18, "command": "theorem1-bracket",
+         **timed(lambda: cli("theorem1-bracket", sl2, "--degree", "18"))},
+    ]
+
+
+def make_rows(tmp):
+    group = tmp / "s6.group.json"
+    group.write_text(json.dumps(racks.FiniteGroup.symmetric(6).to_json_dict()))
+    return [
+        {"instance": "S6", "dim": 720, "command": "make-conjugation",
+         **timed(lambda: cli("make-conjugation", group))},
+        {"instance": "D1000", "dim": 1000, "command": "make-dihedral 1000",
+         **timed(lambda: cli("make-dihedral", "1000"))},
     ]
 
 
@@ -211,7 +228,8 @@ def source_lines():
 def main():
     perfbench.pin_to_one_cpu()
     with tempfile.TemporaryDirectory() as tmp:
-        rows = rack_rows(pathlib.Path(tmp)) + envelope_rows(pathlib.Path(tmp))
+        tmp = pathlib.Path(tmp)
+        rows = rack_rows(tmp) + envelope_rows(tmp) + make_rows(tmp)
     bench = {
         "python": platform.python_version(),
         "platform": platform.platform(),

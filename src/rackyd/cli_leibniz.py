@@ -70,16 +70,17 @@ def cmd_env_build(args, field):
         "pbw_basis": list(env.pbw.labels),
     }
     if args.json:  # the structure maps go only into the artifact, so run them only for it
+        # each array is a generator, so the writer takes one row at a time
         basis, lie = range(env.size), range(env.pbw.dim_lie)
         _emit(args, report, None, {
             "labels": list(env.labels),
-            "right_action": [[vec_to_json(env.right_act_basis(e, k)) for k in lie]
-                             for e in basis],
-            "left_action": [[vec_to_json(env.left_act_basis(k, e)) for k in lie] for e in basis],
-            "left_coaction": [[[h, e2, str(c)] for h, e2, c in env.left_coaction(e)]
-                              for e in basis],
-            "right_coaction": [[[e2, h, str(c)] for e2, h, c in env.right_coaction(e)]
-                               for e in basis],
+            "right_action": ([vec_to_json(env.right_act_basis(e, k)) for k in lie]
+                             for e in basis),
+            "left_action": ([vec_to_json(env.left_act_basis(k, e)) for k in lie] for e in basis),
+            "left_coaction": ([[h, e2, str(c)] for h, e2, c in env.left_coaction(e)]
+                              for e in basis),
+            "right_coaction": ([[e2, h, str(c)] for e2, h, c in env.right_coaction(e)]
+                               for e in basis),
         })
     return 0, report
 

@@ -366,6 +366,11 @@ class EnvTetramodule:
     construction is refused with a ValidationError before anything is built.
     Construction builds only the PBW basis and the labels; the four
     structure maps are computed on one basis element when asked for.
+
+    The basis element u_h (x) m sits at index ``h * dim M + m``
+    (:meth:`eidx`): m varies fastest and the PBW monomial slowest, the
+    opposite of the first-factor-fastest flattening of :mod:`rackyd.linalg`.
+    The labels, and the rows ``env-build --json`` writes, are in that order.
     """
 
     def __init__(self, obj: LieMapObject, degree: int = 2):
@@ -513,12 +518,20 @@ class InvariantPart(NamedTuple):
 def inv_part(env: EnvTetramodule) -> InvariantPart:
     """Prove that the left-coaction invariants are 1 (x) M, and transport the structure.
 
-    Two checks on the tables, each raising ConsistencyError on failure:
-    (id (x) counit (x) id) applied to the left coaction of every basis
-    element u (x) m gives back u (x) m (the right counit law of Delta), and
-    the left coaction of each 1 (x) m is 1 (x) (1 (x) m).  An invariant n then
-    equals (id (x) counit (x) id) delta(n) = 1 (x) (counit (x) id)(n), so it
-    lies in 1 (x) M, and the second check shows 1 (x) M is invariant.
+    Two checks on the left coaction, each raising ConsistencyError on
+    failure: (id (x) counit (x) id) applied to the left coaction of every
+    basis element u (x) m gives back u (x) m (the right counit law of Delta),
+    and the left coaction of each 1 (x) m is 1 (x) (1 (x) m).  An invariant n
+    then equals (id (x) counit (x) id) delta(n) = 1 (x) (counit (x) id)(n),
+    so it lies in 1 (x) M, and the second check shows 1 (x) M is invariant.
+
+    Each check is read at the first module basis vector m_0 only, which
+    covers every m: the left coaction of u (x) m is Delta(u) = sum of
+    u_(1) (x) u_(2) with m attached to the second factor, the same terms for
+    every m.  So the counit law at u (x) m_0, once per PBW monomial u, is
+    u_(1) counit(u_(2)) = u, which gives it at every u (x) m; and the
+    invariance of 1 (x) m_0 is Delta(1) = 1 (x) 1, which gives it at every
+    1 (x) m.  With dim M = 0 there is no basis element to check.
 
     The action on the invariants is the right adjoint action (which is where
     a bimodule's own action ends up once only one-sided structure remains),
@@ -536,13 +549,13 @@ def inv_part(env: EnvTetramodule) -> InvariantPart:
         u, m = env.split(he[1])
         return {env.eidx(he[0], m): pbw.counit(u)}
 
-    for e in range(env.size):
+    units = [env.eidx(unit, m) for m in range(env.module_dim)]
+    for h in range(pbw.size if units else 0):
+        e = env.eidx(h, 0)
         if lincomb(delta(e), counit_middle) != {e: one}:
             raise ConsistencyError(f"left coaction fails the counit law at {env.labels[e]}")
-    units = [env.eidx(unit, m) for m in range(env.module_dim)]
-    for e in units:
-        if delta(e) != {(unit, e): one}:
-            raise ConsistencyError(f"{env.labels[e]} is not left-coaction invariant")
+    if units and delta(units[0]) != {(unit, units[0]): one}:
+        raise ConsistencyError(f"{env.labels[units[0]]} is not left-coaction invariant")
 
     def coordinate(e: int) -> int:  # m, for e = 1 (x) m
         h, m = env.split(e)

@@ -12,7 +12,9 @@ subclass, a dict with a key that is not a string -- is encoded by
 exact by construction.
 
 A row is the largest string built: a list of rows, or of dicts, is written
-one entry at a time, so memory does not grow with the artifact.  Unlike
+one entry at a time, so memory does not grow with the artifact.  An iterator
+(a generator, say) is written as the list of its items, each taken when it is
+written, so the caller need not hold the list at all.  Unlike
 ``json``, :func:`dump` does not look for reference cycles; the values it is
 given are trees.
 """
@@ -50,19 +52,17 @@ def _write(write, value, nl):
         return
     inner = nl + "  "
     if kind is list or kind is tuple:
-        if not value:
-            write("[]")
-            return
-        row = _row(value)
+        row = _row(value) if value else None
         if row is not None:
             write("[" + inner + ("," + inner).join(row) + nl + "]")
             return
+    if kind is list or kind is tuple or hasattr(value, "__next__"):  # an iterator is a list
         sep = "["
         for item in value:
             write(sep + inner)
             _write(write, item, inner)
             sep = ","
-        write(nl + "]")
+        write("[]" if sep == "[" else nl + "]")
         return
     if kind is dict and len(value) == 1:  # most often a sparse vector's one entry
         (key, item), = value.items()

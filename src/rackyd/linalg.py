@@ -14,8 +14,10 @@ fastest, and the convention extends associatively to any number of factors.
 A map T on M (x) M (dim M = n) is a tuple of n*n sparse columns under this
 flattening; on M (x) M (x) M, T (x) 1 acts on the flat index
 ``(i + n*j) + n*n*k`` through column ``i + n*j`` and 1 (x) T on
-``i + n*(j + n*k)`` through column ``j + n*k``.  No other flattening is used
-anywhere in the package.
+``i + n*(j + n*k)`` through column ``j + n*k``.  Every map on tensor powers
+of one module uses this flattening.  The one other order in the package is
+the enveloping tetramodule's basis u (x) m of U(g) (x) M, which puts m
+fastest (:meth:`rackyd.envelope.EnvTetramodule.eidx`).
 
 In JSON a sparse vector is an object ``{"<index>": "<coefficient>"}``
 (:func:`vec_to_json`, :func:`vec_from_json`), and a map is the list of its

@@ -293,7 +293,17 @@ class FiniteGroup:
 
 
 def conjugation_rack(g: FiniteGroup) -> FiniteShelf:
-    """The conjugation quandle of a group: ``x <| y = y^-1 x y``."""
+    """The conjugation quandle of a group: ``x <| y = y^-1 x y``.
+
+    It is a quandle by the group axioms, which :class:`FiniteGroup` verified
+    when ``g`` was built, so :func:`check_shelf` (kept as the reference in
+    the tests) need not sweep it:
+
+    - ``(x <| y) <| z = z^-1 y^-1 x y z`` and ``(x <| z) <| (y <| z) =
+      (z^-1 y^-1 z)(z^-1 x z)(z^-1 y z)``, which is the same element;
+    - ``x -> y^-1 x y`` has the inverse ``x -> y x y^-1``;
+    - ``x <| x = x^-1 x x = x``.
+    """
     n = g.size
     op = [[g.conj(x, y) for y in range(n)] for x in range(n)]
     return FiniteShelf(g.elements, op)
@@ -306,7 +316,11 @@ def dihedral_quandle(n: int) -> FiniteShelf:
     """The dihedral quandle on Z/n: ``x <| y = 2y - x mod n``.
 
     Its table has n^2 entries, so n above ``DIHEDRAL_MAX_ORDER`` is refused
-    before anything is allocated.
+    before anything is allocated.  It is a quandle for every n >= 1, so
+    :func:`check_shelf` (kept as the reference in the tests) need not sweep
+    it: ``(x <| y) <| z = 2z - 2y + x = 2(2z - y) - (2z - x) =
+    (x <| z) <| (y <| z)``; ``x -> 2y - x`` is its own inverse; and
+    ``x <| x = 2x - x = x``.
     """
     if n < 1:
         raise ValidationError("dihedral quandle needs n >= 1")
@@ -462,16 +476,17 @@ def rack_tensor_and_braiding(a1: AugmentedRack, a2: AugmentedRack):
     ``p(x, y) = p1(x) p2(y)``.  The braiding is the bijection
     ``c(x, y) = (y, x . p2(y))``, returned as a dict on index pairs.
 
-    Both inputs must satisfy the augmentation identity (else ValidationError);
-    the tensor then satisfies it too, since ``p1(x.h) p2(y.h) = h^-1 p1(x) h
-    h^-1 p2(y) h``, so it is not checked again.  Nor is the diagonal action:
+    Both inputs must satisfy the augmentation identity (else ValidationError;
+    one sweep when they are one object).  The tensor then satisfies it too,
+    since ``p1(x.h) p2(y.h) = h^-1 p1(x) h h^-1 p2(y) h``, so it is not
+    checked again.  Nor is the diagonal action:
     both input actions were proved to be right actions when they were built,
     and then so is ``(x, y) . h = (x . h, y . h)``.
     """
     if a1.group != a2.group:
         raise ValidationError("augmented racks must share the same group")
-    _require_augmented(a1)
-    _require_augmented(a2)
+    for a in (a1,) if a2 is a1 else (a1, a2):
+        _require_augmented(a)
     g = a1.group
     pairs = [(x, y) for x in range(a1.size) for y in range(a2.size)]
     labels = [f"({a1.elements[x]},{a2.elements[y]})" for x, y in pairs]

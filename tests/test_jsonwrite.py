@@ -65,3 +65,43 @@ def test_a_scalar_at_the_top_is_written_as_json_writes_it():
         out = io.StringIO()
         jsonwrite.dump(value, out)
         assert out.getvalue() == json.dumps(value, indent=2, sort_keys=True)
+
+
+def _iterators(value):
+    """``value`` with every list, at every depth, replaced by an iterator over it."""
+    if type(value) is list:
+        return iter([_iterators(item) for item in value])
+    if type(value) is dict:
+        return {key: _iterators(item) for key, item in value.items()}
+    return value
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(VALUES, max_size=5))
+@example([])
+@example([[], [[]], {"a": []}, [1, "x"]])
+def test_an_iterator_is_written_as_its_list(value):
+    for given_value in (iter(value), _iterators(value)):
+        out = io.StringIO()
+        jsonwrite.dump(given_value, out)
+        assert out.getvalue() == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_an_iterator_is_read_one_entry_at_a_time():
+    # each row is taken from the iterator only after the one before it is written
+    taken, written = [], []
+
+    class File:
+        def write(self, text):
+            written.append((len(taken), text))
+
+    def rows():
+        for k in range(3):
+            taken.append(k)
+            yield [k, k + 1]
+
+    jsonwrite.dump({"rows": rows()}, File())
+    rows_written = [n for n, text in written if text.startswith("[") and text.endswith("]")]
+    assert rows_written == [1, 2, 3]
+    assert "".join(text for _, text in written) == json.dumps(
+        {"rows": [[0, 1], [1, 2], [2, 3]]}, indent=2, sort_keys=True)
