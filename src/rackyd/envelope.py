@@ -351,10 +351,10 @@ class LieMapObject:
         return len(self.module_labels)
 
 
-# sl2 with M = sl2 reaches this at degree 18 (dimension 3990).  It bounds the
-# commands that run the structure maps on every basis element: there
-# `env-build --json` takes about 6 s in-process and peaks at 194 MB, and
-# `theorem1-bracket` 2.2 s at 29 MB (single runs, as above)
+# sl2 with M = sl2 reaches this at degree 18 (dimension 3990).  It bounds
+# `env-build --json`, the one command that runs the structure maps on every
+# basis element: there it takes about 4-5 s as a process and peaks at 32 MB,
+# and `theorem1-bracket` about 1 s at 29 MB (single runs, as above)
 ENV_MAX_SIZE = 4096
 
 
