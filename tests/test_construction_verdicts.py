@@ -51,8 +51,8 @@ def calls(monkeypatch):
     return counts
 
 
-def _report(capsys, argv, code=0):
-    assert run(argv) == code
+def _report(capsys, argv):
+    assert run(argv) == 0
     return json.loads(capsys.readouterr().out)
 
 
