@@ -26,6 +26,12 @@ unless a row says otherwise:
   and spreads its runs by about 10 %, so the twin row, "bytecode present",
   reads a prefix that one untimed run of the command filled first: there a
   change of a few milliseconds per process shows;
+- ``linearize --json`` as such a process, compiling its imports, on kX of
+  D9, of the S5 transposition class (S5 acting by conjugation on its ten
+  transpositions, the benchmark's ``s5transp`` instance) and of the S6
+  conjugation quandle.  These rows also record the child's peak RSS
+  (``peak_rss_mb``): each child is started by a small launcher, which times
+  it and reads its ``ru_maxrss`` from ``wait4``;
 - the braiding of kX of the S5 conjugation quandle twisted by the diagonal
   ``d[x] = x + 1`` (so it is no longer unit): ``check-ybe`` alone;
 - sl2 ``env-build --json`` at degrees 10, 12 and 14 (a whole
@@ -86,12 +92,17 @@ def cli(*argv):
         raise SystemExit(f"rackyd {' '.join(map(str, argv))} exited {code}")
 
 
+def _env(cache):
+    """The environment of a ``rackyd`` process with the bytecode cache prefix ``cache``."""
+    return {**os.environ, "PYTHONPYCACHEPREFIX": str(cache),
+            "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                        os.environ.get("PYTHONPATH")]))}
+
+
 def process(cache, *argv, write=False):
     """One ``rackyd`` process that reads bytecode from the cache prefix ``cache``
     and writes none there unless ``write``; raises unless it exits 0."""
-    env = {**os.environ, "PYTHONPYCACHEPREFIX": str(cache),
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                       os.environ.get("PYTHONPATH")]))}
+    env = _env(cache)
     if write:
         env.pop("PYTHONDONTWRITEBYTECODE", None)
     argv = [str(a) for a in argv]
@@ -101,15 +112,44 @@ def process(cache, *argv, write=False):
         raise SystemExit(f"rackyd {' '.join(argv)} exited {proc.returncode}")
 
 
+# A small parent for one child, so that the child's ru_maxrss, read by wait4,
+# is its own peak: Linux folds the resident memory of the process a child is
+# forked from into the child's ru_maxrss, so a child of this script would read
+# at least this one's.  It prints the child's seconds, exit code and ru_maxrss.
+LAUNCHER = """
+import os, sys, time
+quiet = [(os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_WRONLY, 0) for fd in (1, 2)]
+t0 = time.perf_counter()
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ, file_actions=quiet)
+_, status, usage = os.wait4(pid, 0)
+print(time.perf_counter() - t0, os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def launched(cache, peaks, *argv):
+    """One ``rackyd`` process as in :func:`process`, started by the launcher;
+    appends its peak RSS in MB to ``peaks`` and returns its seconds."""
+    argv = [str(a) for a in argv]
+    proc = subprocess.run([sys.executable, "-S", "-c", LAUNCHER,
+                           sys.executable, "-B", "-m", "rackyd.cli", *argv],
+                          env=_env(cache), capture_output=True, text=True, timeout=600)
+    seconds, code, max_rss_kb = proc.stdout.split()
+    if proc.returncode != 0 or code != "0":
+        raise SystemExit(f"rackyd {' '.join(argv)} exited {code}")
+    peaks.append(int(max_rss_kb) / 1024)
+    return float(seconds)
+
+
 def timed(call):
     """RUNS runs of ``call``, each scaled by the mean of the reference loops
     timed right before and right after it; the loop after one run serves as
-    the loop before the next."""
+    the loop before the next.  A call that returns a number has timed itself."""
     runs, before = [], perfbench.reference_loop()
     for _ in range(RUNS):
         t0 = time.perf_counter()
-        call()
-        took = time.perf_counter() - t0
+        took = call()
+        if took is None:
+            took = time.perf_counter() - t0
         after = perfbench.reference_loop()
         runs.append(perfbench.at_reference_speed(took, (before + after) / 2))
         before = after
@@ -128,6 +168,16 @@ def twist(braid, out):
 
 
 WRITES = ("linearize --json", "braiding-matrix --json", "braided-leibniz --rack-q --json")
+LINEARIZE_PROCESS = "linearize --json process"
+
+
+def transpositions(group):
+    """S_n acting by conjugation on its transpositions (the labels with one
+    2-cycle), p the inclusion into S_n."""
+    xs = [x for x, label in enumerate(group.elements) if label.count(" ") == 1]
+    pos = {x: i for i, x in enumerate(xs)}
+    action = [[pos[group.conj(x, h)] for h in range(group.size)] for x in xs]
+    return racks.AugmentedRack([group.elements[x] for x in xs], group, action, xs)
 
 
 def rack_rows(tmp):
@@ -137,18 +187,21 @@ def rack_rows(tmp):
         ("kX of D9", racks.inner_augmentation(racks.dihedral_quandle(9)),
          ("check-ybe process", "braided-leibniz --rack-q process",
           "check-ybe process, bytecode present",
-          "braided-leibniz --rack-q process, bytecode present")),
+          "braided-leibniz --rack-q process, bytecode present", LINEARIZE_PROCESS)),
+        ("kX of the S5 transposition class", transpositions(symmetric(5)),
+         (LINEARIZE_PROCESS,)),
         ("kX of D21", racks.inner_augmentation(racks.dihedral_quandle(21)), both),
         ("kX of the S4 conjugation quandle", racks.conjugation_augmented(symmetric(4)), both),
         ("kX of the S5 conjugation quandle", racks.conjugation_augmented(symmetric(5)),
          both + ("twisted check-ybe",) + WRITES),
         ("kX of the S6 conjugation quandle", racks.conjugation_augmented(symmetric(6)),
-         ("check-ybe",)),
+         ("check-ybe", LINEARIZE_PROCESS)),
     ]
     cache, warm = tmp / "empty_pycache", tmp / "warm_pycache"
     cache.mkdir()
     rows = []
     for name, aug, commands in instances:
+        peaks = []
         stem = tmp / name.replace(" ", "_")
         aug_path, module, braid, twisted, written = (stem.with_suffix(s) for s in (
             ".aug.json", ".yd.json", ".tau.json", ".twisted.json", ".written.json"))
@@ -174,10 +227,14 @@ def rack_rows(tmp):
                 ("braiding-matrix --json",
                  lambda: cli("braiding-matrix", module, "--json", written)),
                 ("braided-leibniz --rack-q --json",
-                 lambda: cli("braided-leibniz", module, "--rack-q", "--json", written))):
+                 lambda: cli("braided-leibniz", module, "--rack-q", "--json", written)),
+                (LINEARIZE_PROCESS,
+                 lambda: launched(cache, peaks, "linearize", aug_path, "--json", written))):
             if command in commands:
                 rows.append({"instance": name, "dim": aug.size, "command": command,
                              **timed(call)})
+                if peaks:
+                    rows[-1]["peak_rss_mb"] = round(statistics.median(peaks), 2)
     return rows
 
 

@@ -20,12 +20,13 @@ kX has the trivial left action and trivial left coaction throughout; only the
 right structures are stored.
 """
 
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import ValidationError
 from .grouptable import augmentation_failures
 from .linalg import lincomb
-from .racks import AugmentedRack, FiniteGroup, check_augmented
+from .racks import AugmentedRack, FiniteGroup, _require_augmented
 from .scalars import QQ
 from .yd import YDModule, check_hopf_axioms  # noqa: F401  (perfbench/tracer.py wraps it here)
 
@@ -88,17 +89,16 @@ class GroupAlgebraDescriptor:
         the unit's included; group elements in the witness are labels.
 
         When every entry is a basis vector ``{k: one}`` (a permutation module,
-        such as kX or ker eps) the images are read as indices, which gives
-        the same witness without building a sparse vector per lookup."""
+        such as kX or ker eps) the images are read as an index table, which
+        gives the same witness without building a sparse vector per lookup."""
         one, rows = self.field.one, module.action
-        perm = [[next(iter(v)) if len(v) == 1 and one in v.values() else None for v in row]
-                for row in rows]
-        if all(k is not None for row in perm for k in row):
-            witness = self.group.action_witness(range(module.dim), lambda m, g: perm[m][g])
+        units = [{m: one} for m in range(module.dim)]
+        perm = [list(chain.from_iterable(row)) for row in rows]  # the indices in each row
+        if all(list(map(units.__getitem__, ks)) == list(row) for ks, row in zip(perm, rows)):
+            witness = self.group.action_witness(range(module.dim), perm)
         else:
             witness = self.group.action_witness(
-                [{m: one} for m in range(module.dim)],
-                lambda vec, g: lincomb(vec, lambda m: rows[m][g]))
+                units, lambda vec, g: lincomb(vec, lambda m: rows[m][g]))
         if witness is None:
             return None
         return (witness[0], *(self.labels[g] for g in witness[1:]))
@@ -152,10 +152,12 @@ def linearize_augmented(aug: AugmentedRack, field=QQ) -> LinearizedRack:
     Each is the augmentation identity at (x, g), which is proved here before
     the module is built, so the result is Yetter-Drinfel'd over every field
     and ``check_yd`` (kept as the reference in the tests) need not sweep it.
+
+    The ``linearize`` command builds no module: after the same proof,
+    :func:`rackyd.jsonio.linearized_to_dict` writes this module's file from
+    the tables of ``aug``.
     """
-    rep = check_augmented(aug)
-    if not rep.ok:
-        raise ValidationError(f"augmentation identity fails at {rep.witness}")
+    _require_augmented(aug)
     return LinearizedRack(grading_module(aug, aug.p, field), tuple(aug.p))
 
 

@@ -1,9 +1,10 @@
 """Group and action axioms on index tables, a row at a time.
 
-The kernels behind :class:`rackyd.racks.FiniteGroup` and
-:func:`rackyd.racks.check_augmented`: ``mul[a][b]`` is the index of ``a b``
-and every row is a tuple.  Each check compares whole rows, in C, and reads a
-row that differs for its least failing entry, so a witness is the one the
+The kernels behind :class:`rackyd.racks.FiniteGroup`,
+:func:`rackyd.racks.check_augmented` and the conjugation tables of
+:mod:`rackyd.racks`: ``mul[a][b]`` is the index of ``a b`` and every row is a
+tuple.  Each check compares whole rows (or columns), in C, and reads a row
+that differs for its least failing entry, so a witness is the one the
 entrywise loops (kept as references in ``tests/test_row_checks.py``) find.
 Like :mod:`rackyd.selfdist`, it imports no other module of the package.
 """
@@ -32,6 +33,17 @@ def inverse(mul, e, x):
     return y
 
 
+def conjugation_table(mul, inv):
+    """The table of ``y^-1 x y``, row x and column y, with no Python call per
+    entry: column y is the column of y in ``mul`` read at the row of y^-1,
+    whose entry x is ``y^-1 x``."""
+    columns = []
+    for i, col in zip(inv, zip(*mul)):
+        row = mul[i]  # itemgetter of a single index returns the item, not a tuple
+        columns.append(itemgetter(*row)(col) if len(row) > 1 else (col[row[0]],))
+    return tuple(zip(*columns))
+
+
 def associativity_witness(mul, generators):
     """The least ``(a, s, c)``, s in ``generators``, with ``(a s) c != a (s c)``,
     or None: for each a and s, the row of ``a s`` against the row of a read
@@ -46,7 +58,11 @@ def associativity_witness(mul, generators):
 
 def action_witness(mul, e, generators, points, act):
     """:meth:`rackyd.racks.FiniteGroup.action_witness` for the group with
-    table ``mul``, identity e and generating set ``generators``."""
+    table ``mul``, identity e and generating set ``generators``.  ``act`` is
+    a function ``act(x, g)``, or the index table of an action on
+    ``points = range(len(act))``, which is read by columns."""
+    if not callable(act):
+        return _table_action_witness(mul, e, generators, act)
     for i, x in enumerate(points):
         if act(x, e) != x:
             return (i, e)
@@ -60,6 +76,26 @@ def action_witness(mul, e, generators, points, act):
                 # the least (a, s) at x: a generator before s may fail at a smaller a
                 return next((i, a, s) for a in group for s in generators
                             if act(orbit[a], s) != orbit[mul[a][s]])
+    return None
+
+
+def _table_action_witness(mul, e, generators, table):
+    """:func:`action_witness` of ``act(x, g) = table[x][g]``, with no Python
+    call per (x, g): the column of s read at the orbit of x (the row of x) is
+    the row of (x a) s over a, and ``times_s`` of the orbit the row of x (a s)."""
+    points = range(len(table))
+    if list(map(itemgetter(e), table)) != list(points):
+        return (next(x for x in points if table[x][e] != x), e)
+    group = range(len(mul))
+    checks = [(s, itemgetter(*(row[s] for row in mul)), tuple(map(itemgetter(s), table)))
+              for s in generators]  # a generator needs |G| > 1, and then each getter a tuple
+    for x, orbit in enumerate(table):
+        at_orbit = itemgetter(*orbit)
+        for s, times_s, column in checks:
+            if at_orbit(column) != times_s(orbit):
+                # the least (a, s) at x: a generator before s may fail at a smaller a
+                return next((x, a, s) for a in group for s in generators
+                            if table[orbit[a]][s] != orbit[mul[a][s]])
     return None
 
 

@@ -187,8 +187,10 @@ class FiniteGroup:
         """The first failure of ``act`` as a right action of this group, or None.
 
         ``act(x, g)`` reads the image of x (a point or an image) under any g
-        from a table.  Returns ``(i, e)`` if e moves ``points[i]``, else the
-        least ``(i, a, s)``, s in ``generators``, with ``(x a) s != x (a s)``.
+        from a table; when the points are ``range(n)``, ``act`` may be that
+        index table itself, which is then compared a column at a time.
+        Returns ``(i, e)`` if e moves ``points[i]``, else the least
+        ``(i, a, s)``, s in ``generators``, with ``(x a) s != x (a s)``.
         That suffices: the h with ``(x a) h = x (a h)`` for all x, a form a
         submonoid.
         """
@@ -304,9 +306,7 @@ def conjugation_rack(g: FiniteGroup) -> FiniteShelf:
     - ``x -> y^-1 x y`` has the inverse ``x -> y x y^-1``;
     - ``x <| x = x^-1 x x = x``.
     """
-    n = g.size
-    op = [[g.conj(x, y) for y in range(n)] for x in range(n)]
-    return FiniteShelf(g.elements, op)
+    return FiniteShelf(g.elements, grouptable.conjugation_table(g.mul, g.inv))
 
 
 DIHEDRAL_MAX_ORDER = 1000
@@ -356,7 +356,7 @@ class AugmentedRack:
         p = tuple(as_int(v, "p entry") for v in p)
         if len(p) != nx or any(not 0 <= v < ng for v in p):
             raise ValidationError("p must map X into G")
-        witness = group.action_witness(range(nx), lambda x, g: action[x][g])
+        witness = group.action_witness(range(nx), action)
         if witness is not None and len(witness) == 2:
             raise ValidationError(f"identity must act trivially (fails at x={witness[0]})")
         if witness is not None:
@@ -438,9 +438,8 @@ def induced_rack(a: AugmentedRack) -> FiniteShelf:
 
 def conjugation_augmented(g: FiniteGroup) -> AugmentedRack:
     """X = G acting on itself by conjugation, p = id."""
-    n = g.size
-    action = [[g.conj(x, h) for h in range(n)] for x in range(n)]
-    return AugmentedRack(g.elements, g, action, list(range(n)))
+    action = grouptable.conjugation_table(g.mul, g.inv)
+    return AugmentedRack(g.elements, g, action, list(range(g.size)))
 
 
 def inner_augmentation(s: FiniteShelf) -> AugmentedRack:

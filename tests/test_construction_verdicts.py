@@ -4,7 +4,9 @@ that once re-decided them.
 ``make-conjugation`` and ``make-dihedral`` report ``is_quandle`` from the
 proofs in the docstrings of ``conjugation_rack`` and ``dihedral_quandle``,
 ``linearize`` reports ``yd_ok`` from the augmentation identity that
-``linearize_augmented`` proves, ``rack-braiding`` on one file sweeps that
+``check_augmented`` proves and writes kX from the augmented rack's tables,
+byte for byte the file of the module ``linearize_augmented`` builds,
+``rack-braiding`` on one file sweeps that
 identity once, and ``inv_part`` reads one left coaction per PBW monomial and
 one more for the invariance of 1 (x) M.  ``check_shelf`` and ``check_yd``
 stay the references here, on every instance the commands are run on.
@@ -17,8 +19,8 @@ from collections import Counter
 import pytest
 from conftest import FIXTURES
 
-from rackyd import envelope, grouptable, racks, yd
-from rackyd.cli import run
+from rackyd import envelope, grouptable, jsonio, racks, yd
+from rackyd.cli import _write_json, run
 from rackyd.envelope import EnvTetramodule, build_env, inv_part
 from rackyd.group_hopf import linearize_augmented
 from rackyd.leibniz import heisenberg_voros, lie_map_object, sl2
@@ -91,6 +93,15 @@ def test_make_conjugation_reads_the_quandle_off_the_group(group, tmp_path, capsy
     assert check_shelf(shelf).is_quandle
 
 
+@pytest.mark.parametrize("group", [*_groups(), pytest.param(FiniteGroup.cyclic(1), id="trivial")])
+def test_conjugation_tables_are_the_entrywise_conjugates(group):
+    # built a column at a time from the mul and inv rows, not by group.conj
+    n = group.size
+    want = tuple(tuple(group.conj(x, y) for y in range(n)) for x in range(n))
+    assert conjugation_rack(group).op == want
+    assert conjugation_augmented(group).action == want
+
+
 @pytest.mark.parametrize("n", range(1, 41))
 def test_make_dihedral_reads_the_quandle_off_the_formula(n, capsys, calls):
     report = _report(capsys, ["make-dihedral", str(n)])
@@ -117,15 +128,31 @@ def test_linearize_reads_yd_off_the_augmentation_identity(aug, field, tmp_path, 
     path = tmp_path / "aug.json"
     path.write_text(json.dumps(aug.to_json_dict()))
     argv = ["linearize", str(path), "--field", "rational" if field is QQ else "gfp:7"]
-    if not check_augmented(aug).ok:  # linearize_augmented refuses it before any module
+    rep = check_augmented(aug)
+    if not rep.ok:  # refused before anything is written
         assert run(argv) == 2
-        assert "augmentation identity fails" in capsys.readouterr().err
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"error: augmentation identity fails at {rep.witness}\n")
         return
+    module = linearize_augmented(aug, field).module
     calls.clear()
-    report = _report(capsys, argv)
+    assert run(argv) == 0
     assert calls == Counter({"augmentation_witness": 1})
+    out = capsys.readouterr().out
+    report = json.loads(out)
     assert report["yd_ok"] is True and report["dim"] == aug.size
-    assert yd.check_yd(linearize_augmented(aug, field).module).ok
+    assert yd.check_yd(module).ok
+    # the module in the report and in the artifact is the file of the module
+    # linearize_augmented builds, byte for byte once written
+    expected = jsonio.yd_to_dict(module)
+    assert out == json.dumps({**report, "module": expected}, indent=2, sort_keys=True) + "\n"
+    calls.clear()
+    assert run([*argv, "--json", str(tmp_path / "kX.json")]) == 0
+    assert calls == Counter({"augmentation_witness": 1})
+    _write_json(tmp_path / "reference.json", expected)
+    assert (tmp_path / "kX.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+    capsys.readouterr()
 
 
 def test_every_augmented_fixture_but_the_broken_one_linearizes():

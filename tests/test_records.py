@@ -70,6 +70,16 @@ def test_rack_braiding_imports_no_linear_algebra():
     assert loaded & {"yd", "linalg", "jsonio", "leibniz", "envelope"} == set()
 
 
+@pytest.mark.parametrize("artifact", [False, True], ids=["report", "json"])
+def test_linearize_builds_no_module(artifact, tmp_path):
+    # kX is written from the augmented rack's tables: no YDModule, no descriptor
+    argv = ["linearize", str(FIXTURES / "aug_s3_conj.json")]
+    if artifact:
+        argv += ["--json", str(tmp_path / "kX.json")]
+    loaded = _modules_after_command(*argv)
+    assert loaded & {"yd", "braid", "linalg", "group_hopf", "leibniz", "envelope"} == set()
+
+
 @pytest.mark.parametrize("argv", [
     ("check-ybe", "braiding_hv_sparse.json"),
     ("linearize", "aug_dihedral3.json"),

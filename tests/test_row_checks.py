@@ -1,7 +1,8 @@
 """Row-at-a-time group and action checks against their entrywise references.
 
-``FiniteGroup.__init__``, ``FiniteGroup.action_witness``,
-``check_augmented`` and ``function_dual_check`` compare whole rows through
+``FiniteGroup.__init__``, ``FiniteGroup.action_witness`` (given an action
+as a function or as its index table), ``check_augmented`` and
+``function_dual_check`` compare whole rows or columns through
 :mod:`rackyd.grouptable` and read a row entry by entry only when it differs.  The references below are
 the entrywise loops they replaced; on seeded perturbations of the S4 and D7
 tables both must raise the same message or return the same witness.
@@ -200,6 +201,10 @@ def test_action_witness_is_the_entrywise_reference_witness(name):
             act = lambda x, g: table[x][g]  # noqa: E731
             want = action_witness_reference(group, points, act)
             assert group.action_witness(points, act) == want, kind
+            # the table itself, read by columns: list rows as check_action_axioms
+            # passes them, tuple rows as AugmentedRack does
+            assert group.action_witness(points, table) == want, kind
+            assert group.action_witness(points, tuple(map(tuple, table))) == want, kind
             if want is not None and len(want) == 3:
                 traps += _first_failing_generator(group, points, act) != want
             # the same action on basis vectors, with one image scaled by 2
