@@ -29,6 +29,7 @@ unless a row says otherwise:
 - ``linearize --json`` as such a process, compiling its imports, on kX of
   D9, of the S5 transposition class (S5 acting by conjugation on its ten
   transpositions, the benchmark's ``s5transp`` instance) and of the S6
+  conjugation quandle, and ``check-yd`` as such a process on kX of the S6
   conjugation quandle.  These rows also record the child's peak RSS
   (``peak_rss_mb``): each child is started by a small launcher, which times
   it and reads its ``ru_maxrss`` from ``wait4``;
@@ -169,6 +170,7 @@ def twist(braid, out):
 
 WRITES = ("linearize --json", "braiding-matrix --json", "braided-leibniz --rack-q --json")
 LINEARIZE_PROCESS = "linearize --json process"
+CHECK_YD_PROCESS = "check-yd process"
 
 
 def transpositions(group):
@@ -195,7 +197,7 @@ def rack_rows(tmp):
         ("kX of the S5 conjugation quandle", racks.conjugation_augmented(symmetric(5)),
          both + ("twisted check-ybe",) + WRITES),
         ("kX of the S6 conjugation quandle", racks.conjugation_augmented(symmetric(6)),
-         ("check-ybe", LINEARIZE_PROCESS)),
+         ("check-ybe", LINEARIZE_PROCESS, CHECK_YD_PROCESS)),
     ]
     cache, warm = tmp / "empty_pycache", tmp / "warm_pycache"
     cache.mkdir()
@@ -229,8 +231,10 @@ def rack_rows(tmp):
                 ("braided-leibniz --rack-q --json",
                  lambda: cli("braided-leibniz", module, "--rack-q", "--json", written)),
                 (LINEARIZE_PROCESS,
-                 lambda: launched(cache, peaks, "linearize", aug_path, "--json", written))):
+                 lambda: launched(cache, peaks, "linearize", aug_path, "--json", written)),
+                (CHECK_YD_PROCESS, lambda: launched(cache, peaks, "check-yd", module))):
             if command in commands:
+                peaks.clear()
                 rows.append({"instance": name, "dim": aug.size, "command": command,
                              **timed(call)})
                 if peaks:

@@ -207,8 +207,22 @@ def run(argv=None) -> int:
         print(f"elapsed_ms={elapsed:.1f}", file=sys.stderr)
     if report is not None:
         report = {"command": ["rackyd", *argv], **report}
-        print(json.dumps(report, indent=2, sort_keys=True))
+        try:
+            if sys.stdout is None:  # started with its descriptor closed
+                raise OSError("stdout is closed")
+            print(json.dumps(report, indent=2, sort_keys=True))
+        except OSError as exc:
+            return _unwritten(exc)
     return code
+
+
+def _unwritten(exc) -> int:
+    """Exit code 2, said on stderr, for a report that stdout did not take."""
+    try:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+    except (OSError, ValueError):
+        pass  # stderr is gone as well
+    return 2
 
 
 def main() -> None:
@@ -217,18 +231,22 @@ def main() -> None:
     The report is complete once the registered ``atexit`` handlers have run
     and stdout and stderr are flushed, so the process ends there with
     ``os._exit`` instead of finalizing the interpreter, which would only tear
-    down its modules.  A flush that fails leaves the exit to ``sys.exit``,
-    whose shutdown reports the failure; an exception that ``run`` raises
-    propagates, to a traceback and exit code 1.
+    down its modules.  A report that stdout does not take, at its ``print``
+    in ``run`` or at the flush here, ends the process with exit code 2 and
+    one ``error:`` line.  An exit code 2 has said why already, so a flush
+    that fails after it adds no second line, and ``os._exit`` drops whatever
+    the failed flush left buffered instead of flushing it again.  An
+    exception that ``run`` raises propagates, to a traceback and exit code 1.
     """
     code = run()
-    atexit._run_exitfuncs()  # clears them, so none runs twice on the fallback
-    try:
-        for stream in (sys.stdout, sys.stderr):
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        try:
             if stream is not None:
                 stream.flush()
-    except (OSError, ValueError):
-        sys.exit(code)
+        except (OSError, ValueError) as exc:
+            if stream is sys.stdout and code != 2:
+                code = _unwritten(exc)
     os._exit(code)
 
 

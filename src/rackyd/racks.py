@@ -128,6 +128,13 @@ def check_shelf(s: FiniteShelf) -> ShelfReport:
 # ---------------------------------------------------------------------------
 # groups
 
+# |A7|: `inner-augmentation` on the 70 3-cycles of S7 (inner group A7) peaks
+# at 721 MB as a process under a 1 GiB RLIMIT_AS, an inner group of order
+# 2943 at 998 MB, and one of order 3081 runs out of memory (single runs,
+# 2-CPU x86-64, Python 3.11); its printed report holds the |G|^2 table
+PERMUTATION_GROUP_MAX_ORDER = 2520
+
+
 def _perm_mul(a, b):
     # diagram order: apply a, then b
     return tuple(b[a[i]] for i in range(len(a)))
@@ -263,7 +270,9 @@ class FiniteGroup:
 
         Returns the group plus a dict mapping each permutation tuple to its
         element index.  Elements are sorted by one-line notation, so the table
-        is canonical for a given generating set.
+        is canonical for a given generating set.  The closure stops with a
+        ValidationError as soon as it passes ``PERMUTATION_GROUP_MAX_ORDER``
+        elements, before the multiplication table is built.
         """
         ident = tuple(range(degree))
         seen = {ident}
@@ -280,6 +289,11 @@ class FiniteGroup:
                     if c not in seen:
                         seen.add(c)
                         new.append(c)
+                        if len(seen) > PERMUTATION_GROUP_MAX_ORDER:
+                            raise ValidationError(
+                                "the generated permutation group has more than "
+                                f"PERMUTATION_GROUP_MAX_ORDER = {PERMUTATION_GROUP_MAX_ORDER} "
+                                "elements")
             frontier = new
         return cls._on_permutations(seen)
 

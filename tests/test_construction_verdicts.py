@@ -6,6 +6,8 @@ proofs in the docstrings of ``conjugation_rack`` and ``dihedral_quandle``,
 ``linearize`` reports ``yd_ok`` from the augmentation identity that
 ``check_augmented`` proves and writes kX from the augmented rack's tables,
 byte for byte the file of the module ``linearize_augmented`` builds,
+``first-order-yd`` reports ``yd_ok`` from the proof in ``first_order_yd``'s
+docstring,
 ``rack-braiding`` on one file sweeps that
 identity once, and ``inv_part`` reads one left coaction per PBW monomial and
 one more for the invariance of 1 (x) M.  ``check_shelf`` and ``check_yd``
@@ -23,7 +25,7 @@ from rackyd import envelope, grouptable, jsonio, racks, yd
 from rackyd.cli import _write_json, run
 from rackyd.envelope import EnvTetramodule, build_env, inv_part
 from rackyd.group_hopf import linearize_augmented
-from rackyd.leibniz import heisenberg_voros, lie_map_object, sl2
+from rackyd.leibniz import LeibnizAlgebra, first_order_yd, heisenberg_voros, lie_map_object, sl2
 from rackyd.racks import (
     AugmentedRack,
     FiniteGroup,
@@ -153,6 +155,38 @@ def test_linearize_reads_yd_off_the_augmentation_identity(aug, field, tmp_path, 
     _write_json(tmp_path / "reference.json", expected)
     assert (tmp_path / "kX.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
     capsys.readouterr()
+
+
+def _leibniz_fixtures():
+    for path in sorted(FIXTURES.glob("leibniz_*.json")):
+        if path.name != "leibniz_not.json":
+            yield pytest.param(path, id=path.stem)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("degree", [2, 3, 4])
+@pytest.mark.parametrize("path", _leibniz_fixtures())
+def test_first_order_yd_reads_yd_off_its_construction(path, degree, field, tmp_path, capsys,
+                                                     calls):
+    alg = LeibnizAlgebra.from_json_dict(json.loads(path.read_text()), field)
+    module = first_order_yd(alg, degree)
+    argv = ["first-order-yd", str(path), "--degree", str(degree),
+            "--field", "rational" if field is QQ else "gfp:7"]
+    report = _report(capsys, argv)
+    assert report["yd_ok"] is True and report["dim"] == module.dim
+    assert report["module"] == jsonio.yd_to_dict(module)
+    report = _report(capsys, [*argv, "--json", str(tmp_path / "m.json")])
+    assert report["yd_ok"] is True and report["artifact"] == str(tmp_path / "m.json")
+    assert json.loads((tmp_path / "m.json").read_text()) == jsonio.yd_to_dict(module)
+    assert calls == Counter()
+    assert yd.check_yd(module).ok
+
+
+def test_first_order_yd_still_refuses_a_bracket_that_is_not_leibniz(capsys):
+    assert run(["first-order-yd", str(FIXTURES / "leibniz_not.json")]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: Leibniz identity fails at basis triple (0, 0, 0)\n")
 
 
 def test_every_augmented_fixture_but_the_broken_one_linearizes():

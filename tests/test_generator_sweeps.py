@@ -5,7 +5,8 @@ identities on the group's generating set S, and ``check_shelf`` decides
 self-distributivity of a rack on its generating set Z.  Each is compared with
 the plain sweep over every group element or every triple, on perturbations of
 valid modules, q-maps and rack tables: the verdict and the witness must be
-the ones the full sweep gives.
+the ones the full sweep gives.  ``check_yd``'s antipode-form verdict is
+compared with that form swept over every group element as well.
 """
 
 import json
@@ -17,7 +18,7 @@ from itertools import product
 from hypothesis import given, settings, strategies as st
 
 from rackyd import jsonio
-from rackyd.group_hopf import LinearizedRack, ker_eps_yd, rack_q_map
+from rackyd.group_hopf import GroupAlgebraDescriptor, LinearizedRack, ker_eps_yd, rack_q_map
 from rackyd.racks import (
     FiniteGroup,
     FiniteShelf,
@@ -25,8 +26,10 @@ from rackyd.racks import (
     conjugation_rack,
     dihedral_quandle,
 )
+from rackyd.scalars import QQ, PrimeField
 from rackyd.selfdist import greedy_generators
 from rackyd.yd import YDModule, check_q_conditions, check_yd
+from yd_forms import antipode_form_witness
 
 ONE = Fraction(1)
 S3_CONJ_MODULE = jsonio.yd_from_dict(json.loads(
@@ -111,6 +114,27 @@ def perturbed_modules(draw):
 @given(perturbed_modules())
 def test_check_yd_matches_the_whole_group_sweep(module):
     ref = yd_reference(module)
+    rep = check_yd(module)
+    assert rep.ok == rep.ok_coproduct_form == rep.ok_antipode_form == (ref is None)
+    assert rep.witness == ref
+
+
+def over(module, field):
+    """``module`` over kS3 with every coefficient mapped into ``field``."""
+    def image(c):
+        return field.parse(str(c))
+
+    action = [[{y: image(c) for y, c in v.items()} for v in row] for row in module.action]
+    coaction = [[(x, h, image(c)) for x, h, c in terms] for terms in module.coaction]
+    return YDModule(GroupAlgebraDescriptor(module.hopf.group, field), module.basis, action,
+                    coaction)
+
+
+@settings(max_examples=200, deadline=None)
+@given(perturbed_modules(), st.sampled_from([QQ, PrimeField(7)]))
+def test_check_yd_matches_the_antipode_form_reference(module, field):
+    module = over(module, field)
+    ref = antipode_form_witness(module)
     rep = check_yd(module)
     assert rep.ok == rep.ok_coproduct_form == rep.ok_antipode_form == (ref is None)
     assert rep.witness == ref

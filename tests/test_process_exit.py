@@ -2,8 +2,9 @@
 
 ``rackyd.cli.main`` runs the registered ``atexit`` handlers, flushes stdout
 and stderr and leaves with ``os._exit``, skipping the interpreter's teardown
-of its modules; a flush that fails falls back to ``sys.exit``.  Each test
-runs ``python -m rackyd.cli`` (or the module through ``runpy``) as a child.
+of its modules; a report that stdout does not take ends it with exit code 2
+and one ``error:`` line.  Each test runs ``python -m rackyd.cli`` (or the
+module through ``runpy``) as a child.
 """
 
 import json
@@ -111,27 +112,26 @@ def _closed_pipe():
     return write
 
 
+CANNOT_WRITE = "error: cannot write the report: [Errno 32] Broken pipe"
+
+
 def test_a_closed_stdout_raises_in_the_report_print_when_unbuffered():
-    # the write of the report itself fails, as it did before main() ended
-    # the process itself: a traceback and exit 1
+    # the write of the report itself fails, so run() says so and returns 2
+    # before main() runs the handler; the flush in main() adds nothing
     write = _closed_pipe()
     try:
         proc = _child(["check-rack", str(FIXTURES / "rack_dihedral3.json")],
                       MAIN_AFTER_A_HANDLER, stdout=write, stderr=subprocess.PIPE, text=True)
     finally:
         os.close(write)
-    assert proc.returncode == 1
-    assert proc.stderr.splitlines()[-3:] == [
-        "    print(json.dumps(report, indent=2, sort_keys=True))",
-        "BrokenPipeError: [Errno 32] Broken pipe",
-        "handler ran"]
-    assert proc.stderr.count("handler ran") == 1 and "Exception ignored" not in proc.stderr
+    assert proc.returncode == 2
+    assert _without_timing(proc.stderr).splitlines() == [CANNOT_WRITE, "handler ran"]
 
 
 def test_a_closed_stdout_falls_back_to_the_normal_exit_when_buffered():
-    # the report waits in the buffer, so the flush in main() fails; sys.exit
-    # then reports the failed flush at shutdown and exits 120, and the
-    # handler, already run, does not run again
+    # the report waits in the buffer, so the flush in main() fails; main()
+    # says so once and exits 2, and the handler, already run, does not run
+    # again, nor does the shutdown flush the buffer a second time
     write = _closed_pipe()
     try:
         proc = _child(["check-rack", str(FIXTURES / "rack_dihedral3.json")],
@@ -139,11 +139,32 @@ def test_a_closed_stdout_falls_back_to_the_normal_exit_when_buffered():
                       stderr=subprocess.PIPE, text=True)
     finally:
         os.close(write)
-    assert proc.returncode == 120
-    handler, ignored, error = _without_timing(proc.stderr).splitlines()
-    assert handler == "handler ran"
-    assert ignored.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
-    assert error == "BrokenPipeError: [Errno 32] Broken pipe"
+    assert proc.returncode == 2
+    assert _without_timing(proc.stderr).splitlines() == ["handler ran", CANNOT_WRITE]
+
+
+def test_a_closed_stdout_fails_the_report_print_when_it_overflows_the_buffer():
+    # as ``rackyd make-dihedral 200 | head -c 10``: a buffered stdout writes
+    # a report larger than its buffer through at the print, so run() says so
+    # and returns 2 before main() runs the handler
+    write = _closed_pipe()
+    try:
+        proc = _child(["make-dihedral", "200"], MAIN_AFTER_A_HANDLER, buffered=True,
+                      stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert _without_timing(proc.stderr).splitlines() == [CANNOT_WRITE, "handler ran"]
+
+
+def test_a_process_started_without_a_stdout_says_so_and_exits_2():
+    # with descriptor 1 closed at start, sys.stdout is None and print()
+    # would drop the report without an error
+    proc = _child(["check-rack", str(FIXTURES / "rack_dihedral3.json")], MAIN_AFTER_A_HANDLER,
+                  stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 2
+    assert _without_timing(proc.stderr).splitlines() == [
+        "error: cannot write the report: stdout is closed", "handler ran"]
 
 
 def test_an_exception_in_a_handler_still_gives_a_traceback_and_exit_one():

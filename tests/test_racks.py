@@ -1,3 +1,5 @@
+import json
+import time
 from collections import Counter
 from itertools import product
 
@@ -5,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rackyd import racks
+from rackyd.cli import run
 from rackyd.errors import ValidationError, as_int
 from rackyd.racks import (
     DIHEDRAL_MAX_ORDER,
+    PERMUTATION_GROUP_MAX_ORDER,
     AugmentedRack,
     FiniteGroup,
     FiniteShelf,
@@ -198,6 +202,38 @@ def test_inner_augmentation_s3_conjugation():
     assert aug.group.size == 6
     assert not aug.group.is_abelian()
     assert induced_rack(aug) == conjugation_rack(s3)
+
+
+def transposition_class(n):
+    """S_n acting on its transpositions by conjugation; its inner group is S_n."""
+    swaps = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    pos = {swap: i for i, swap in enumerate(swaps)}
+
+    def conj(x, y):  # y^-1 x y = y x y, for transpositions x and y
+        swap = dict(zip(swaps[y], reversed(swaps[y])))
+        return pos[tuple(sorted(swap.get(a, a) for a in swaps[x]))]
+
+    op = [[conj(x, y) for y in range(len(swaps))] for x in range(len(swaps))]
+    return FiniteShelf([f"({a + 1} {b + 1})" for a, b in swaps], op)
+
+
+def test_inner_augmentation_holds_an_inner_group_of_order_720():
+    aug = inner_augmentation(transposition_class(6))
+    assert aug.size == 15 and aug.group.size == 720 <= PERMUTATION_GROUP_MAX_ORDER
+
+
+def test_an_inner_group_above_the_bound_exits_2_at_once(tmp_path, capsys):
+    # the 21 transpositions of S7 generate S7, of order 5040
+    path = tmp_path / "s7_transpositions.json"
+    path.write_text(json.dumps(transposition_class(7).to_json_dict()))
+    t0 = time.perf_counter()
+    assert run(["inner-augmentation", str(path)]) == 2
+    assert time.perf_counter() - t0 < 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: the generated permutation group has more than "
+                              f"PERMUTATION_GROUP_MAX_ORDER = {PERMUTATION_GROUP_MAX_ORDER} "
+                              "elements\n")
 
 
 def test_inner_augmentation_rejects_non_racks():

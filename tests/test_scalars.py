@@ -2,18 +2,23 @@
 
 ``QQ`` gives an ``int`` for an integral rational and a ``Fraction`` otherwise;
 these tests pin what that representation must never change: what a literal
-means, and that division stays exact.
+means, and that division stays exact.  The last ones pin how ``PrimeField``
+decides that its characteristic is prime, against trial division.
 """
 
+import math
+import time
 from fractions import Fraction
 
 import pytest
+from conftest import FIXTURES
 from hypothesis import given, strategies as st
 
+from rackyd.cli import run
 from rackyd.errors import ValidationError
 from rackyd.leibniz import LeibnizAlgebra, lie_quotient
 from rackyd.linalg import nullspace, rref
-from rackyd.scalars import QQ, PrimeField, quotient
+from rackyd.scalars import PRIME_BOUND, QQ, PrimeField, _is_prime, quotient
 
 LITERAL_CHARS = "0123456789-+/._eE \t\n٣²x"
 LITERALS = st.one_of(
@@ -125,3 +130,44 @@ def test_lie_quotient_of_an_integral_algebra_with_a_pivot_not_one_is_exact():
     assert lq.pi == ({0: Fraction(-3, 2)}, {0: 1}, {1: 1})
     assert _exact(lq.ideal) and _exact(lq.pi) and _exact(lq.section)
     assert _exact(lq.quotient.brackets) and _exact(lq.action)
+
+
+def trial_division(p: int) -> bool:
+    """Primality by trial division, the reference for ``_is_prime``."""
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def test_is_prime_agrees_with_trial_division_below_ten_thousand():
+    assert [p for p in range(-3, 10**4) if _is_prime(p)] == \
+        [p for p in range(-3, 10**4) if trial_division(p)]
+
+
+def test_a_large_characteristic_is_decided_at_once():
+    t0 = time.perf_counter()
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+    with pytest.raises(ValidationError, match="is not prime"):
+        PrimeField((2**30 - 35) * (2**30 - 41))  # two 30-bit primes
+    assert time.perf_counter() - t0 < 1
+    assert trial_division(2**30 - 35) and trial_division(2**30 - 41)
+
+
+def test_the_least_strong_pseudoprime_to_the_first_12_bases_is_refused():
+    # composite, and a strong probable prime to every base 2..37, so the
+    # 13th base, 41, is what refuses it
+    n = 399165290221 * 798330580441
+    assert n == 318665857834031151167461 < PRIME_BOUND
+    with pytest.raises(ValidationError, match="is not prime"):
+        PrimeField(n)
+
+
+@pytest.mark.parametrize("p", [PRIME_BOUND, PRIME_BOUND + 2, 2**89 - 1])
+def test_a_characteristic_at_or_above_the_bound_exits_2(p, capsys):
+    argv = ["check-rack", str(FIXTURES / "rack_dihedral3.json"), "--field", f"gfp:{p}"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: field characteristic {p} is not below {PRIME_BOUND}, ")
+
+
+def test_a_command_runs_over_the_mersenne_prime_2_61_minus_1(capsys):
+    argv = ["check-rack", str(FIXTURES / "rack_dihedral3.json"), "--field", f"gfp:{2**61 - 1}"]
+    assert run(argv) == 0

@@ -1,20 +1,24 @@
 import json
+import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rackyd import jsonio
-from rackyd.errors import ValidationError
+from rackyd import jsonio, yd
+from rackyd.envelope import TruncatedPBW
+from rackyd.errors import DegreeOverflowError, ValidationError
 from rackyd.group_hopf import (
+    GroupAlgebraDescriptor,
     grading_module,
     ker_eps_yd,
     linearize_augmented,
     rack_q_map,
     trivial_coaction_module,
 )
-from rackyd.leibniz import first_order_yd, heisenberg_voros, sl2, unital_shelf
+from rackyd.leibniz import LeibnizAlgebra, first_order_yd, heisenberg_voros, sl2, unital_shelf
 from rackyd.linalg import Matrix, kron, mat_mul
 from rackyd.racks import (
     FiniteGroup,
@@ -22,10 +26,11 @@ from rackyd.racks import (
     dihedral_quandle,
     inner_augmentation,
 )
-from rackyd.scalars import PrimeField
+from rackyd.scalars import QQ, PrimeField
 from rackyd.yd import (
     BraidedLeibnizData,
     BraidingMatrix,
+    YDModule,
     braided_leibniz_from_q,
     braiding,
     check_braided_leibniz,
@@ -38,6 +43,7 @@ from rackyd.yd import (
     ybe_defect,
 )
 from test_acceptance import _biconditional_corpus
+from yd_forms import antipode_form_witness
 
 F = Fraction
 
@@ -82,7 +88,69 @@ def test_coproduct_and_antipode_forms_agree():
     instances.append(grading_module(aug, grading))
     for m in instances:
         rep = check_yd(m)
-        assert rep.ok_coproduct_form == rep.ok_antipode_form
+        ref = antipode_form_witness(m)
+        assert rep.ok == rep.ok_coproduct_form == rep.ok_antipode_form == (ref is None)
+        assert rep.witness == ref
+    assert [check_yd(m).ok for m in instances] == [True, True, True, False]
+
+
+def perturbed_coaction(module, rng):
+    """``module`` with 0-2 coaction terms ``x (x) h`` added, h not the unit (so
+    the coaction stays counital) and of any degree, the top one included."""
+    hopf, field = module.hopf, module.field
+    others = [h for h in range(hopf.size) if h != hopf.unit]
+    coaction = [list(terms) for terms in module.coaction]
+    for _ in range(rng.randrange(3)):
+        c = field.parse(rng.choice(["1", "-1", "2", "1/2"]))
+        coaction[rng.randrange(module.dim)].append(
+            (rng.randrange(module.dim), rng.choice(others), c))
+    return YDModule(hopf, module.basis, module.action, coaction)
+
+
+def yd_outcome(check, module):
+    try:
+        return check(module)
+    except DegreeOverflowError:
+        return "overflow"
+
+
+def test_check_yd_matches_the_antipode_form_on_perturbed_first_order_modules(fixtures_dir):
+    # 40 perturbations of each first-order module, at degrees 2 and 3, over
+    # QQ and GF(7): the report's antipode form is the reference's, and a
+    # coaction term of top degree makes both raise
+    rng, seen = random.Random(0), Counter()
+    for path in sorted(fixtures_dir.glob("leibniz_*.json")):
+        if path.name == "leibniz_not.json":
+            continue
+        for field, degree in product((QQ, PrimeField(7)), (2, 3)):
+            alg = LeibnizAlgebra.from_json_dict(json.loads(path.read_text()), field)
+            base = first_order_yd(alg, degree)
+            for _ in range(40):
+                module = perturbed_coaction(base, rng)
+                rep = yd_outcome(check_yd, module)
+                ref = yd_outcome(antipode_form_witness, module)
+                if ref == "overflow":
+                    assert rep == "overflow"
+                else:
+                    assert rep.ok == rep.ok_coproduct_form == rep.ok_antipode_form == (ref is None)
+                    assert rep.witness == ref
+                seen["overflow" if ref == "overflow" else "ok" if ref is None else "fails"] += 1
+    assert min(seen[k] for k in ("ok", "fails", "overflow")) >= 100, seen
+
+
+def test_check_yd_reads_no_antipode_and_no_iterated_coproduct(monkeypatch):
+    # both belong to the antipode form, which check_yd no longer computes
+    def refused(*args):
+        raise AssertionError("check_yd read the antipode form")
+
+    s3, aug, lin = s3_modules()
+    broken = grading_module(aug, [1, 0, 2, 3, 4, 5])
+    modules = [lin.module, broken, ker_eps_yd(s3), first_order_yd(heisenberg_voros()),
+               first_order_yd(sl2(), 3)]
+    monkeypatch.setattr(yd, "coproduct2", refused)
+    for cls in (GroupAlgebraDescriptor, TruncatedPBW):
+        monkeypatch.setattr(cls, "antipode", refused)
+    assert [check_yd(m).ok for m in modules] == [True, False, True, True, True]
 
 
 def test_braiding_of_kereps_z2_is_identity():
