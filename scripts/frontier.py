@@ -29,8 +29,9 @@ unless a row says otherwise:
 - ``linearize --json`` as such a process, compiling its imports, on kX of
   D9, of the S5 transposition class (S5 acting by conjugation on its ten
   transpositions, the benchmark's ``s5transp`` instance) and of the S6
-  conjugation quandle, and ``check-yd`` as such a process on kX of the S6
-  conjugation quandle.  These rows also record the child's peak RSS
+  conjugation quandle, and ``check-yd``, ``braiding-matrix --json`` and
+  ``q-conditions --rack-q`` as such processes on kX of the S6 conjugation
+  quandle.  These rows also record the child's peak RSS
   (``peak_rss_mb``): each child is started by a small launcher, which times
   it and reads its ``ru_maxrss`` from ``wait4``;
 - the braiding of kX of the S5 conjugation quandle twisted by the diagonal
@@ -171,6 +172,8 @@ def twist(braid, out):
 WRITES = ("linearize --json", "braiding-matrix --json", "braided-leibniz --rack-q --json")
 LINEARIZE_PROCESS = "linearize --json process"
 CHECK_YD_PROCESS = "check-yd process"
+BRAIDING_PROCESS = "braiding-matrix --json process"
+RACK_Q_PROCESS = "q-conditions --rack-q process"
 
 
 def transpositions(group):
@@ -197,7 +200,7 @@ def rack_rows(tmp):
         ("kX of the S5 conjugation quandle", racks.conjugation_augmented(symmetric(5)),
          both + ("twisted check-ybe",) + WRITES),
         ("kX of the S6 conjugation quandle", racks.conjugation_augmented(symmetric(6)),
-         ("check-ybe", LINEARIZE_PROCESS, CHECK_YD_PROCESS)),
+         ("check-ybe", LINEARIZE_PROCESS, CHECK_YD_PROCESS, BRAIDING_PROCESS, RACK_Q_PROCESS)),
     ]
     cache, warm = tmp / "empty_pycache", tmp / "warm_pycache"
     cache.mkdir()
@@ -232,7 +235,11 @@ def rack_rows(tmp):
                  lambda: cli("braided-leibniz", module, "--rack-q", "--json", written)),
                 (LINEARIZE_PROCESS,
                  lambda: launched(cache, peaks, "linearize", aug_path, "--json", written)),
-                (CHECK_YD_PROCESS, lambda: launched(cache, peaks, "check-yd", module))):
+                (CHECK_YD_PROCESS, lambda: launched(cache, peaks, "check-yd", module)),
+                (BRAIDING_PROCESS,
+                 lambda: launched(cache, peaks, "braiding-matrix", module, "--json", written)),
+                (RACK_Q_PROCESS,
+                 lambda: launched(cache, peaks, "q-conditions", module, "--rack-q"))):
             if command in commands:
                 peaks.clear()
                 rows.append({"instance": name, "dim": aug.size, "command": command,

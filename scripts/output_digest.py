@@ -15,7 +15,14 @@ in-process, over QQ and ``gfp:7``, on:
 - ``make-dihedral`` for n = 0..7, with and without ``--json``;
 - kX of the S4 conjugation quandle, whose files are written into the
   temporary directory first: ``linearize --json`` on its augmented rack and
-  ``braided-leibniz --rack-q --json`` on its module.
+  ``braided-leibniz --rack-q --json`` on its module;
+- ``check-yd``, ``q-conditions --rack-q`` and ``braiding-matrix`` (as is,
+  with ``--json``, ``--integers`` and ``--paper-layout``), the first two also
+  with ``--witness-limit 0``, over QQ and ``gfp:7``, on permutation modules
+  written into the temporary directory (:data:`PERTURBED`): kX of the S3
+  conjugation quandle with one edit each, a module over the group of order 1
+  and one with an empty basis.  Some are read as index tables, and the
+  others take the module path.
 
 It prints the number of command lines for each exit code (a handler that
 raises counts under the exception's name) and one sha256 over, for each
@@ -28,6 +35,7 @@ script into the other checkout and run it there too.
 """
 
 import collections
+import copy
 import hashlib
 import io
 import json
@@ -60,7 +68,45 @@ def s4_conjugation_files(tmp):
     return str(aug), str(module)
 
 
-def command_lines(artifact, s4_aug, s4_module):
+# name: (path of the slot in fixtures/yd_s3_conj.json, its new value); entry
+# (1, 2) of the action is {"5": "1"}, and the coaction of 1 is [[1, 1, "1"]]
+PERTURBED = {
+    "scrambled-grading": (("coaction", 1, 0, 1), 0),
+    "broken-action": (("action", 1, 2), {"4": "1"}),
+    "coefficient-1-over-1": (("action", 1, 2), {"5": "1/1"}),
+    "coefficient-int-1": (("action", 1, 2), {"5": 1}),
+    "coefficient-2": (("action", 1, 2), {"5": "2"}),
+    "zero-entry": (("action", 1, 2), {"5": "0"}),
+    "out-of-range-key": (("action", 1, 2), {"6": "1"}),
+    "non-canonical-key": (("action", 1, 2), {"05": "1"}),
+    "coaction-1-over-1": (("coaction", 1, 0, 2), "1/1"),
+}
+
+
+def perturbed_module_files(tmp):
+    """The modules of :data:`PERTURBED`, then one over the group of order 1
+    and one with an empty basis, written into ``tmp``; their paths."""
+    base = json.loads((FIXTURES / "yd_s3_conj.json").read_text())
+    docs = {}
+    for name, ((*path, last), value) in PERTURBED.items():
+        docs[name] = copy.deepcopy(base)
+        slot = docs[name]
+        for key in path:
+            slot = slot[key]
+        slot[last] = value
+    docs["order-1-group"] = {
+        "hopf": {"kind": "group_algebra", "group": {"elements": ["e"], "mul": [[0]]}},
+        "basis": ["a", "b"], "action": [[{"0": "1"}], [{"1": "1"}]],
+        "coaction": [[[0, 0, "1"]], [[1, 0, "1"]]]}
+    docs["empty-basis"] = {**base, "basis": [], "action": [], "coaction": []}
+    paths = []
+    for name, doc in docs.items():
+        paths.append(pathlib.Path(tmp) / f"{name}.yd.json")
+        paths[-1].write_text(json.dumps(doc))
+    return [str(path) for path in paths]
+
+
+def command_lines(artifact, s4_aug, s4_module, perturbed):
     """Every argv of the sweep, in a fixed order."""
     fixtures = sorted(str(path) for path in FIXTURES.glob("*.json"))
     for field in FIELDS:
@@ -83,6 +129,13 @@ def command_lines(artifact, s4_aug, s4_module):
     for field in FIELDS:
         yield ["linearize", "--field", field, s4_aug, "--json", artifact]
         yield ["braided-leibniz", "--field", field, s4_module, "--rack-q", "--json", artifact]
+    for path in perturbed:
+        for field in FIELDS:
+            for argv in (["check-yd"], ["q-conditions", "--rack-q"]):
+                yield [*argv, "--field", field, path]
+                yield [*argv, "--field", field, path, "--witness-limit", "0"]
+            for option in ([], ["--json", artifact], ["--integers"], ["--paper-layout"]):
+                yield ["braiding-matrix", "--field", field, path, *option]
 
 
 def main():
@@ -90,7 +143,9 @@ def main():
         artifact = pathlib.Path(tmp) / "artifact.json"
         digest = hashlib.sha256()
         codes = collections.Counter()
-        for argv in command_lines(str(artifact), *s4_conjugation_files(tmp)):
+        lines = command_lines(str(artifact), *s4_conjugation_files(tmp),
+                              perturbed_module_files(tmp))
+        for argv in lines:
             artifact.unlink(missing_ok=True)
             out, err = io.StringIO(), io.StringIO()
             with redirect_stdout(out), redirect_stderr(err):

@@ -26,7 +26,9 @@ import math
 from typing import NamedTuple
 
 from .errors import ShapeError, ValidationError
-from .linalg import Matrix, flat2, lincomb, sparse_rows_from_json, vec_reader, vec_to_json
+from .linalg import (
+    Matrix, flat2, integral, lincomb, sparse_rows_from_json, vec_reader, vec_to_json,
+)
 from .scalars import QQ, GFElement
 from .selfdist import witnesses
 
@@ -73,12 +75,22 @@ class BraidingMatrix:
     def factor_dim(self) -> int:
         return len(self.factor_basis)
 
-    def to_json_dict(self):
+    def to_json_dict(self, integers=False, lazy=False):
+        """The JSON format; ``integers`` writes each coefficient as an int
+        (a ValidationError unless it is integral), and ``lazy`` gives the
+        columns as an iterator, for :func:`rackyd.jsonwrite.dump`."""
+        columns = (map(vec_to_json, self.columns) if not integers else
+                   ({str(r): integral(c) for r, c in col.items()} for col in self.columns))
         return {
             "basis_order": self.convention,
             "factor_basis": list(self.factor_basis),
-            "columns": [vec_to_json(col) for col in self.columns],
+            "columns": columns if lazy else list(columns),
         }
+
+    def int_rows(self):
+        """The dense matrix as rows of ints; a ValidationError unless every
+        entry is integral."""
+        return self.matrix.as_int_rows()
 
     @classmethod
     def from_json_dict(cls, d, field=QQ):

@@ -165,7 +165,17 @@ def _read(argv):
 def build_parser():
     """The full ``rackyd`` parser, with every subcommand."""
     import argparse
-    parser = argparse.ArgumentParser(
+
+    class Parser(argparse.ArgumentParser):
+        def _print_message(self, message, file=None):
+            # argparse drops an OSError of this write, which would leave help
+            # that stdout did not take with exit code 0; here it is raised
+            file = file or sys.stderr
+            if message and file is not None:
+                file.write(message)
+                file.flush()
+
+    parser = Parser(
         prog="rackyd",
         description="exact verification of racks, Yetter-Drinfel'd modules, "
                     "and braided Leibniz brackets",
@@ -192,6 +202,8 @@ def run(argv=None) -> int:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
+        except OSError as exc:
+            return _unwritten(exc, "the help")
     t0 = time.perf_counter()
     try:
         module = import_module(f"rackyd.{COMMANDS[args.command][0]}")
@@ -216,10 +228,10 @@ def run(argv=None) -> int:
     return code
 
 
-def _unwritten(exc) -> int:
-    """Exit code 2, said on stderr, for a report that stdout did not take."""
+def _unwritten(exc, what="the report") -> int:
+    """Exit code 2, said on stderr, for a report (or help) that stdout did not take."""
     try:
-        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        print(f"error: cannot write {what}: {exc}", file=sys.stderr)
     except (OSError, ValueError):
         pass  # stderr is gone as well
     return 2

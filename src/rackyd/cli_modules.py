@@ -14,25 +14,21 @@ PAPER_LAYOUT_MAX_SIDE = 1024
 
 
 def _emit_matrix(bm, args, report):
-    """Shared tail for braiding-matrix and hv-rmatrix; returns (code, report)."""
-    from .linalg import integral
+    """Shared tail for braiding-matrix and hv-rmatrix; returns (code, report).
+    ``bm`` is a BraidingMatrix or a :class:`rackyd.kxtables.LinearizedBraiding`."""
     if args.paper_layout:
         side = bm.factor_dim ** 2
         if side > PAPER_LAYOUT_MAX_SIDE:
             raise ValidationError(
                 f"--paper-layout would print a {side}x{side} grid, "
                 f"which exceeds {PAPER_LAYOUT_MAX_SIDE}x{PAPER_LAYOUT_MAX_SIDE}")
-        rows = bm.matrix.as_int_rows()
+        rows = bm.int_rows()
         width = max((len(str(v)) for row in rows for v in row), default=1)
         for row in rows:
             print(" ".join(str(v).rjust(width) for v in row))
         return 0, None
-    payload = bm.to_json_dict()
-    if args.integers:
-        payload["columns"] = [
-            {str(r): integral(c) for r, c in col.items()} for col in bm.columns
-        ]
-    _emit(args, report, "braiding", payload)
+    # an artifact's columns are written as they are built
+    _emit(args, report, "braiding", bm.to_json_dict(args.integers, bool(args.json)))
     return 0, report
 
 
@@ -74,22 +70,29 @@ def cmd_linearize(args, field):
 
 
 def cmd_check_yd(args, field):
-    from . import jsonio, yd
-    module = jsonio.yd_from_dict(_load_json(args.file), field)
-    rep = yd.check_yd(module)
-    report = {
-        "ok": rep.ok,
-        "yd_coproduct_form": rep.ok_coproduct_form,
-        "yd_antipode_form": rep.ok_antipode_form,
-        "witness": rep.witness,
-    }
-    return (0 if rep.ok else 1), report
+    from . import kxtables, racks
+    d = _load_json(args.file)
+    aug = kxtables.linearized_from_dict(d)
+    if aug is not None:  # kX: the condition is the augmentation identity
+        witness = racks.check_augmented(aug).witness
+    else:
+        from . import jsonio, yd
+        witness = yd.check_yd(jsonio.yd_from_dict(d, field)).witness
+    ok = witness is None  # one sweep decides both forms
+    report = {"ok": ok, "yd_coproduct_form": ok, "yd_antipode_form": ok, "witness": witness}
+    return (0 if ok else 1), report
 
 
 def cmd_braiding_matrix(args, field):
-    from . import jsonio, braid
-    module = jsonio.yd_from_dict(_load_json(args.file), field)
-    bm = braid.braiding(module)
+    from . import kxtables
+    d = _load_json(args.file)
+    aug = kxtables.linearized_from_dict(d)
+    if aug is not None:
+        bm = kxtables.LinearizedBraiding(aug)
+    else:
+        from . import braid, jsonio
+        bm = braid.braiding(jsonio.yd_from_dict(d, field))
+    del d, aug
     report = {"factor_dim": bm.factor_dim, "size": bm.factor_dim ** 2}
     return _emit_matrix(bm, args, report)
 
@@ -117,17 +120,28 @@ def cmd_hv_rmatrix(args, field):
 
 
 def cmd_q_conditions(args, field):
-    from . import jsonio, yd
-    module = jsonio.yd_from_dict(_load_json(args.file), field)
-    q = _get_q(args, module, field)
-    rep = yd.check_q_conditions(module, q)
+    from . import kxtables
+    d = _load_json(args.file)
+    aug = kxtables.linearized_from_dict(d) if args.rack_q else None
+    if aug is not None:
+        # q = p - 1 on kX: equivariance is the augmentation identity, and
+        # colinearity holds for every grading
+        from . import racks
+        witness = racks.check_augmented(aug).witness
+        ok = witness is None
+        rep = (ok, ok, True, {} if ok else {"equivariance": witness})
+    else:
+        from . import jsonio, yd
+        module = jsonio.yd_from_dict(d, field)
+        rep = yd.check_q_conditions(module, _get_q(args, module, field))
+    ok, equivariance, coderivation, witnesses = rep
     report = {
-        "ok": rep.ok,
-        "equivariance": rep.equivariance,
-        "coderivation_condition": rep.coderivation_condition,
-        "witnesses": _limit_witnesses(rep.witnesses, args.witness_limit),
+        "ok": ok,
+        "equivariance": equivariance,
+        "coderivation_condition": coderivation,
+        "witnesses": _limit_witnesses(witnesses, args.witness_limit),
     }
-    return (0 if rep.ok else 1), report
+    return (0 if ok else 1), report
 
 
 def cmd_braided_leibniz(args, field):

@@ -23,7 +23,9 @@ q-map::
 
 Each layer is imported by the function that reads or writes it, so a command
 compiles only the layers of the files it handles: :func:`linearized_to_dict`
-writes kX from the augmented rack's tables and needs none of them.
+writes kX from the augmented rack's tables and needs none of them.  Such a
+file is read back as those tables by
+:func:`rackyd.kxtables.linearized_from_dict`.
 """
 
 from .errors import ValidationError, as_int

@@ -179,3 +179,25 @@ def test_an_exception_in_a_handler_still_gives_a_traceback_and_exit_one():
     lines = proc.stderr.splitlines()
     assert lines[0].startswith("elapsed_ms=") and "Traceback (most recent call last):" in lines
     assert lines[-2:] == ["RuntimeError: boom", "handler ran"]
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["check-ybe", "-h"]], ids=" ".join)
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+def test_help_that_stdout_does_not_take_exits_2_with_one_error_line(argv, buffered):
+    # argparse drops an OSError of its help text's write; the help takes the
+    # contract of a report: exit code 2 and one error line, on a closed pipe
+    # and on a full device alike
+    write = _closed_pipe()
+    try:
+        proc = _child(argv, buffered=buffered, stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: cannot write the help: [Errno 32] Broken pipe"]
+    if os.path.exists("/dev/full"):
+        with open("/dev/full", "w") as full:
+            proc = _child(argv, buffered=buffered, stdout=full, stderr=subprocess.PIPE,
+                          text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: cannot write the help: [Errno 28] No space left on device"]

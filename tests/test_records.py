@@ -92,9 +92,26 @@ def test_an_integral_input_loads_neither_fractions_nor_decimal(argv):
     assert {"fractions", "decimal"} & loaded == set()
 
 
+@pytest.mark.parametrize("fixture", ["yd_s3_conj.json", "yd_kereps_s3.json"])
+@pytest.mark.parametrize("argv", [
+    ("check-yd",), ("q-conditions", "--rack-q"), ("braiding-matrix", "--json", "ARTIFACT"),
+], ids=lambda argv: argv[0])
+def test_a_permutation_module_is_decided_on_its_tables(fixture, argv, tmp_path):
+    # kX and ker eps are read as index tables (kxtables.linearized_from_dict):
+    # no module file layer, module object, descriptor, braiding class or
+    # linear algebra
+    command, *rest = argv
+    loaded = _modules_after_command(command, str(FIXTURES / fixture),
+                                    *(str(tmp_path / "out.json") if a == "ARTIFACT" else a
+                                      for a in rest))
+    assert loaded & {"jsonio", "yd", "group_hopf", "braid", "linalg"} == set()
+
+
 @pytest.mark.parametrize("argv", [
     ("check-ybe", "braiding_hv_sparse.json"),
     ("check-yd", "yd_s3_conj.json"),
+    ("q-conditions", "yd_kereps_s3.json", "--rack-q"),
+    ("braiding-matrix", "yd_s3_conj.json", "--json", "ARTIFACT"),
     ("braided-leibniz", "yd_s3_conj.json", "--rack-q", "--json", "ARTIFACT"),
     ("env-checks", "leibniz_sl2.json", "--degree", "2"),
 ], ids=lambda argv: argv[0])
