@@ -17,7 +17,8 @@ unless a row says otherwise:
   ``rackyd.cli.run`` call that writes its artifact to a scratch file;
 - kX of the S6 conjugation quandle (dimension 720): ``check-ybe`` alone;
 - kX of the dihedral quandle D9: ``check-ybe`` and ``braided-leibniz
-  --rack-q``, each as a whole ``python -B -m rackyd.cli`` process, which
+  --rack-q``, each as a whole ``python -B -m rackyd.cli`` process (the
+  ``check-ybe`` one started by the launcher below, as on S6), which
   in-process rows cannot see; ``braided-leibniz`` has the longest import
   chain of the CLI.  Each command has two rows.  In the first the bytecode
   cache prefix (``PYTHONPYCACHEPREFIX``) is an empty directory, so every
@@ -29,9 +30,10 @@ unless a row says otherwise:
 - ``linearize --json`` as such a process, compiling its imports, on kX of
   D9, of the S5 transposition class (S5 acting by conjugation on its ten
   transpositions, the benchmark's ``s5transp`` instance) and of the S6
-  conjugation quandle, and ``check-yd``, ``braiding-matrix --json`` and
-  ``q-conditions --rack-q`` as such processes on kX of the S6 conjugation
-  quandle.  These rows also record the child's peak RSS
+  conjugation quandle, and ``check-yd``, ``braiding-matrix --json``,
+  ``q-conditions --rack-q`` and ``check-ybe`` as such processes on kX of the
+  S6 conjugation quandle.  These rows and the D9 ``check-ybe`` process row
+  also record the child's peak RSS
   (``peak_rss_mb``): each child is started by a small launcher, which times
   it and reads its ``ru_maxrss`` from ``wait4``;
 - the braiding of kX of the S5 conjugation quandle twisted by the diagonal
@@ -174,6 +176,7 @@ LINEARIZE_PROCESS = "linearize --json process"
 CHECK_YD_PROCESS = "check-yd process"
 BRAIDING_PROCESS = "braiding-matrix --json process"
 RACK_Q_PROCESS = "q-conditions --rack-q process"
+YBE_PROCESS = "check-ybe process"
 
 
 def transpositions(group):
@@ -190,7 +193,7 @@ def rack_rows(tmp):
     symmetric = racks.FiniteGroup.symmetric
     instances = [
         ("kX of D9", racks.inner_augmentation(racks.dihedral_quandle(9)),
-         ("check-ybe process", "braided-leibniz --rack-q process",
+         (YBE_PROCESS, "braided-leibniz --rack-q process",
           "check-ybe process, bytecode present",
           "braided-leibniz --rack-q process, bytecode present", LINEARIZE_PROCESS)),
         ("kX of the S5 transposition class", transpositions(symmetric(5)),
@@ -200,7 +203,8 @@ def rack_rows(tmp):
         ("kX of the S5 conjugation quandle", racks.conjugation_augmented(symmetric(5)),
          both + ("twisted check-ybe",) + WRITES),
         ("kX of the S6 conjugation quandle", racks.conjugation_augmented(symmetric(6)),
-         ("check-ybe", LINEARIZE_PROCESS, CHECK_YD_PROCESS, BRAIDING_PROCESS, RACK_Q_PROCESS)),
+         ("check-ybe", LINEARIZE_PROCESS, CHECK_YD_PROCESS, BRAIDING_PROCESS, RACK_Q_PROCESS,
+          YBE_PROCESS)),
     ]
     cache, warm = tmp / "empty_pycache", tmp / "warm_pycache"
     cache.mkdir()
@@ -221,7 +225,7 @@ def rack_rows(tmp):
         for command, call in (
                 ("braided-leibniz --rack-q", lambda: cli("braided-leibniz", module, "--rack-q")),
                 ("check-ybe", lambda: cli("check-ybe", braid)),
-                ("check-ybe process", lambda: process(cache, "check-ybe", braid)),
+                (YBE_PROCESS, lambda: launched(cache, peaks, "check-ybe", braid)),
                 ("braided-leibniz --rack-q process",
                  lambda: process(cache, "braided-leibniz", module, "--rack-q")),
                 ("check-ybe process, bytecode present", lambda: process(warm, "check-ybe", braid)),

@@ -22,7 +22,14 @@ in-process, over QQ and ``gfp:7``, on:
   written into the temporary directory (:data:`PERTURBED`): kX of the S3
   conjugation quandle with one edit each, a module over the group of order 1
   and one with an empty basis.  Some are read as index tables, and the
-  others take the module path.
+  others take the module path;
+- ``check-ybe`` as is, with ``--json`` and with ``--witness-limit 0``, over
+  QQ and ``gfp:7``, on braiding files in unit rack form written into the
+  temporary directory (:data:`PERTURBED_BRAIDINGS`): the braiding of kX of
+  the S3 conjugation quandle as ``braiding-matrix --json`` writes it, and
+  with one edit each, the braiding with no points, and one whose table is
+  not self-distributive.  Some are read as the table of their rack, and the
+  others as a braiding matrix.
 
 It prints the number of command lines for each exit code (a handler that
 raises counts under the exception's name) and one sha256 over, for each
@@ -106,7 +113,56 @@ def perturbed_module_files(tmp):
     return [str(path) for path in paths]
 
 
-def command_lines(artifact, s4_aug, s4_module, perturbed):
+# name: the edits of the braiding of kX of S3, a file in unit rack form whose
+# column 8 is {"31": "1"} (x = 2, y = 1, x <| y = 5); an int key names a
+# column and gives its replacement, a str key a key of the file
+PERTURBED_BRAIDINGS = {
+    "kX-braiding": {},
+    "wrong-row": {8: {"32": "1"}},
+    "non-canonical-row": {8: {"031": "1"}},
+    "out-of-range-row": {8: {"36": "1"}},
+    "coefficient-1-over-1": {8: {"31": "1/1"}},
+    "coefficient-int-1": {8: {"31": 1}},
+    "coefficient-2": {8: {"31": "2"}},
+    "coefficient-true": {8: {"31": True}},
+    "coefficient-float-1": {8: {"31": 1.0}},
+    "two-entries": {8: {"31": "1", "32": "1"}},
+    "empty-column": {8: {}},
+    "basis-order": {"basis_order": "first-factor-major"},
+}
+# x <| y = x + y + 1 mod 3: every right translation a bijection, (0, 0, 0) fails
+NOT_SELF_DISTRIBUTIVE = [[1, 2, 0], [2, 0, 1], [0, 1, 2]]
+
+
+def perturbed_braiding_files(tmp):
+    """The braidings of :data:`PERTURBED_BRAIDINGS`, then the braiding with
+    no points and that of :data:`NOT_SELF_DISTRIBUTIVE`, written into
+    ``tmp``; their paths."""
+    base = pathlib.Path(tmp) / "s3conj.tau.json"
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = cli.run(["braiding-matrix", str(FIXTURES / "yd_s3_conj.json"), "--json", str(base)])
+    if code != 0:
+        raise SystemExit(f"braiding-matrix of the S3 conjugation module exited {code}")
+    base = json.loads(base.read_text())
+    docs = {}
+    for name, edits in PERTURBED_BRAIDINGS.items():
+        docs[name] = copy.deepcopy(base)
+        for key, value in edits.items():
+            (docs[name]["columns"] if type(key) is int else docs[name])[key] = value
+    docs["no-points"] = {**base, "factor_basis": [], "columns": []}
+    n = len(NOT_SELF_DISTRIBUTIVE)
+    docs["not-self-distributive"] = {
+        "basis_order": "second-factor-major", "factor_basis": ["a", "b", "c"],
+        "columns": [{str(y + n * NOT_SELF_DISTRIBUTIVE[x][y]): "1"}
+                    for y in range(n) for x in range(n)]}
+    paths = []
+    for name, doc in docs.items():
+        paths.append(pathlib.Path(tmp) / f"{name}.tau.json")
+        paths[-1].write_text(json.dumps(doc))
+    return [str(path) for path in paths]
+
+
+def command_lines(artifact, s4_aug, s4_module, perturbed, braidings):
     """Every argv of the sweep, in a fixed order."""
     fixtures = sorted(str(path) for path in FIXTURES.glob("*.json"))
     for field in FIELDS:
@@ -136,6 +192,10 @@ def command_lines(artifact, s4_aug, s4_module, perturbed):
                 yield [*argv, "--field", field, path, "--witness-limit", "0"]
             for option in ([], ["--json", artifact], ["--integers"], ["--paper-layout"]):
                 yield ["braiding-matrix", "--field", field, path, *option]
+    for path in braidings:
+        for field in FIELDS:
+            for option in ([], ["--json", artifact], ["--witness-limit", "0"]):
+                yield ["check-ybe", "--field", field, path, *option]
 
 
 def main():
@@ -144,7 +204,7 @@ def main():
         digest = hashlib.sha256()
         codes = collections.Counter()
         lines = command_lines(str(artifact), *s4_conjugation_files(tmp),
-                              perturbed_module_files(tmp))
+                              perturbed_module_files(tmp), perturbed_braiding_files(tmp))
         for argv in lines:
             artifact.unlink(missing_ok=True)
             out, err = io.StringIO(), io.StringIO()

@@ -41,9 +41,9 @@ _EXPORTS = {
         "phi_checks", "phi_map",
     ),
 }
-_SUBMODULES = ("braid", "cli", "cli_io", "cli_leibniz", "cli_modules", "cli_racks", "envelope",
-               "errors", "group_hopf", "grouptable", "jsonio", "jsonwrite", "kxtables", "leibniz",
-               "linalg", "racks", "scalars", "selfdist", "yd")
+_SUBMODULES = ("braid", "braidtables", "cli", "cli_io", "cli_leibniz", "cli_modules", "cli_racks",
+               "envelope", "errors", "group_hopf", "grouptable", "jsonio", "jsonwrite", "kxtables",
+               "leibniz", "linalg", "racks", "scalars", "selfdist", "yd")
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
 

@@ -29,10 +29,27 @@ def _unique_keys(pairs):
     return obj
 
 
+def _exact_float(literal):
+    """``json.load``'s float hook: a number written with a fraction or an
+    exponent is read as its double, as ``json`` reads it, and a scalar is then
+    parsed from that double's text; a literal whose value that text does not
+    equal exactly (``9007199254740993.0``, ``1e400``) is refused, where
+    ``json`` would round it without any reader seeing it.  ``Decimal`` compares
+    the two exactly without writing out a power of ten such as ``1e999999999``,
+    as ``Fraction`` would."""
+    x = float(literal)
+    if repr(x) != literal:
+        from decimal import Decimal
+        if Decimal(literal) != Decimal(repr(x)):  # Decimal("inf") for 1e400
+            raise ValidationError(f"JSON number {literal} is not exactly a double; "
+                                  "write it as a string")
+    return x
+
+
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=_unique_keys)
+            return json.load(fh, object_pairs_hook=_unique_keys, parse_float=_exact_float)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

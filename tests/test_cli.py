@@ -1251,6 +1251,34 @@ def test_a_json_key_given_twice_exits_two(tmp_path, capsys, fixtures_dir):
     _refused(capsys, ["check-ybe", str(path)], "JSON object key '0' given twice")
 
 
+def _d3_rack_form(first, rest):
+    # the D3 braiding tau(e_x (x) e_y) = c e_y (x) e_(2y - x mod 3), c(0, 0)
+    # written as ``first`` and every other c as ``rest``, both JSON text
+    columns = [{str(y + 3 * ((2 * y - x) % 3)): "C"} for y in range(3) for x in range(3)]
+    text = json.dumps({"basis_order": "second-factor-major", "factor_basis": ["0", "1", "2"],
+                       "columns": columns})
+    return text.replace('"C"', first, 1).replace('"C"', rest)
+
+
+def test_a_json_number_that_is_not_exactly_a_double_exits_two(tmp_path, capsys):
+    # 9007199254740993.0 rounds to the double 2^53, so the cocycle read as
+    # constant and the braiding passed; as strings the values differ
+    path = tmp_path / "braid.json"
+    path.write_text(_d3_rack_form('"9007199254740993"', '"9007199254740992"'))
+    code, rep = report(capsys, "check-ybe", str(path))
+    assert (code, rep["witness"]) == (1, [0, 0, 1])
+    # an exponent of 999999999 is compared without writing out 10^999999999
+    for literal in ("9007199254740993.0", "1e400", "0.10000000000000000001", "1e999999999",
+                    "-1e-999999999"):
+        path.write_text(_d3_rack_form(literal, "9007199254740992"))
+        _refused(capsys, ["check-ybe", str(path)], f"JSON number {literal} is not exactly a double")
+    # a number whose double reads back as the literal is read as before
+    path.write_text(_d3_rack_form("1.5", "1.5"))
+    assert run(["check-ybe", str(path)]) == 0
+    path.write_text(_d3_rack_form("2e0", "2"))
+    assert run(["check-ybe", str(path)]) == 0
+
+
 def test_the_first_key_given_twice_is_named(tmp_path, capsys):
     # "a" is repeated before "b" is; each object is read on its own
     path = tmp_path / "keys.json"

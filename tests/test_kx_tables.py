@@ -5,9 +5,12 @@ file whose action entries are all ``{"<y>": "1"}`` and whose coaction is a
 grading ``[[x, h, "1"]]`` as an augmented rack's tables
 (:func:`rackyd.kxtables.linearized_from_dict`), and any other file through
 :func:`rackyd.jsonio.yd_from_dict`, ``check_yd``, ``check_q_conditions`` and
-``braid.braiding``.  Each test runs a command line both ways, the second with
-the reader patched to refuse every file, and compares the exit code, stdout,
-stderr without its timing line, and the artifact's bytes.
+``braid.braiding``.  ``check-ybe`` reads a braiding file whose every column
+is ``{"<r>": "1"}`` in rack form as the table of its rack
+(:func:`rackyd.braidtables.rack_table_from_dict`), and any other file as a
+``braid.BraidingMatrix``.  Each test runs a command line both ways, the
+second with the reader patched to refuse every file, and compares the exit
+code, stdout, stderr without its timing line, and the artifact's bytes.
 """
 
 import copy
@@ -23,7 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rackyd import cli, jsonio, kxtables, racks
+from rackyd import braidtables, cli, jsonio, kxtables, racks
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 PERMUTATION_FIXTURES = ["yd_dihedral3.json", "yd_dihedral3_broken.json", "yd_kereps_s3.json",
@@ -78,17 +81,18 @@ def _outcome(argv, tmp):
     return code, out.getvalue().replace(tmp, "<tmp>"), _without_timing(err.getvalue()), written
 
 
-def _both_paths(doc, variants, fields):
+def _both_paths(doc, variants, fields, reader=(kxtables, "linearized_from_dict")):
     """For each command line: whether the tables were read, and the outcome
     of each path.  The file is ``doc`` as JSON text (or ``doc`` itself when
-    it is a str)."""
+    it is a str); ``reader`` names the table reader, as module and name."""
     read = []
-    real = kxtables.linearized_from_dict
+    owner, name = reader
+    real = getattr(owner, name)
 
-    def reader(d):
-        aug = real(d)
-        read.append(aug is not None)
-        return aug
+    def counted(d):
+        tables = real(d)
+        read.append(tables is not None)
+        return tables
 
     results = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -99,9 +103,9 @@ def _both_paths(doc, variants, fields):
                 command, *options = variant
                 argv = [command, str(path), "--field", field, *options]
                 read.clear()
-                with mock.patch.object(kxtables, "linearized_from_dict", reader):
+                with mock.patch.object(owner, name, counted):
                     tables = _outcome(argv, tmp)
-                with mock.patch.object(kxtables, "linearized_from_dict", lambda d: None):
+                with mock.patch.object(owner, name, lambda d: None):
                     module = _outcome(argv, tmp)
                 results.append((argv, any(read), tables, module))
     return results
@@ -219,4 +223,150 @@ def perturbed_modules(draw):
          "rational")
 def test_a_perturbed_module_gives_the_bytes_of_the_module_path(doc, field):
     for argv, _, tables, module in _both_paths(doc, VARIANTS, [field]):
+        assert tables == module, argv
+
+
+# check-ybe on braiding files: each once as is and once writing its defect
+YBE_VARIANTS = [["check-ybe"], ["check-ybe", "--json", "ART"]]
+YBE_READER = (braidtables, "rack_table_from_dict")
+
+
+def _unit_braiding(op):
+    """The braiding file of ``tau(e_x (x) e_y) = e_y (x) e_(op[x][y])``."""
+    n = len(op)
+    return {"basis_order": "second-factor-major", "factor_basis": [f"x{x}" for x in range(n)],
+            "columns": [{str(y + n * op[x][y]): "1"} for y in range(n) for x in range(n)]}
+
+
+def _braiding_artifacts():
+    """``braiding-matrix --json`` and ``--integers --json`` of each permutation
+    fixture, as text."""
+    artifacts = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in PERMUTATION_FIXTURES:
+            for options in ([], ["--integers"]):
+                out = pathlib.Path(tmp) / "tau.json"
+                with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                    code = cli.run(["braiding-matrix", str(FIXTURES / name), *options,
+                                    "--json", str(out)])
+                assert code == 0, name
+                artifacts[" ".join([name, *options])] = out.read_text()
+    return artifacts
+
+
+BRAIDING_ARTIFACTS = _braiding_artifacts()
+D3 = racks.dihedral_quandle(3).op
+NOT_SELF_DISTRIBUTIVE = [[1, 2, 0], [2, 0, 1], [0, 1, 2]]  # x <| y = x + y + 1 mod 3
+
+
+def test_the_unit_rack_form_reader_takes_no_fixture_and_every_kx_braiding():
+    assert [path.name for path in FIXTURES.glob("*.json")
+            if braidtables.rack_table_from_dict(json.loads(path.read_text())) is not None] == []
+    for name, text in BRAIDING_ARTIFACTS.items():
+        assert braidtables.rack_table_from_dict(json.loads(text)) is not None, name
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in FIXTURES.glob("*.json")))
+def test_check_ybe_on_a_fixture_gives_the_bytes_of_the_braiding_path(name):
+    doc = (FIXTURES / name).read_text()
+    for argv, read, tables, module in _both_paths(doc, YBE_VARIANTS, FIELDS, YBE_READER):
+        assert not read and tables == module, argv
+
+
+@pytest.mark.parametrize("name", [*BRAIDING_ARTIFACTS, "D3", "not self-distributive"])
+def test_a_unit_rack_form_braiding_gives_the_bytes_of_the_braiding_path(name):
+    tables = {"D3": D3, "not self-distributive": NOT_SELF_DISTRIBUTIVE}
+    doc = _unit_braiding(tables[name]) if name in tables else BRAIDING_ARTIFACTS[name]
+    results = _both_paths(doc, YBE_VARIANTS, FIELDS, YBE_READER)
+    for argv, read, tables, module in results:
+        assert read and tables == module, argv
+    if name == "not self-distributive":
+        assert {tables[0] for _, _, tables, _ in results} == {1}
+
+
+def _set_column(doc, f, value):
+    doc["columns"][f] = value
+
+
+def _set_row(doc, f, value):
+    (_, c), = doc["columns"][f].items()
+    doc["columns"][f] = {str(value % (len(doc["columns"]) + 1)): c}
+
+
+def _set_braiding_key(doc, f, value):
+    (key, c), = doc["columns"][f].items()
+    doc["columns"][f] = {value.format(key): c}
+
+
+def _set_braiding_coefficient(doc, f, value):
+    (key, _), = doc["columns"][f].items()
+    doc["columns"][f] = {key: value}
+
+
+def _add_entry(doc, f, value):
+    row = str((f + 1) % len(doc["columns"]))
+    doc["columns"][f] = {**doc["columns"][f], row: value}
+
+
+# perturbations of one column of a unit braiding file: ``f(doc, column, value)``
+BRAIDING_PERTURBATIONS = {
+    "row": (_set_row, list(range(10))),
+    "key": (_set_braiding_key, ["0{}", " {}", "+{}", "{}_0", "-{}"]),
+    "coefficient": (_set_braiding_coefficient, ["1/1", "2", True, 1.0, 1, "01", "0", "-1"]),
+    "second entry": (_add_entry, ["1", "0", 1]),
+    "column": (_set_column, [{}, [], "1", None]),
+}
+
+
+@st.composite
+def perturbed_braidings(draw):
+    """A unit braiding file in rack form, of a random table or of kX, with up
+    to three columns perturbed, or its basis order or labels changed."""
+    if draw(st.booleans()):
+        doc = json.loads(draw(st.sampled_from(sorted(BRAIDING_ARTIFACTS.values()))))
+    else:
+        n = draw(st.integers(0, 4))
+        row = st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n)
+        doc = _unit_braiding(draw(st.lists(row, min_size=n, max_size=n)))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from([*BRAIDING_PERTURBATIONS, "basis order", "label"]))
+        if kind == "basis order":
+            doc["basis_order"] = draw(st.sampled_from(["first-factor-major", None, 1]))
+        elif kind == "label":
+            doc["factor_basis"].append("extra")
+        elif doc["columns"]:
+            apply, values = BRAIDING_PERTURBATIONS[kind]
+            f = draw(st.integers(0, len(doc["columns"]) - 1))
+            try:
+                apply(doc, f, draw(st.sampled_from(values)))
+            except (AttributeError, TypeError, ValueError):
+                pass  # a column that is no longer one entry stays as it is
+    return doc
+
+
+def _perturbed(op, kind, value, column=1):
+    doc = _unit_braiding(op)
+    if kind == "basis order":
+        doc["basis_order"] = value
+    else:
+        BRAIDING_PERTURBATIONS[kind][0](doc, column, value)
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_braidings(), st.sampled_from(FIELDS))
+@example(_perturbed(D3, "row", 4), "rational")
+@example(_perturbed(D3, "key", "0{}"), "rational")
+@example(_perturbed(D3, "row", 9), "gfp:7")  # row 9 of a 3-point braiding: out of range
+@example(_perturbed(D3, "coefficient", "1/1"), "rational")
+@example(_perturbed(D3, "coefficient", "2"), "gfp:2")
+@example(_perturbed(D3, "coefficient", True), "rational")
+@example(_perturbed(D3, "coefficient", 1.0), "rational")
+@example(_perturbed(D3, "second entry", "1"), "rational")
+@example(_perturbed(D3, "column", {}), "rational")
+@example(_perturbed(D3, "basis order", "first-factor-major"), "rational")
+@example(_unit_braiding([]), "rational")
+@example(_unit_braiding(NOT_SELF_DISTRIBUTIVE), "gfp:7")
+def test_a_perturbed_braiding_gives_the_bytes_of_the_braiding_path(doc, field):
+    for argv, _, tables, module in _both_paths(doc, YBE_VARIANTS, [field], YBE_READER):
         assert tables == module, argv

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 import rackyd
-from rackyd import envelope, group_hopf, leibniz, racks, yd
+from rackyd import cli, envelope, group_hopf, leibniz, racks, yd
 from rackyd.yd import BraidingMatrix, check_ybe, flip_columns, ybe_defect
 
 RECORDS = [
@@ -63,6 +63,18 @@ def test_importing_the_package_imports_no_submodule():
 def test_check_ybe_imports_no_rack_group_or_envelope_code():
     loaded = _modules_after_command("check-ybe", str(FIXTURES / "braiding_hv_sparse.json"))
     assert loaded & {"yd", "racks", "group_hopf", "jsonio", "leibniz", "envelope"} == set()
+
+
+def test_check_ybe_decides_a_unit_rack_form_braiding_on_its_table(tmp_path, capsys):
+    # the braiding of kX, every column {"<r>": "1"}: no braiding class, linear
+    # algebra, rack, group or module code (braidtables.rack_table_from_dict)
+    braiding = tmp_path / "tau.json"
+    assert cli.run(["braiding-matrix", str(FIXTURES / "yd_s3_conj.json"),
+                    "--json", str(braiding)]) == 0
+    capsys.readouterr()
+    loaded = _modules_after_command("check-ybe", str(braiding))
+    assert "braidtables" in loaded
+    assert loaded & {"braid", "linalg", "racks", "grouptable", "kxtables", "jsonio", "yd"} == set()
 
 
 def test_rack_braiding_imports_no_linear_algebra():
