@@ -36,6 +36,9 @@ unless a row says otherwise:
   also record the child's peak RSS
   (``peak_rss_mb``): each child is started by a small launcher, which times
   it and reads its ``ru_maxrss`` from ``wait4``;
+- ``inner-augmentation --json`` as such a process, with its peak RSS, on
+  the affine quandle ``x <| y = 2x - y`` on Z/29, whose inner group has
+  order 812;
 - the braiding of kX of the S5 conjugation quandle twisted by the diagonal
   ``d[x] = x + 1`` (so it is no longer unit): ``check-ybe`` alone;
 - sl2 ``env-build --json`` at degrees 10, 12 and 14 (a whole
@@ -253,6 +256,23 @@ def rack_rows(tmp):
     return rows
 
 
+def affine_quandle(n, a):
+    """The affine quandle ``x <| y = a x + (1 - a) y`` on Z/n."""
+    return racks.FiniteShelf([str(x) for x in range(n)],
+                             [[(a * x + (1 - a) * y) % n for y in range(n)] for x in range(n)])
+
+
+def inner_augmentation_rows(tmp):
+    rack, written, cache = tmp / "affine29.json", tmp / "affine29.aug.json", tmp / "inner_pycache"
+    rack.write_text(json.dumps(affine_quandle(29, 2).to_json_dict()))
+    cache.mkdir()
+    peaks = []
+    row = {"instance": "affine quandle 2x - y on Z/29", "dim": 29, "inner_group_order": 812,
+           "command": "inner-augmentation --json process",
+           **timed(lambda: launched(cache, peaks, "inner-augmentation", rack, "--json", written))}
+    return [{**row, "peak_rss_mb": round(statistics.median(peaks), 2)}]
+
+
 def envelope_rows(tmp):
     sl2, written = str(ROOT / "fixtures" / "leibniz_sl2.json"), tmp / "env.json"
     rows = [{"instance": "sl2", "degree": degree, "command": "env-build --json",
@@ -301,7 +321,7 @@ def main():
     perfbench.pin_to_one_cpu()
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
-        rows = rack_rows(tmp) + envelope_rows(tmp) + make_rows(tmp)
+        rows = rack_rows(tmp) + inner_augmentation_rows(tmp) + envelope_rows(tmp) + make_rows(tmp)
     bench = {
         "python": platform.python_version(),
         "platform": platform.platform(),

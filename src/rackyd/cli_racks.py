@@ -41,7 +41,7 @@ def cmd_inner_augmentation(args, field):
     report = {
         "rack_size": aug.size,
         "inner_group_order": aug.group.size,
-        "augmented_ok": True,
+        "augmented_ok": True,  # proved in inner_augmentation
     }
     _emit(args, report, "augmented_rack", aug.to_json_dict())
     return 0, report

@@ -104,6 +104,16 @@ def test_conjugation_tables_are_the_entrywise_conjugates(group):
     assert conjugation_augmented(group).action == want
 
 
+@pytest.mark.parametrize("group", [*_groups(), pytest.param(FiniteGroup.cyclic(1), id="trivial")])
+def test_conjugation_augmented_is_built_as_proved(group):
+    # the verifying constructor accepts the conjugation action, and the rack
+    # it induces is the conjugation quandle
+    aug = conjugation_augmented(group)
+    assert AugmentedRack(group.elements, group, aug.action, aug.p) == aug
+    assert check_augmented(aug).ok
+    assert racks._induced_table(aug) == conjugation_rack(group)
+
+
 @pytest.mark.parametrize("n", range(1, 41))
 def test_make_dihedral_reads_the_quandle_off_the_formula(n, capsys, calls):
     report = _report(capsys, ["make-dihedral", str(n)])

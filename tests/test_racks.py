@@ -249,7 +249,7 @@ def test_inner_augmentation_proves_each_fact_once(monkeypatch):
             return _real(arg)
         monkeypatch.setattr(racks, name, counted)
     inner_augmentation(dihedral_quandle(7))
-    assert calls == {"check_shelf": 1, "check_augmented": 1}
+    assert calls == {"check_shelf": 1}
 
 
 def test_dihedral_order_is_capped():
